@@ -350,4 +350,19 @@ awk -v a="$avoid" 'BEGIN { exit !(a > 0) }' || {
 }
 echo "ladder avoidance gate: avoidance_rate $avoid (> 0 required)"
 
+echo "==> serve-mix smoke (large bodies and per-class verdict checks through the real server)"
+# Correctness only, no timing gate: the suite exits non-zero when any
+# output check fails, and its last stdout line reports the failure count.
+mix_out="$(cargo run --release --offline -q --manifest-path benchsuite/Cargo.toml \
+    --bin suite -- --smoke --workload serve-mix)" || {
+    echo "serve-mix smoke FAILED: the suite exited non-zero"
+    echo "$mix_out"
+    exit 1
+}
+echo "$mix_out" | tail -n 1 | grep -q '"failed": 0,' || {
+    echo "serve-mix smoke FAILED: failed operations reported"
+    echo "$mix_out"
+    exit 1
+}
+
 echo "==> ci.sh: all green"

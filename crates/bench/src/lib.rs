@@ -10,7 +10,19 @@
 //! | F2 | Fig. 2 observer verification | `verify_components` |
 //! | S1 | Sect. 4 scalability (12 500 jobs) | `scalability` |
 //! | S2 | Sect. 4 scheduling-tool integration | `config_search` |
+//! | S3 | simulator core: bytecode vs AST engine (`BENCH_simulation.json`) | `simcore` |
+//! | S5 | checkpointed warm starts (`BENCH_warmstart.json`) | `warmstart` |
+//! | S7 | durable storage: cold restart vs warm reopen (`BENCH_storage.json`) | `storage` |
+//! | S8 | warm-started sensitivity sweeps (`BENCH_sweep.json`) | `sweep` |
+//! | S9 | verdict ladder as a simulation pre-filter (`BENCH_ladder.json`) | `ladder` |
+//! | C1 | compositional per-module cache reuse (`BENCH_compositional.json`) | `compositional` |
 //! | A1 | determinism ablation | `determinism` |
+//! | A3 | classical RTA vs trace-based analysis | `rta_comparison` |
+//! | A5 | parallel vs sequential model checking | `mc_parallel` |
+//!
+//! The seeded end-to-end and per-layer benchmark (`paper-scale`,
+//! `design-loop`, `serve-mix`, `mc-table1`) is a separate package,
+//! `benchsuite/` at the repository root, declared by `BENCHMARK.json`.
 
 #![warn(missing_docs)]
 #![allow(clippy::module_name_repetitions)]

@@ -16,7 +16,7 @@
 //! * **T1** — [`window_supply_rta`]: *sufficient* response-time analysis
 //!   generalizing classical FPPS RTA to ARINC-653 window supply via
 //!   supply-bound/request-bound functions (the compositional real-time
-//!   interface of Han et al., arXiv:1807.11050). May only answer
+//!   interface of Han et al., arXiv:1807.11570). May only answer
 //!   [`Verdict::Schedulable`] or [`Verdict::Undecided`].
 //! * **T2** — [`rtc_interface_check`]: an RTC-style arrival/service-curve
 //!   interface check with a tunable granularity knob in the spirit of

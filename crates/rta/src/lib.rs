@@ -16,7 +16,7 @@
 //!   model's blind spots (windows, dependencies) change the verdict;
 //! * [`window_rta`] — the *window-supply* generalization (supply-bound /
 //!   request-bound functions over the ARINC-653 window schedule, per the
-//!   compositional interfaces of Han et al., arXiv:1807.11050). Unlike
+//!   compositional interfaces of Han et al., arXiv:1807.11570). Unlike
 //!   the classics above it **sees** partition windows, which makes its
 //!   `Schedulable` answers sound against the trace analysis; it powers
 //!   tier T1 of the verdict ladder

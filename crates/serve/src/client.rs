@@ -27,7 +27,7 @@ pub struct HttpResponse {
 ///
 /// Propagates connection and protocol failures.
 pub fn get<A: ToSocketAddrs>(addr: A, path: &str) -> io::Result<HttpResponse> {
-    exchange(addr, "GET", path, None)
+    parse_response(send(addr, "GET", path, "")?)
 }
 
 /// Sends a `POST` request with a JSON body.
@@ -36,32 +36,28 @@ pub fn get<A: ToSocketAddrs>(addr: A, path: &str) -> io::Result<HttpResponse> {
 ///
 /// Propagates connection and protocol failures.
 pub fn post<A: ToSocketAddrs>(addr: A, path: &str, body: &str) -> io::Result<HttpResponse> {
-    exchange(addr, "POST", path, Some(body))
+    parse_response(send(addr, "POST", path, body)?)
 }
 
-fn exchange<A: ToSocketAddrs>(
-    addr: A,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> io::Result<HttpResponse> {
+/// Sends one request — head and body in a single write — and returns
+/// the raw response, read until the server closes the connection.
+fn send<A: ToSocketAddrs>(addr: A, method: &str, path: &str, body: &str) -> io::Result<Vec<u8>> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let body = body.unwrap_or("");
-    let head = format!(
-        "{} {} HTTP/1.1\r\nHost: swa-serve\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    let request = format!(
+        "{} {} HTTP/1.1\r\nHost: swa-serve\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         method,
         path,
         body.len(),
+        body,
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(request.as_bytes())?;
     stream.flush()?;
 
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
-    parse_response(&raw)
+    Ok(raw)
 }
 
 /// A streamed (chunked) response, decoded into its constituent lines.
@@ -83,21 +79,7 @@ pub struct StreamedResponse {
 /// Propagates connection and protocol failures, including malformed
 /// chunked framing.
 pub fn post_lines<A: ToSocketAddrs>(addr: A, path: &str, body: &str) -> io::Result<StreamedResponse> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let head = format!(
-        "POST {} HTTP/1.1\r\nHost: swa-serve\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        path,
-        body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_streamed(&raw)
+    parse_streamed(&send(addr, "POST", path, body)?)
 }
 
 fn parse_streamed(raw: &[u8]) -> io::Result<StreamedResponse> {
@@ -163,7 +145,7 @@ fn dechunk(mut bytes: &[u8]) -> Result<Vec<u8>, String> {
     }
 }
 
-fn parse_response(raw: &[u8]) -> io::Result<HttpResponse> {
+fn parse_response(mut raw: Vec<u8>) -> io::Result<HttpResponse> {
     let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
     let split = raw
         .windows(4)
@@ -178,8 +160,8 @@ fn parse_response(raw: &[u8]) -> io::Result<HttpResponse> {
         .ok_or_else(|| bad("malformed status line"))?;
     // `Connection: close` framing: everything after the blank line is the
     // body (Content-Length is advisory here; read_to_end saw EOF).
-    let body = String::from_utf8(raw[split + 4..].to_vec())
-        .map_err(|_| bad("non-UTF-8 response body"))?;
+    raw.drain(..split + 4);
+    let body = String::from_utf8(raw).map_err(|_| bad("non-UTF-8 response body"))?;
     Ok(HttpResponse { status, body })
 }
 
@@ -190,7 +172,7 @@ mod tests {
     #[test]
     fn parses_a_response() {
         let raw = b"HTTP/1.1 429 Too Many Requests\r\nContent-Length: 2\r\n\r\n{}";
-        let resp = parse_response(raw).unwrap();
+        let resp = parse_response(raw.to_vec()).unwrap();
         assert_eq!(resp.status, 429);
         assert_eq!(resp.body, "{}");
     }
@@ -222,7 +204,7 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(parse_response(b"not http").is_err());
-        assert!(parse_response(b"HTTP/1.1 ???\r\n\r\n").is_err());
+        assert!(parse_response(b"not http".to_vec()).is_err());
+        assert!(parse_response(b"HTTP/1.1 ???\r\n\r\n".to_vec()).is_err());
     }
 }

@@ -5,7 +5,8 @@
 //! out, one request per connection (`Connection: close`) — so the whole
 //! exchange stays std-only. Limits are enforced while reading: a 16 KiB
 //! header section and an 8 MiB body, so a hostile peer cannot balloon
-//! memory.
+//! memory. The body is read once, straight into a buffer of exactly its
+//! declared length, and a response leaves in a single write.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -76,13 +77,17 @@ impl From<io::Error> for HttpError {
 /// [`HttpError::Io`] on socket failure, [`HttpError::Malformed`] on
 /// unparseable input, [`HttpError::TooLarge`] when the declared body
 /// exceeds the limit.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, HttpError> {
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
+    // Everything before `scanned` is known to hold no terminator start,
+    // so each read searches only its own bytes plus the 3 before them.
+    let mut scanned = 0;
     let split = loop {
-        if let Some(i) = find_head_end(&head) {
-            break i;
+        if let Some(i) = find_head_end(&head[scanned..]) {
+            break scanned + i;
         }
+        scanned = head.len().saturating_sub(3);
         if head.len() > MAX_HEAD {
             return Err(HttpError::Malformed("header section too large".into()));
         }
@@ -131,15 +136,16 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
         return Err(HttpError::TooLarge);
     }
 
-    let mut body = rest.to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            return Err(HttpError::Malformed("connection closed mid-body".into()));
-        }
-        body.extend_from_slice(&buf[..n]);
+    // One buffer of exactly `content_length` bytes: the prefix that came
+    // with the head, then the rest straight from the stream. Bytes past
+    // the declared length are never read into it.
+    let mut body = Vec::with_capacity(content_length);
+    body.extend_from_slice(&rest[..rest.len().min(content_length)]);
+    let missing = content_length - body.len();
+    stream.take(missing as u64).read_to_end(&mut body)?;
+    if body.len() < content_length {
+        return Err(HttpError::Malformed("connection closed mid-body".into()));
     }
-    body.truncate(content_length);
     Ok(Request { method, path, body })
 }
 
@@ -148,21 +154,22 @@ fn find_head_end(bytes: &[u8]) -> Option<usize> {
     bytes.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
 }
 
-/// Writes a complete JSON response and flushes it. The connection is
-/// marked `Connection: close`; the caller drops the stream afterwards.
+/// Writes a complete JSON response — status line, headers and body in
+/// one `write_all` — and flushes it. The connection is marked
+/// `Connection: close`; the caller drops the stream afterwards.
 ///
 /// # Errors
 ///
 /// Propagates socket write failures.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+pub fn write_response<W: Write>(stream: &mut W, status: u16, body: &str) -> io::Result<()> {
+    let response = format!(
+        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
         status,
         status_text(status),
         body.len(),
+        body,
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
@@ -248,6 +255,25 @@ mod tests {
         result
     }
 
+    /// A peer whose bytes arrive at most `step` at a time.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    fn trickle(raw: &[u8], step: usize) -> Result<Request, HttpError> {
+        read_request(&mut Trickle { data: raw, step })
+    }
+
     #[test]
     fn parses_post_with_body() {
         let req = roundtrip(b"POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody").unwrap();
@@ -262,6 +288,61 @@ mod tests {
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/healthz");
         assert!(req.body.is_empty());
+    }
+
+    /// Head and body split at every possible point: one byte per read,
+    /// odd step sizes that cut the `\r\n\r\n` terminator apart, and the
+    /// whole request in one read. The body itself contains a blank line.
+    #[test]
+    fn body_arrives_intact_however_the_bytes_are_split() {
+        let pattern = b"{\"config_xml\":\"<a/>\r\n\r\n\"}";
+        let body: Vec<u8> = (0..3000).map(|i| pattern[i % pattern.len()]).collect();
+        let mut raw = format!(
+            "POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(&body);
+        for step in [1, 2, 3, 5, 7, 1024, usize::MAX] {
+            let req = trickle(&raw, step).unwrap();
+            assert_eq!(req.path, "/analyze", "step {step}");
+            assert_eq!(req.body, body, "step {step}");
+        }
+    }
+
+    #[test]
+    fn head_and_body_in_one_read() {
+        let raw = b"POST /sweep HTTP/1.1\r\nContent-Length: 11\r\n\r\n{\"axis\":1}\n";
+        let req = trickle(raw, usize::MAX).unwrap();
+        assert_eq!(req.path, "/sweep");
+        assert_eq!(req.body, b"{\"axis\":1}\n");
+    }
+
+    #[test]
+    fn bytes_beyond_content_length_are_dropped() {
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 4\r\n\r\nbodyEXTRA";
+        for step in [1, usize::MAX] {
+            assert_eq!(trickle(raw, step).unwrap().body, b"body", "step {step}");
+        }
+    }
+
+    #[test]
+    fn zero_content_length_reads_no_body() {
+        let raw = b"POST /analyze HTTP/1.1\r\nContent-Length: 0\r\n\r\nignored";
+        for step in [1, usize::MAX] {
+            assert!(trickle(raw, step).unwrap().body.is_empty(), "step {step}");
+        }
+    }
+
+    #[test]
+    fn short_body_is_malformed() {
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+        for step in [1, usize::MAX] {
+            assert!(
+                matches!(trickle(raw, step), Err(HttpError::Malformed(m)) if m == "connection closed mid-body"),
+                "step {step}"
+            );
+        }
     }
 
     #[test]
@@ -282,6 +363,37 @@ mod tests {
     fn rejects_oversized_bodies() {
         let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
         assert!(matches!(roundtrip(raw.as_bytes()), Err(HttpError::TooLarge)));
+    }
+
+    /// Counts the `write` calls a response takes.
+    #[derive(Default)]
+    struct CountingWriter {
+        out: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_leaves_in_one_write() {
+        let mut w = CountingWriter::default();
+        write_response(&mut w, 422, "{\"a\":1}").unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            w.out,
+            b"HTTP/1.1 422 Unprocessable Entity\r\nContent-Type: application/json\r\n\
+              Content-Length: 7\r\nConnection: close\r\n\r\n{\"a\":1}"
+        );
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! nesting-depth limit against hostile inputs, and byte-offset error
 //! positions for 400 responses clients can act on.
 //!
+//! Parsing takes time linear in the input size: every byte is looked at a
+//! constant number of times, and a string's plain runs between escapes
+//! are copied with one `push_str` each. Request bodies are almost
+//! entirely one large string (`config_xml`), so this bound is what keeps
+//! an 8 MiB body to milliseconds.
+//!
 //! Only *parsing* lives here; responses are rendered with the same
 //! hand-rolled formatting the rest of the workspace uses
 //! (`swa_core::obs::json_escape`).
@@ -42,6 +48,7 @@ impl Json {
     /// violation.
     pub fn parse(text: &str) -> Result<Self, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -123,6 +130,8 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    /// The input; string runs are sliced from it without re-validation.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -235,6 +244,16 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next `"`, `\` or
+            // control byte in one go. All three are ASCII, so the run ends
+            // on a char boundary of the (already valid UTF-8) input.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -262,16 +281,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so bytes are
-                    // valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -354,6 +364,11 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write;
+    use std::time::{Duration, Instant};
+
+    use swa_core::obs::json_escape;
+    use swa_workload::Rng64;
 
     #[test]
     fn parses_request_envelope() {
@@ -395,6 +410,119 @@ mod tests {
         ] {
             assert!(Json::parse(text).is_err(), "{what} should fail: {text:?}");
         }
+    }
+
+    /// The offsets and messages string errors report. Clients see both
+    /// in their 400 bodies, so a faster parser must keep them.
+    #[test]
+    fn string_error_offsets_are_pinned() {
+        let at = |text: &str| {
+            let e = Json::parse(text).unwrap_err();
+            (e.offset, e.message)
+        };
+        let control = format!("\"{}\u{1}{}\"", "a".repeat(1000), "b".repeat(10));
+        assert_eq!(at(&control), (1001, "raw control character in string".into()));
+        let unterminated = format!("\"{}é", "x".repeat(500));
+        assert_eq!(at(&unterminated), (503, "unterminated string".into()));
+        assert_eq!(at(r#""ab\x""#), (4, "invalid escape".into()));
+        assert_eq!(at(r#"{"k": "v\"#), (9, "invalid escape".into()));
+        assert_eq!(at(r#""\u12G4""#), (5, "expected 4 hex digits".into()));
+        assert_eq!(at(r#""\udc00""#), (7, "unpaired low surrogate".into()));
+    }
+
+    /// Random strings mixing printable ASCII, every short-escape
+    /// character, other control characters, and 2-, 3- and 4-byte
+    /// scalars (4-byte ones become surrogate pairs when `\u`-escaped).
+    fn random_string(rng: &mut Rng64) -> String {
+        const POOL: &[char] = &[
+            '"', '\\', '/', '\u{8}', '\u{c}', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é',
+            'ß', '\u{7ff}', '€', '\u{d7ff}', '\u{e000}', '\u{ffff}', '😀', '\u{10000}',
+            '\u{10ffff}',
+        ];
+        let len = rng.gen_range(200);
+        (0..len)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    char::from(b' ' + u8::try_from(rng.gen_range(95)).expect("below 95"))
+                } else {
+                    POOL[rng.gen_range(POOL.len())]
+                }
+            })
+            .collect()
+    }
+
+    /// Encodes `s` as a JSON string body, choosing per character among
+    /// every form the grammar allows: raw, short escape, or `\uXXXX`
+    /// (a UTF-16 surrogate pair above U+FFFF).
+    fn encode_any(s: &str, rng: &mut Rng64) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            let short = match c {
+                '"' => Some('"'),
+                '\\' => Some('\\'),
+                '/' => Some('/'),
+                '\u{8}' => Some('b'),
+                '\u{c}' => Some('f'),
+                '\n' => Some('n'),
+                '\r' => Some('r'),
+                '\t' => Some('t'),
+                _ => None,
+            };
+            let must_escape = c == '"' || c == '\\' || u32::from(c) < 0x20;
+            let form = rng.gen_range(3);
+            match short {
+                Some(e) if form == 0 => {
+                    out.push('\\');
+                    out.push(e);
+                }
+                _ if form == 1 || must_escape => {
+                    let upper = rng.gen_bool(0.5);
+                    for unit in c.encode_utf16(&mut [0u16; 2]) {
+                        let _ = if upper {
+                            write!(out, "\\u{unit:04X}")
+                        } else {
+                            write!(out, "\\u{unit:04x}")
+                        };
+                    }
+                }
+                _ => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn strings_round_trip_through_every_encoding() {
+        let mut rng = Rng64::seed_from_u64(0x5eed);
+        for _ in 0..500 {
+            let s = random_string(&mut rng);
+            let escaped = format!("\"{}\"", json_escape(&s));
+            assert_eq!(Json::parse(&escaped).unwrap().as_str(), Some(s.as_str()), "{escaped:?}");
+            let any = format!("\"{}\"", encode_any(&s, &mut rng));
+            assert_eq!(Json::parse(&any).unwrap().as_str(), Some(s.as_str()), "{any:?}");
+        }
+    }
+
+    /// A string as large as the largest accepted body parses in linear
+    /// time. A parser that rescans the rest of the input per character
+    /// needs hours here.
+    #[test]
+    fn max_body_string_parses_in_linear_time() {
+        let line = r#"<task name=\"t\" wcet=\"10\" é/>\n"#;
+        let mut text = String::with_capacity(crate::http::MAX_BODY);
+        text.push('"');
+        while text.len() + line.len() < crate::http::MAX_BODY {
+            text.push_str(line);
+        }
+        text.push('"');
+        let started = Instant::now();
+        let doc = Json::parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert!(doc.as_str().unwrap().ends_with("é/>\n"));
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "an 8 MiB string took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -88,64 +88,16 @@ impl std::error::Error for RequestError {}
 /// [`RequestError::Unprocessable`] for XML or configuration-validation
 /// failures.
 pub fn parse_analyze(body: &[u8]) -> Result<AnalyzeRequest, RequestError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| RequestError::Bad("request body is not UTF-8".into()))?;
-    let doc = Json::parse(text).map_err(|e| RequestError::Bad(e.to_string()))?;
-    if !matches!(doc, Json::Obj(_)) {
-        return Err(RequestError::Bad("request body must be a JSON object".into()));
-    }
-
-    let xml = doc
-        .get("config_xml")
-        .ok_or_else(|| RequestError::Bad("missing required field \"config_xml\"".into()))?
-        .as_str()
-        .ok_or_else(|| RequestError::Bad("\"config_xml\" must be a string".into()))?;
-
-    let hyperperiods = match doc.get("hyperperiods") {
-        None => 1,
-        Some(v) => u32::try_from(
-            v.as_u64()
-                .ok_or_else(|| RequestError::Bad("\"hyperperiods\" must be a non-negative integer".into()))?,
-        )
-        .map_err(|_| RequestError::Bad("\"hyperperiods\" out of range".into()))?,
-    };
-
-    let engine = match doc.get("engine") {
-        None => EvalEngine::default(),
-        Some(v) => {
-            let name = v
-                .as_str()
-                .ok_or_else(|| RequestError::Bad("\"engine\" must be a string".into()))?;
-            EvalEngine::parse(name).ok_or_else(|| {
-                RequestError::Bad(format!("unknown engine {name:?} (expected \"ast\" or \"bytecode\")"))
-            })?
-        }
-    };
-
-    let explain = flag(&doc, "explain")?;
-    let no_cache = flag(&doc, "no_cache")?;
-
-    let deadline_ms = match doc.get("deadline_ms") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(v.as_u64().ok_or_else(|| {
-            RequestError::Bad("\"deadline_ms\" must be a non-negative integer".into())
-        })?),
-    };
-
-    let config = swa_xmlio::configuration_from_xml(xml)
-        .map_err(|e| RequestError::Unprocessable(format!("config_xml: {e}")))?;
-    config.validate().map_err(|errors| {
-        let msgs: Vec<String> = errors.iter().map(ToString::to_string).collect();
-        RequestError::Unprocessable(format!("invalid configuration: {}", msgs.join("; ")))
-    })?;
-
+    let doc = envelope(body)?;
+    // Fields are checked in the order written; the XML (422) comes last,
+    // so a bad field answers 400 even when the XML is bad too.
     Ok(AnalyzeRequest {
-        config,
-        hyperperiods,
-        engine,
-        explain,
-        deadline_ms,
-        no_cache,
+        hyperperiods: hyperperiods(&doc)?,
+        engine: engine(&doc)?,
+        explain: flag(&doc, "explain")?,
+        no_cache: flag(&doc, "no_cache")?,
+        deadline_ms: deadline_ms(&doc)?,
+        config: configuration(&doc)?,
     })
 }
 
@@ -192,19 +144,7 @@ pub struct SweepRequest {
 /// [`RequestError::Unprocessable`] for XML or configuration-validation
 /// failures.
 pub fn parse_sweep(body: &[u8]) -> Result<SweepRequest, RequestError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| RequestError::Bad("request body is not UTF-8".into()))?;
-    let doc = Json::parse(text).map_err(|e| RequestError::Bad(e.to_string()))?;
-    if !matches!(doc, Json::Obj(_)) {
-        return Err(RequestError::Bad("request body must be a JSON object".into()));
-    }
-
-    let xml = doc
-        .get("config_xml")
-        .ok_or_else(|| RequestError::Bad("missing required field \"config_xml\"".into()))?
-        .as_str()
-        .ok_or_else(|| RequestError::Bad("\"config_xml\" must be a string".into()))?;
-
+    let doc = envelope(body)?;
     let mut options = SweepOptions::default();
 
     if let Some(v) = doc.get("tolerance") {
@@ -230,25 +170,8 @@ pub fn parse_sweep(body: &[u8]) -> Result<SweepRequest, RequestError> {
         options.search.presamples = usize::try_from(samples)
             .map_err(|_| RequestError::Bad("\"samples\" out of range".into()))?;
     }
-    options.hyperperiods = match doc.get("hyperperiods") {
-        None => 1,
-        Some(v) => u32::try_from(
-            v.as_u64()
-                .ok_or_else(|| RequestError::Bad("\"hyperperiods\" must be a non-negative integer".into()))?,
-        )
-        .map_err(|_| RequestError::Bad("\"hyperperiods\" out of range".into()))?,
-    };
-    options.engine = match doc.get("engine") {
-        None => EvalEngine::default(),
-        Some(v) => {
-            let name = v
-                .as_str()
-                .ok_or_else(|| RequestError::Bad("\"engine\" must be a string".into()))?;
-            EvalEngine::parse(name).ok_or_else(|| {
-                RequestError::Bad(format!("unknown engine {name:?} (expected \"ast\" or \"bytecode\")"))
-            })?
-        }
-    };
+    options.hyperperiods = hyperperiods(&doc)?;
+    options.engine = engine(&doc)?;
     options.chains = flag(&doc, "chains")?;
     options.chain_bound = match doc.get("chain_bound") {
         None | Some(Json::Null) => None,
@@ -269,20 +192,8 @@ pub fn parse_sweep(body: &[u8]) -> Result<SweepRequest, RequestError> {
         }
     };
     let per_task = flag(&doc, "per_task")?;
-
-    let deadline_ms = match doc.get("deadline_ms") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(v.as_u64().ok_or_else(|| {
-            RequestError::Bad("\"deadline_ms\" must be a non-negative integer".into())
-        })?),
-    };
-
-    let config = swa_xmlio::configuration_from_xml(xml)
-        .map_err(|e| RequestError::Unprocessable(format!("config_xml: {e}")))?;
-    config.validate().map_err(|errors| {
-        let msgs: Vec<String> = errors.iter().map(ToString::to_string).collect();
-        RequestError::Unprocessable(format!("invalid configuration: {}", msgs.join("; ")))
-    })?;
+    let deadline_ms = deadline_ms(&doc)?;
+    let config = configuration(&doc)?;
 
     let axis_spec = match doc.get("axis") {
         None => "wcet",
@@ -300,6 +211,71 @@ pub fn parse_sweep(body: &[u8]) -> Result<SweepRequest, RequestError> {
         per_task,
         deadline_ms,
     })
+}
+
+/// Decodes what every endpoint's body is: a UTF-8 JSON object carrying a
+/// string `config_xml`.
+fn envelope(body: &[u8]) -> Result<Json, RequestError> {
+    let text = std::str::from_utf8(body)
+        .map_err(|_| RequestError::Bad("request body is not UTF-8".into()))?;
+    let doc = Json::parse(text).map_err(|e| RequestError::Bad(e.to_string()))?;
+    if !matches!(doc, Json::Obj(_)) {
+        return Err(RequestError::Bad("request body must be a JSON object".into()));
+    }
+    config_xml(&doc)?;
+    Ok(doc)
+}
+
+fn config_xml(doc: &Json) -> Result<&str, RequestError> {
+    doc.get("config_xml")
+        .ok_or_else(|| RequestError::Bad("missing required field \"config_xml\"".into()))?
+        .as_str()
+        .ok_or_else(|| RequestError::Bad("\"config_xml\" must be a string".into()))
+}
+
+/// Decodes and validates the embedded configuration (422 on failure).
+fn configuration(doc: &Json) -> Result<Configuration, RequestError> {
+    let config = swa_xmlio::configuration_from_xml(config_xml(doc)?)
+        .map_err(|e| RequestError::Unprocessable(format!("config_xml: {e}")))?;
+    config.validate().map_err(|errors| {
+        let msgs: Vec<String> = errors.iter().map(ToString::to_string).collect();
+        RequestError::Unprocessable(format!("invalid configuration: {}", msgs.join("; ")))
+    })?;
+    Ok(config)
+}
+
+fn hyperperiods(doc: &Json) -> Result<u32, RequestError> {
+    match doc.get("hyperperiods") {
+        None => Ok(1),
+        Some(v) => u32::try_from(
+            v.as_u64()
+                .ok_or_else(|| RequestError::Bad("\"hyperperiods\" must be a non-negative integer".into()))?,
+        )
+        .map_err(|_| RequestError::Bad("\"hyperperiods\" out of range".into())),
+    }
+}
+
+fn engine(doc: &Json) -> Result<EvalEngine, RequestError> {
+    match doc.get("engine") {
+        None => Ok(EvalEngine::default()),
+        Some(v) => {
+            let name = v
+                .as_str()
+                .ok_or_else(|| RequestError::Bad("\"engine\" must be a string".into()))?;
+            EvalEngine::parse(name).ok_or_else(|| {
+                RequestError::Bad(format!("unknown engine {name:?} (expected \"ast\" or \"bytecode\")"))
+            })
+        }
+    }
+}
+
+fn deadline_ms(doc: &Json) -> Result<Option<u64>, RequestError> {
+    match doc.get("deadline_ms") {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
+            RequestError::Bad("\"deadline_ms\" must be a non-negative integer".into())
+        }),
+    }
 }
 
 fn flag(doc: &Json, name: &str) -> Result<bool, RequestError> {

@@ -377,6 +377,7 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<RouterInner>) {
             Ok((stream, _)) => stream,
             Err(_) => break,
         };
+        let _ = stream.set_nodelay(true);
         if inner.shutting_down.load(Ordering::SeqCst) {
             let mut stream = stream;
             let _ = write_response(
@@ -472,10 +473,7 @@ fn forward(inner: &Arc<RouterInner>, body: &[u8]) -> (u16, String) {
     };
     let canon = canonicalize(&parsed.config, parsed.hyperperiods);
     let shard = canon.key.hi ^ canon.key.lo;
-    let body = match std::str::from_utf8(body) {
-        Ok(body) => body,
-        Err(_) => return (400, render_error("bad-request", "body is not UTF-8")),
-    };
+    let body = std::str::from_utf8(body).expect("parse_analyze accepted the body as UTF-8");
     let recorder = &inner.recorder;
     let result = forward_analyze(
         &inner.ring,

@@ -419,6 +419,7 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
         // Arm socket timeouts before any byte is read — a stalling
         // client costs at most `io_timeout`, not a thread forever.
         let _ = apply_io_timeouts(&stream, inner.io_timeout);
+        let _ = stream.set_nodelay(true);
         if inner.shutting_down.load(Ordering::SeqCst) {
             // The wake-up connection (or a late client); refuse politely.
             let mut stream = stream;
