@@ -106,7 +106,9 @@ echo "$explain_out" | grep -q "engines agree" || {
 echo "==> serve smoke (cached verdict roundtrip over loopback)"
 serve_dir="$(mktemp -d)"
 serve_pid=""
-trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null; rm -rf "$serve_dir"' EXIT
+# The last server has normally exited by then; under `set -e` a failed
+# kill inside the trap would turn a green run's exit status into 1.
+trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
 cargo run --release --offline -q -p swa-workload --example emit_xml -- 100 \
     > "$serve_dir/config.xml"
 ./target/release/swa serve --addr 127.0.0.1:0 --workers 2 \
@@ -362,6 +364,23 @@ mix_out="$(cargo run --release --offline -q --manifest-path benchsuite/Cargo.tom
 echo "$mix_out" | tail -n 1 | grep -q '"failed": 0,' || {
     echo "serve-mix smoke FAILED: failed operations reported"
     echo "$mix_out"
+    exit 1
+}
+
+echo "==> design-loop smoke (search and sweep through the shared resolver match the golden digests)"
+# Correctness only, no timing gate: the suite checks every visit's found
+# configuration and sweep report against its golden digests, exits
+# non-zero when a check fails, and its last stdout line reports the
+# failure count.
+loop_out="$(cargo run --release --offline -q --manifest-path benchsuite/Cargo.toml \
+    --bin suite -- --smoke --workload design-loop)" || {
+    echo "design-loop smoke FAILED: the suite exited non-zero"
+    echo "$loop_out"
+    exit 1
+}
+echo "$loop_out" | tail -n 1 | grep -q '"failed": 0,' || {
+    echo "design-loop smoke FAILED: failed operations reported"
+    echo "$loop_out"
     exit 1
 }
 

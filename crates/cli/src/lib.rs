@@ -306,21 +306,22 @@ fn parse_ladder(options: &[String]) -> Result<swa_core::LadderMode, String> {
     }
 }
 
+fn parse_engine(options: &[String]) -> Result<swa_core::EvalEngine, String> {
+    match flag_value(options, "--engine") {
+        None => Ok(swa_core::EvalEngine::default()),
+        Some(name) => swa_core::EvalEngine::parse(name)
+            .ok_or_else(|| format!("--engine expects \"ast\" or \"bytecode\", got {name:?}")),
+    }
+}
+
 fn cmd_analyze(
     config: &Configuration,
     topology: Option<&Topology>,
     options: &[String],
 ) -> CommandOutcome {
-    let engine = match flag_value(options, "--engine") {
-        None => swa_core::EvalEngine::default(),
-        Some(name) => match swa_core::EvalEngine::parse(name) {
-            Some(e) => e,
-            None => {
-                return CommandOutcome::error(format!(
-                    "--engine expects \"ast\" or \"bytecode\", got {name:?}"
-                ))
-            }
-        },
+    let engine = match parse_engine(options) {
+        Ok(v) => v,
+        Err(e) => return CommandOutcome::error(e),
     };
     let metrics_out = flag_value(options, "--metrics-out");
     let recorder = metrics_out.map(|_| std::sync::Arc::new(swa_core::MetricsRecorder::new()));
@@ -729,16 +730,10 @@ fn cmd_sweep(config: &Configuration, options: &[String]) -> CommandOutcome {
         },
         Err(e) => return CommandOutcome::error(e),
     }
-    if let Some(name) = flag_value(options, "--engine") {
-        match swa_core::EvalEngine::parse(name) {
-            Some(e) => sweep_options.engine = e,
-            None => {
-                return CommandOutcome::error(format!(
-                    "--engine expects \"ast\" or \"bytecode\", got {name:?}"
-                ))
-            }
-        }
-    }
+    sweep_options.engine = match parse_engine(options) {
+        Ok(v) => v,
+        Err(e) => return CommandOutcome::error(e),
+    };
     sweep_options.chains = has_flag(options, "--chains");
     if let Some(v) = flag_value(options, "--chain-bound") {
         match v.parse::<i64>() {

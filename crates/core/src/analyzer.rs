@@ -20,6 +20,13 @@
 //!   batch engine), or pass it whole to
 //!   [`swa_schedtool::search_with`](../../swa_schedtool/fn.search_with.html).
 //!
+//! Before simulating, callers ask the same settings what is already known:
+//! [`lookup`](Analyzer::lookup) probes the verdict cache (composing
+//! per-module entries when compositional) and
+//! [`decide`](Analyzer::decide) runs the analytic
+//! [`VerdictLadder`] where it applies. What to keep of a ladder decision
+//! stays the caller's policy.
+//!
 //! [`analyze_configuration`]: crate::analyze_configuration
 //!
 //! ```
@@ -62,14 +69,17 @@ use swa_ima::{Configuration, Topology};
 use swa_nsa::{EvalEngine, SimOutcome, Snapshot, TieBreak};
 
 use crate::analysis::analyze_spanning;
-use crate::batch::{run_batch, BatchMode, BatchOptions, BatchOutcome};
+use crate::batch::{run_batch, BatchMode, BatchOutcome};
 use crate::cache::{CachedVerdict, VerdictCache};
 use crate::canon::{canonical_config, canonicalize};
 use crate::checkpoint::{Checkpoint, CheckpointStore};
-use crate::compose::{compose_analysis, decompose, Decomposition, ModulePart};
+use crate::compose::{
+    compose_analysis, compositional_lookup, decompose, Decomposition, ModulePart,
+};
 use crate::error::PipelineError;
 use crate::instance::SystemModel;
-use crate::obs::Recorder;
+use crate::ladder::{LadderMode, VerdictLadder};
+use crate::obs::{NoopRecorder, Recorder};
 use crate::pipeline::{AnalysisReport, CompileMetrics, RunMetrics};
 use crate::sysevents::{extract_system_trace, SysEvent, SystemTrace};
 
@@ -80,17 +90,17 @@ use crate::sysevents::{extract_system_trace, SysEvent, SystemTrace};
 /// (non-compositional) analysis.
 #[derive(Clone)]
 pub struct Analyzer<'a> {
-    config: Option<&'a Configuration>,
-    topology: Option<&'a Topology>,
-    tie_break: TieBreak,
-    hyperperiods: u32,
-    engine: EvalEngine,
-    recorder: Option<Arc<dyn Recorder>>,
-    explain: bool,
-    checkpoints: Option<Arc<dyn CheckpointStore>>,
-    cache: Option<Arc<dyn VerdictCache>>,
-    parallelism: usize,
-    compositional: bool,
+    pub(crate) config: Option<&'a Configuration>,
+    pub(crate) topology: Option<&'a Topology>,
+    pub(crate) tie_break: TieBreak,
+    pub(crate) hyperperiods: u32,
+    pub(crate) engine: EvalEngine,
+    pub(crate) recorder: Option<Arc<dyn Recorder>>,
+    pub(crate) explain: bool,
+    pub(crate) checkpoints: Option<Arc<dyn CheckpointStore>>,
+    pub(crate) cache: Option<Arc<dyn VerdictCache>>,
+    pub(crate) parallelism: usize,
+    pub(crate) compositional: bool,
 }
 
 impl fmt::Debug for Analyzer<'_> {
@@ -166,8 +176,7 @@ impl<'a> Analyzer<'a> {
     /// per module under [`compositional`](Self::compositional) analysis.
     /// The analyzer never serves a run *from* the cache (a run always
     /// produces a full [`AnalysisReport`]; a cached verdict has no trace) —
-    /// probe-before-run belongs to the caller, see
-    /// [`compositional_lookup`](crate::compositional_lookup). Ignored when
+    /// callers probe first with [`lookup`](Self::lookup). Ignored when
     /// a [`topology`](Self::topology) is set, since cache keys do not
     /// cover topologies.
     #[must_use]
@@ -272,37 +281,46 @@ impl<'a> Analyzer<'a> {
         self
     }
 
-    /// The configured analysis span in hyperperiods (callers probing the
-    /// verdict cache need it to derive matching keys).
+    /// The verdict the attached cache already holds for `config`, probed
+    /// with this analyzer's horizon: the whole-configuration key, or —
+    /// under [`compositional`](Self::compositional) analysis —
+    /// [`compositional_lookup`], which also composes a verdict from
+    /// per-module entries left behind by *other* configurations. `None`
+    /// without a cache or with a [`topology`](Self::topology) (cache keys
+    /// do not cover topologies, so [`run`](Self::run) never fills them
+    /// there either).
+    ///
+    /// The entry may come from any caller sharing the cache; its
+    /// [`decided_by`](CachedVerdict::decided_by) says whether it carries
+    /// simulated job counts.
     #[must_use]
-    pub fn hyperperiods(&self) -> u32 {
-        self.hyperperiods
+    pub fn lookup(&self, config: &Configuration) -> Option<Arc<CachedVerdict>> {
+        let cache = self.cache.as_deref().filter(|_| self.topology.is_none())?;
+        if self.compositional {
+            compositional_lookup(cache, config, self.hyperperiods)
+        } else {
+            cache.lookup(&canonicalize(config, self.hyperperiods))
+        }
     }
 
-    /// The attached verdict cache, if any.
+    /// An analytic decision for `config` from the [`VerdictLadder`] tiers
+    /// selected by `mode`, without simulating. `None` when `mode` is
+    /// [`LadderMode::Off`], when the horizon spans more than one
+    /// hyperperiod (the tiers reason over one), when
+    /// [`explain`](Self::explain) asks for the full run's forensics, or
+    /// when no tier decides. The `ladder.*` counters go to the attached
+    /// recorder.
+    ///
+    /// Nothing is inserted into the cache: ladder verdicts carry no
+    /// job-level counts, so whether to keep them is the caller's policy.
     #[must_use]
-    pub fn verdict_cache(&self) -> Option<&Arc<dyn VerdictCache>> {
-        self.cache.as_ref()
-    }
-
-    /// The attached observability recorder, if any (callers running
-    /// pre-filters — e.g. the [`ladder`](crate::ladder) — route their
-    /// counters through the same sink the analysis uses).
-    #[must_use]
-    pub fn attached_recorder(&self) -> Option<&Arc<dyn Recorder>> {
-        self.recorder.as_ref()
-    }
-
-    /// The attached checkpoint store, if any.
-    #[must_use]
-    pub fn checkpoint_store(&self) -> Option<&Arc<dyn CheckpointStore>> {
-        self.checkpoints.as_ref()
-    }
-
-    /// Whether compositional per-module analysis is requested.
-    #[must_use]
-    pub fn is_compositional(&self) -> bool {
-        self.compositional
+    pub fn decide(&self, config: &Configuration, mode: LadderMode) -> Option<Arc<CachedVerdict>> {
+        if self.hyperperiods != 1 || self.explain {
+            return None;
+        }
+        let recorder = self.recorder.as_deref().unwrap_or(&NoopRecorder);
+        let decision = VerdictLadder::new(mode).evaluate(config, recorder)?;
+        Some(Arc::new(CachedVerdict::from_ladder(&decision, config)))
     }
 
     /// Analyzes one configuration with this analyzer's settings — the
@@ -314,16 +332,7 @@ impl<'a> Analyzer<'a> {
     pub fn analyze(&self, config: &Configuration) -> Result<AnalysisReport, PipelineError> {
         Analyzer {
             config: Some(config),
-            topology: self.topology,
-            tie_break: self.tie_break.clone(),
-            hyperperiods: self.hyperperiods,
-            engine: self.engine,
-            recorder: self.recorder.clone(),
-            explain: self.explain,
-            checkpoints: self.checkpoints.clone(),
-            cache: self.cache.clone(),
-            parallelism: self.parallelism,
-            compositional: self.compositional,
+            ..self.clone()
         }
         .run()
     }
@@ -339,7 +348,7 @@ impl<'a> Analyzer<'a> {
     /// As [`run`](Self::run), for the same candidate a sequential loop
     /// would have failed on.
     pub fn first_schedulable(&self, configs: &[Configuration]) -> Result<BatchOutcome, PipelineError> {
-        run_batch(configs, &self.batch_options(BatchMode::FirstSchedulable))
+        run_batch(configs, self, BatchMode::FirstSchedulable)
     }
 
     /// Checks every candidate in the family (no early cancellation) and
@@ -350,22 +359,7 @@ impl<'a> Analyzer<'a> {
     /// As [`run`](Self::run), for the same candidate a sequential loop
     /// would have failed on.
     pub fn analyze_all(&self, configs: &[Configuration]) -> Result<BatchOutcome, PipelineError> {
-        run_batch(configs, &self.batch_options(BatchMode::Exhaustive))
-    }
-
-    /// The batch-engine options equivalent to this analyzer's settings.
-    fn batch_options(&self, mode: BatchMode) -> BatchOptions {
-        BatchOptions {
-            parallelism: self.parallelism,
-            mode,
-            tie_break: self.tie_break.clone(),
-            engine: self.engine,
-            recorder: self.recorder.clone(),
-            checkpoints: self.checkpoints.clone(),
-            cache: self.cache.clone(),
-            compositional: self.compositional,
-            hyperperiods: self.hyperperiods,
-        }
+        run_batch(configs, self, BatchMode::Exhaustive)
     }
 
     /// Runs the full pipeline: Algorithm 1 instance construction,
@@ -412,21 +406,15 @@ impl<'a> Analyzer<'a> {
         parts: &[ModulePart],
     ) -> Result<AnalysisReport, PipelineError> {
         let configs: Vec<Configuration> = parts.iter().map(|p| p.sub.clone()).collect();
-        let options = BatchOptions {
-            parallelism: self.parallelism,
-            mode: BatchMode::Exhaustive,
-            tie_break: self.tie_break.clone(),
-            engine: self.engine,
+        let per_module = Analyzer {
             // Batch-level metrics would double-count the phases the
             // composed report already sums; the recorder sees the
             // composition once, below.
             recorder: None,
-            checkpoints: self.checkpoints.clone(),
-            cache: self.cache.clone(),
             compositional: false,
-            hyperperiods: self.hyperperiods,
+            ..self.clone()
         };
-        let outcome = run_batch(&configs, &options)?;
+        let outcome = run_batch(&configs, &per_module, BatchMode::Exhaustive)?;
 
         let mut analyses = Vec::with_capacity(parts.len());
         let mut events: Vec<SysEvent> = Vec::new();
@@ -1029,6 +1017,127 @@ mod tests {
             decompose(&config),
             Decomposition::Whole(crate::FallbackReason::CrossModuleMessage { .. })
         ));
+    }
+
+    #[test]
+    fn lookup_and_decide_answer_only_where_they_may() {
+        use crate::ladder::DecidedBy;
+        use swa_ima::Topology;
+
+        let light = config();
+        let mut overloaded = config();
+        overloaded.partitions[0].tasks[0].wcet = vec![30];
+        overloaded.windows[0] = vec![Window::new(0, 20)];
+
+        // lookup: a cache holding only the module entries of `config`
+        // (left by analyzing its sub-configurations on their own), and
+        // one holding only its whole key.
+        let config = two_module_config(20);
+        let Decomposition::Modules(parts) = decompose(&config) else {
+            panic!("expected a decomposition");
+        };
+        let subs: Vec<Configuration> = parts.iter().map(|p| p.sub.clone()).collect();
+        let modules = Arc::new(crate::ShardedVerdictCache::new(1 << 20));
+        Analyzer::configure()
+            .cache(modules.clone())
+            .analyze_all(&subs)
+            .unwrap();
+        let whole = Arc::new(crate::ShardedVerdictCache::new(1 << 20));
+        let report = Analyzer::new(&config).cache(whole.clone()).run().unwrap();
+        let topology = Topology::default();
+        // Rows run in order: the composed hit inserts the whole key back,
+        // so the topology row shows the gate, not a miss.
+        let lookups: [(&str, Analyzer<'_>, bool); 6] = [
+            ("no cache", Analyzer::configure(), false),
+            (
+                "whole key absent",
+                Analyzer::configure().cache(modules.clone()),
+                false,
+            ),
+            (
+                "composed hit",
+                Analyzer::configure()
+                    .cache(modules.clone())
+                    .compositional(true),
+                true,
+            ),
+            (
+                "topology",
+                Analyzer::configure()
+                    .cache(modules.clone())
+                    .compositional(true)
+                    .topology(&topology),
+                false,
+            ),
+            (
+                "whole hit",
+                Analyzer::configure().cache(whole.clone()),
+                true,
+            ),
+            (
+                "other horizon",
+                Analyzer::configure().cache(whole.clone()).horizon(2),
+                false,
+            ),
+        ];
+        for (name, analyzer, hit) in lookups {
+            let found = analyzer.lookup(&config);
+            assert_eq!(found.is_some(), hit, "{name}");
+            if let Some(v) = found {
+                assert_eq!(*v, CachedVerdict::from_report(&report), "{name}");
+            }
+        }
+
+        // decide: gated by mode, horizon and explain; T0 catches an
+        // overload, T1 certifies the light configuration.
+        let recorder = Arc::new(MetricsRecorder::new());
+        let base = Analyzer::configure().recorder(recorder.clone());
+        let decisions = [
+            ("off", base.clone(), &light, LadderMode::Off, None),
+            (
+                "two hyperperiods",
+                base.clone().horizon(2),
+                &light,
+                LadderMode::Full,
+                None,
+            ),
+            (
+                "explain",
+                base.clone().explain(true),
+                &light,
+                LadderMode::Full,
+                None,
+            ),
+            (
+                "t0",
+                base.clone(),
+                &overloaded,
+                LadderMode::Fast,
+                Some(DecidedBy::Utilization),
+            ),
+            (
+                "t1",
+                base.clone(),
+                &light,
+                LadderMode::Fast,
+                Some(DecidedBy::WindowRta),
+            ),
+        ];
+        for (name, analyzer, config, mode, expected) in decisions {
+            let decided = analyzer.decide(config, mode);
+            assert_eq!(decided.as_ref().map(|v| v.decided_by), expected, "{name}");
+            if let Some(v) = decided {
+                assert_eq!(
+                    v.schedulable,
+                    expected == Some(DecidedBy::WindowRta),
+                    "{name}"
+                );
+                assert_eq!((v.jobs, v.missed_jobs), (0, 0), "{name}");
+            }
+        }
+        // Only the two ungated rows reached the ladder, through the
+        // attached recorder.
+        assert_eq!(recorder.counter_value("ladder.evaluated"), 2);
     }
 
     #[test]

@@ -22,78 +22,24 @@
 //!
 //! [`swa_mc::parallel`]: ../../swa_mc/parallel/index.html
 
-use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 use swa_ima::Configuration;
-use swa_nsa::{EvalEngine, TieBreak};
 
 use crate::analyzer::Analyzer;
-use crate::cache::VerdictCache;
-use crate::checkpoint::CheckpointStore;
 use crate::error::PipelineError;
-use crate::obs::Recorder;
 use crate::pipeline::AnalysisReport;
 
 /// What the engine does after finding a schedulable candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchMode {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BatchMode {
     /// Stop as soon as the first (lowest-index) schedulable candidate is
     /// certain; candidates beyond it are skipped.
-    #[default]
     FirstSchedulable,
     /// Evaluate every candidate.
     Exhaustive,
-}
-
-/// Knobs of a batch run.
-#[derive(Clone, Default)]
-pub struct BatchOptions {
-    /// Worker threads; `0` means one per available core.
-    pub parallelism: usize,
-    /// First-wins or exhaustive.
-    pub mode: BatchMode,
-    /// Tie-break order for every candidate's simulation.
-    pub tie_break: TieBreak,
-    /// Guard/update evaluation engine for every candidate's simulation.
-    pub engine: EvalEngine,
-    /// Observability sink the final [`BatchMetrics`] are emitted into when
-    /// the run completes; `None` records nothing.
-    pub recorder: Option<Arc<dyn Recorder>>,
-    /// Checkpoint store every candidate's analysis warm-starts from (and
-    /// checkpoints into); `None` runs every candidate cold. Candidates
-    /// that recur across batches — a search loop revisiting a rung, a
-    /// repair loop perturbing one partition — resume instead of replaying.
-    pub checkpoints: Option<Arc<dyn CheckpointStore>>,
-    /// Verdict cache every candidate's result is inserted into; `None`
-    /// records nothing. See [`Analyzer::cache`].
-    pub cache: Option<Arc<dyn VerdictCache>>,
-    /// Analyze each candidate compositionally (per module) where sound;
-    /// see [`Analyzer::compositional`]. With a shared [`Self::checkpoints`]
-    /// store this makes near-duplicate candidates — a repair loop editing
-    /// one partition — full hits for every unchanged module.
-    pub compositional: bool,
-    /// Analysis span per candidate, in hyperperiods (values below 1 are
-    /// clamped to 1).
-    pub hyperperiods: u32,
-}
-
-impl fmt::Debug for BatchOptions {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BatchOptions")
-            .field("parallelism", &self.parallelism)
-            .field("mode", &self.mode)
-            .field("tie_break", &self.tie_break)
-            .field("engine", &self.engine)
-            .field("recorder", &self.recorder.is_some())
-            .field("checkpoints", &self.checkpoints.is_some())
-            .field("cache", &self.cache.is_some())
-            .field("compositional", &self.compositional)
-            .field("hyperperiods", &self.hyperperiods)
-            .finish()
-    }
 }
 
 /// The full analysis of one evaluated candidate.
@@ -152,22 +98,23 @@ enum Message {
     Done(usize, WorkerStats),
 }
 
-/// Runs the batch engine over a family of candidate configurations.
-///
-/// This is the function behind [`Analyzer::analyze_all`] and
-/// [`Analyzer::first_schedulable`]; prefer the builder in new code.
+/// Runs the batch engine over a family of candidate configurations, each
+/// analyzed with `analyzer`'s settings on
+/// [`parallelism`](Analyzer::parallelism) workers. The engine behind
+/// [`Analyzer::analyze_all`] and [`Analyzer::first_schedulable`].
 ///
 /// # Errors
 ///
 /// Returns the error a sequential loop would have returned: the
 /// lowest-index failing candidate's [`PipelineError`], unless a
 /// schedulable candidate precedes it.
-pub fn run_batch(
+pub(crate) fn run_batch(
     configs: &[Configuration],
-    options: &BatchOptions,
+    analyzer: &Analyzer<'_>,
+    mode: BatchMode,
 ) -> Result<BatchOutcome, PipelineError> {
     let started = Instant::now();
-    let workers = effective_parallelism(options.parallelism).min(configs.len().max(1));
+    let workers = effective_parallelism(analyzer.parallelism).min(configs.len().max(1));
 
     // `next` hands out candidate indices in order; `cutoff` is the lowest
     // index known to terminate a sequential scan (a schedulable candidate
@@ -193,29 +140,23 @@ pub fn run_batch(
                         break;
                     }
                     let t = Instant::now();
-                    // Candidates already run in parallel; a compositional
-                    // candidate fans its modules out sequentially within
-                    // this worker (parallelism 1) rather than nesting
-                    // thread pools.
-                    let mut analyzer = Analyzer::new(&configs[i])
-                        .tie_break(options.tie_break.clone())
-                        .engine(options.engine)
-                        .horizon(options.hyperperiods)
-                        .parallelism(1)
-                        .compositional(options.compositional);
-                    if let Some(store) = &options.checkpoints {
-                        analyzer = analyzer.checkpoints(store.clone());
+                    let run = Analyzer {
+                        config: Some(&configs[i]),
+                        // The batch records its metrics once, at the end.
+                        recorder: None,
+                        // Candidates already run in parallel; a
+                        // compositional candidate fans its modules out
+                        // sequentially within this worker rather than
+                        // nesting thread pools.
+                        parallelism: 1,
+                        ..analyzer.clone()
                     }
-                    if let Some(cache) = &options.cache {
-                        analyzer = analyzer.cache(cache.clone());
-                    }
-                    let run = analyzer.run();
+                    .run();
                     stats.busy += t.elapsed();
                     stats.checks += 1;
                     match run {
                         Ok(report) => {
-                            if options.mode == BatchMode::FirstSchedulable && report.schedulable()
-                            {
+                            if mode == BatchMode::FirstSchedulable && report.schedulable() {
                                 cutoff.fetch_min(i, Ordering::Release);
                             }
                             // The collector outlives the scope; a send can
@@ -280,7 +221,7 @@ pub fn run_batch(
     // Make the result set parallelism-independent: drop any evaluations a
     // worker raced past the winner (a sequential scan would never have
     // reached them). The work they cost stays visible in `metrics`.
-    if options.mode == BatchMode::FirstSchedulable {
+    if mode == BatchMode::FirstSchedulable {
         if let Some(w) = winner {
             for slot in results.iter_mut().skip(w + 1) {
                 *slot = None;
@@ -288,7 +229,7 @@ pub fn run_batch(
         }
     }
 
-    if let Some(recorder) = &options.recorder {
+    if let Some(recorder) = &analyzer.recorder {
         metrics.record_to(recorder.as_ref());
     }
 
@@ -346,7 +287,7 @@ mod tests {
 
     #[test]
     fn empty_family_has_no_winner() {
-        let out = run_batch(&[], &BatchOptions::default()).unwrap();
+        let out = Analyzer::configure().first_schedulable(&[]).unwrap();
         assert!(out.results.is_empty());
         assert_eq!(out.winner, None);
     }
@@ -358,14 +299,10 @@ mod tests {
             .iter()
             .position(|c| Analyzer::new(c).run().unwrap().schedulable());
         for parallelism in [1, 4] {
-            let out = run_batch(
-                &configs,
-                &BatchOptions {
-                    parallelism,
-                    ..BatchOptions::default()
-                },
-            )
-            .unwrap();
+            let out = Analyzer::configure()
+                .parallelism(parallelism)
+                .first_schedulable(&configs)
+                .unwrap();
             assert_eq!(out.winner, sequential, "parallelism {parallelism}");
             // Every candidate before the winner was evaluated and found
             // unschedulable.
@@ -378,15 +315,10 @@ mod tests {
     #[test]
     fn exhaustive_mode_evaluates_everything() {
         let configs = family(10, 2);
-        let out = run_batch(
-            &configs,
-            &BatchOptions {
-                parallelism: 4,
-                mode: BatchMode::Exhaustive,
-                ..BatchOptions::default()
-            },
-        )
-        .unwrap();
+        let out = Analyzer::configure()
+            .parallelism(4)
+            .analyze_all(&configs)
+            .unwrap();
         assert_eq!(out.evaluated(), 10);
         assert_eq!(out.winner, Some(2));
         assert_eq!(out.metrics.checks, 10);
@@ -395,14 +327,10 @@ mod tests {
     #[test]
     fn early_winner_cancels_the_tail() {
         let configs = family(60, 0);
-        let out = run_batch(
-            &configs,
-            &BatchOptions {
-                parallelism: 4,
-                ..BatchOptions::default()
-            },
-        )
-        .unwrap();
+        let out = Analyzer::configure()
+            .parallelism(4)
+            .first_schedulable(&configs)
+            .unwrap();
         assert_eq!(out.winner, Some(0));
         // Workers may race a handful of candidates past the winner, but
         // the bulk of the family must be cancelled.
@@ -422,14 +350,10 @@ mod tests {
         // evaluated or explicitly skipped — none orphaned in between.
         for parallelism in [2usize, 4, 8] {
             let configs = family(40, 3);
-            let out = run_batch(
-                &configs,
-                &BatchOptions {
-                    parallelism,
-                    ..BatchOptions::default()
-                },
-            )
-            .unwrap();
+            let out = Analyzer::configure()
+                .parallelism(parallelism)
+                .first_schedulable(&configs)
+                .unwrap();
             assert_eq!(out.winner, Some(3), "parallelism {parallelism}");
             // No thread leaked: scoped workers joined, so each of the
             // `parallelism` workers delivered its Done accounting, and the
@@ -456,13 +380,9 @@ mod tests {
     fn error_before_winner_surfaces_like_sequential() {
         let mut configs = family(6, 4);
         configs[1].binding.clear(); // structurally invalid candidate
-        let err = run_batch(
-            &configs,
-            &BatchOptions {
-                parallelism: 4,
-                ..BatchOptions::default()
-            },
-        );
+        let err = Analyzer::configure()
+            .parallelism(4)
+            .first_schedulable(&configs);
         assert!(err.is_err(), "invalid candidate before the winner");
     }
 
@@ -470,14 +390,10 @@ mod tests {
     fn error_after_winner_is_irrelevant_like_sequential() {
         let mut configs = family(6, 1);
         configs[4].binding.clear(); // invalid, but beyond the winner
-        let out = run_batch(
-            &configs,
-            &BatchOptions {
-                parallelism: 2,
-                ..BatchOptions::default()
-            },
-        )
-        .unwrap();
+        let out = Analyzer::configure()
+            .parallelism(2)
+            .first_schedulable(&configs)
+            .unwrap();
         assert_eq!(out.winner, Some(1));
     }
 
@@ -490,25 +406,15 @@ mod tests {
         // every later evaluation is a full hit at the same horizon.
         let configs = vec![candidate(10); 4];
         let store = Arc::new(ShardedCheckpointStore::new(1 << 22));
-        let cold = run_batch(
-            &configs,
-            &BatchOptions {
-                parallelism: 1,
-                mode: BatchMode::Exhaustive,
-                ..BatchOptions::default()
-            },
-        )
-        .unwrap();
-        let warm = run_batch(
-            &configs,
-            &BatchOptions {
-                parallelism: 1,
-                mode: BatchMode::Exhaustive,
-                checkpoints: Some(store.clone()),
-                ..BatchOptions::default()
-            },
-        )
-        .unwrap();
+        let cold = Analyzer::configure()
+            .parallelism(1)
+            .analyze_all(&configs)
+            .unwrap();
+        let warm = Analyzer::configure()
+            .parallelism(1)
+            .checkpoints(store.clone())
+            .analyze_all(&configs)
+            .unwrap();
         assert_eq!(warm.winner, cold.winner);
         for (w, c) in warm.results.iter().zip(&cold.results) {
             let (w, c) = (w.as_ref().unwrap(), c.as_ref().unwrap());
@@ -523,14 +429,10 @@ mod tests {
     #[test]
     fn metrics_account_for_the_work() {
         let configs = family(8, usize::MAX); // nothing schedulable
-        let out = run_batch(
-            &configs,
-            &BatchOptions {
-                parallelism: 2,
-                ..BatchOptions::default()
-            },
-        )
-        .unwrap();
+        let out = Analyzer::configure()
+            .parallelism(2)
+            .first_schedulable(&configs)
+            .unwrap();
         assert_eq!(out.winner, None);
         assert_eq!(out.metrics.checks, 8);
         assert_eq!(out.metrics.workers.len(), 2);

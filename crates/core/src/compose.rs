@@ -44,6 +44,7 @@ use swa_ima::{Configuration, CoreRef, ModuleId, PartitionId, TaskRef};
 use crate::analysis::{Analysis, JobOutcome};
 use crate::cache::{CachedVerdict, VerdictCache};
 use crate::canon::canonicalize;
+use crate::ladder::DecidedBy;
 
 /// Why a configuration must be analyzed whole instead of per module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -295,17 +296,28 @@ pub fn compose_analysis(parts: &[ModulePart], analyses: &[Analysis]) -> Analysis
 
 /// Composes per-module cached verdicts into the whole-configuration
 /// cached verdict (conjunction of schedulability, sums of job counts,
-/// union of missing partitions remapped to global ids).
+/// union of missing partitions remapped to global ids). The composed
+/// verdict is labelled [`DecidedBy::Simulation`] only when every part is;
+/// otherwise it carries the first ladder-decided part's tier, since its
+/// job counts miss that part.
 #[must_use]
 pub fn compose_cached(parts: &[ModulePart], verdicts: &[Arc<CachedVerdict>]) -> CachedVerdict {
     assert_eq!(parts.len(), verdicts.len(), "one verdict per part");
+    // The job counts are exact only when every part was simulated; a part
+    // decided by the ladder contributes none, so the composed verdict
+    // carries the first such part's tier.
+    let decided_by = verdicts
+        .iter()
+        .map(|v| v.decided_by)
+        .find(|&d| d != DecidedBy::Simulation)
+        .unwrap_or(DecidedBy::Simulation);
     let mut out = CachedVerdict {
         schedulable: true,
         hyperperiod: 0,
         jobs: 0,
         missed_jobs: 0,
         missing_partitions: Vec::new(),
-        decided_by: crate::ladder::DecidedBy::Simulation,
+        decided_by,
     };
     for (part, v) in parts.iter().zip(verdicts) {
         out.schedulable &= v.schedulable;
@@ -317,13 +329,6 @@ pub fn compose_cached(parts: &[ModulePart], verdicts: &[Arc<CachedVerdict>]) -> 
     }
     out.missing_partitions.sort_unstable();
     out.missing_partitions.dedup();
-    // Provenance survives composition only when unanimous; a mixed set is
-    // conservatively attributed to simulation.
-    if let Some(first) = verdicts.first() {
-        if verdicts.iter().all(|v| v.decided_by == first.decided_by) {
-            out.decided_by = first.decided_by;
-        }
-    }
     out
 }
 
@@ -586,6 +591,51 @@ mod tests {
         assert_eq!(composed, whole);
         assert!(!composed.schedulable);
         assert_eq!(composed.missing_partitions, vec![PartitionId::from_raw(1)]);
+    }
+
+    #[test]
+    fn composed_provenance_is_simulation_only_when_every_part_is() {
+        let config = two_module_config();
+        let Decomposition::Modules(parts) = decompose(&config) else {
+            panic!("expected a decomposition");
+        };
+        let simulated = |p: &ModulePart| {
+            Arc::new(CachedVerdict::from_report(
+                &crate::analyze_configuration(&p.sub).unwrap(),
+            ))
+        };
+        let laddered = |p: &ModulePart, decided_by| {
+            Arc::new(CachedVerdict {
+                jobs: 0,
+                missed_jobs: 0,
+                decided_by,
+                ..(*simulated(p)).clone()
+            })
+        };
+        let (m1, m2) = (&parts[0], &parts[1]);
+        let cases = [
+            (vec![simulated(m1), simulated(m2)], DecidedBy::Simulation),
+            (
+                vec![simulated(m1), laddered(m2, DecidedBy::WindowRta)],
+                DecidedBy::WindowRta,
+            ),
+            (
+                vec![laddered(m1, DecidedBy::RtcInterface), simulated(m2)],
+                DecidedBy::RtcInterface,
+            ),
+            (
+                vec![
+                    laddered(m1, DecidedBy::WindowRta),
+                    laddered(m2, DecidedBy::RtcInterface),
+                ],
+                DecidedBy::WindowRta,
+            ),
+        ];
+        for (verdicts, expected) in cases {
+            let composed = compose_cached(&parts, &verdicts);
+            assert_eq!(composed.decided_by, expected, "{verdicts:?}");
+            assert!(composed.schedulable);
+        }
     }
 
     #[test]

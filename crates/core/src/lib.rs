@@ -77,9 +77,7 @@ pub use analysis::{
     analyze, analyze_spanning, Analysis, JobOutcome, TaskStats, Verdict, VerdictDiagnosis,
 };
 pub use analyzer::Analyzer;
-pub use batch::{
-    run_batch, BatchMetrics, BatchMode, BatchOptions, BatchOutcome, CandidateResult, WorkerStats,
-};
+pub use batch::{BatchMetrics, BatchOutcome, CandidateResult, WorkerStats};
 pub use cache::{CacheStats, CachedVerdict, ShardedVerdictCache, VerdictCache};
 pub use canon::{
     canonical_config, canonical_module_configs, canonicalize, canonicalize_modules, CacheKey,

@@ -3,7 +3,7 @@
 //! winner on a generated 50-candidate family, for parallelism 1 and 4 —
 //! plus prompt cancellation once a winner is known.
 
-use swa_core::{Analyzer, BatchMode, BatchOptions};
+use swa_core::Analyzer;
 use swa_ima::Configuration;
 use swa_workload::{industrial_config, IndustrialSpec};
 
@@ -45,15 +45,10 @@ fn batch_matches_sequential_loop_on_a_generated_family() {
 
     for parallelism in [1usize, 4] {
         // Exhaustive mode: every verdict identical.
-        let exhaustive = swa_core::run_batch(
-            &family,
-            &BatchOptions {
-                parallelism,
-                mode: BatchMode::Exhaustive,
-                ..BatchOptions::default()
-            },
-        )
-        .unwrap();
+        let exhaustive = Analyzer::configure()
+            .parallelism(parallelism)
+            .analyze_all(&family)
+            .unwrap();
         let verdicts: Vec<bool> = exhaustive
             .results
             .iter()

@@ -15,6 +15,44 @@ use swa_nsa::{Network, SimError, State, SyncEvent};
 
 use crate::monitor::{Monitor, MonitorBank};
 
+/// Number of visited-set shards (a power of two; indexed by fingerprint).
+pub(crate) const SHARDS: usize = 64;
+
+/// The sequential explorer's visited set of state fingerprints, split
+/// into [`SHARDS`] tables so that a rehash copies one small table, never
+/// the whole set. Peak memory then stays near the final set size, and an
+/// exploration that follows another in the same process reuses the
+/// freed tables: a single doubling table leaves its outgrown halves
+/// resident in the allocator, so the second run's peak would exceed the
+/// first's.
+struct VisitedSet {
+    shards: Vec<HashSet<u64>>,
+    len: usize,
+}
+
+impl Default for VisitedSet {
+    fn default() -> Self {
+        VisitedSet {
+            shards: vec![HashSet::new(); SHARDS],
+            len: 0,
+        }
+    }
+}
+
+impl VisitedSet {
+    /// Adds `fingerprint`; `true` when it was not present.
+    fn insert(&mut self, fingerprint: u64) -> bool {
+        let shard = usize::try_from(fingerprint).unwrap_or(0) % SHARDS;
+        let fresh = self.shards[shard].insert(fingerprint);
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
 /// Exploration statistics and verdict.
 #[derive(Debug, Clone)]
 pub struct ExploreOutcome {
@@ -140,7 +178,7 @@ impl<'n> Explorer<'n> {
             step: usize::MAX,
         };
 
-        let mut visited: HashSet<u64> = HashSet::new();
+        let mut visited = VisitedSet::default();
         let mut stack: Vec<Node> = Vec::new();
         let mut transitions: u64 = 0;
 
@@ -359,6 +397,22 @@ mod tests {
             nb.automaton(b.finish(l0));
         }
         nb.build().unwrap()
+    }
+
+    #[test]
+    fn visited_set_counts_distinct_fingerprints_across_shards() {
+        let mut visited = VisitedSet::default();
+        let fingerprints: Vec<u64> = (0..1000u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        for &fp in &fingerprints {
+            assert!(visited.insert(fp));
+        }
+        for &fp in &fingerprints {
+            assert!(!visited.insert(fp));
+        }
+        assert_eq!(visited.len(), fingerprints.len());
+        assert!(visited.shards.iter().filter(|s| !s.is_empty()).count() > 1);
     }
 
     #[test]

@@ -13,10 +13,7 @@ use std::sync::Mutex;
 use swa_nsa::semantics::{any_committed, apply, delay_bounds, enabled_transitions};
 use swa_nsa::{Network, SimError, State};
 
-use crate::explore::ExploreOutcome;
-
-/// Number of visited-set shards (a power of two; indexed by fingerprint).
-const SHARDS: usize = 64;
+use crate::explore::{ExploreOutcome, SHARDS};
 
 struct Shared<'n, F> {
     network: &'n Network,

@@ -21,10 +21,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use swa_core::{
-    canonicalize, compositional_lookup, Analyzer, CachedVerdict, LadderMode, PipelineError,
-    Verdict, VerdictCache, VerdictLadder,
-};
+use swa_core::{Analyzer, CachedVerdict, DecidedBy, LadderMode, PipelineError, Verdict};
 use swa_ima::{Configuration, CoreRef, PartitionId};
 use swa_workload::{synthesize_windows, PartitionDemand};
 
@@ -49,11 +46,12 @@ pub struct SearchOptions {
     /// Worker threads for candidate checking; `0` means one per core.
     pub parallelism: usize,
     /// Analytic pre-filtering of candidates through the
-    /// [`VerdictLadder`] (tiers T0–T2, see `swa_core::ladder`). Decided
-    /// candidates skip the simulation; the found configuration is
-    /// unchanged because the ladder's tiers are sound and the deepest
-    /// speculative rung — whose simulated diagnostics drive the repair
-    /// rule — is never pre-filtered. Off by default.
+    /// [`VerdictLadder`](swa_core::VerdictLadder) (tiers T0–T2, see
+    /// `swa_core::ladder`). Decided candidates skip the simulation; the
+    /// found configuration is unchanged because the ladder's tiers are
+    /// sound and the deepest speculative rung — whose simulated
+    /// diagnostics drive the repair rule — is never pre-filtered. Off by
+    /// default.
     pub ladder: LadderMode,
 }
 
@@ -130,7 +128,7 @@ pub fn search(
     problem: &DesignProblem,
     options: &SearchOptions,
 ) -> Result<SearchOutcome, PipelineError> {
-    search_impl(problem, options, None, &Analyzer::configure())
+    search_with(problem, options, &Analyzer::configure())
 }
 
 /// [`search`], with candidate checking configured by an [`Analyzer`] — the
@@ -143,15 +141,17 @@ pub fn search(
 /// compose:
 ///
 /// * the **verdict cache** short-circuits *exact repeats* before any model
-///   is built — every ladder candidate is canonicalized
-///   ([`swa_core::canon`]) and probed first; known verdicts skip the batch
-///   engine entirely (their [`IterationRecord::check_time`] is zero), and
-///   freshly evaluated candidates are inserted for the next round — or the
-///   next search: the window-synthesis quantization makes distinct rounds
-///   regenerate identical configurations. Under compositional analysis the
-///   probe is [`compositional_lookup`], so a candidate whose modules were
-///   each seen before — in *different* earlier candidates — is answered by
-///   composition without any simulation;
+///   is built — every ladder candidate is probed first with
+///   [`Analyzer::lookup`]; known verdicts skip the batch engine entirely
+///   (their [`IterationRecord::check_time`] is zero), and freshly evaluated
+///   candidates are inserted for the next round — or the next search: the
+///   window-synthesis quantization makes distinct rounds regenerate
+///   identical configurations. Under compositional analysis the probe also
+///   composes, so a candidate whose modules were each seen before — in
+///   *different* earlier candidates — is answered without any simulation.
+///   An entry some other caller took from the verdict ladder (it carries no
+///   job counts) is only accepted where this search would accept a ladder
+///   decision itself;
 /// * the **checkpoint store** warm-starts the simulations that still have
 ///   to run — a revisited candidate resumes from its stored end state
 ///   instead of replaying from t = 0, per module when compositional, and a
@@ -172,25 +172,11 @@ pub fn search_with(
     options: &SearchOptions,
     analyzer: &Analyzer<'_>,
 ) -> Result<SearchOutcome, PipelineError> {
-    let cache = analyzer.verdict_cache().cloned();
-    search_impl(problem, options, cache.as_deref(), analyzer)
-}
-
-/// The search loop. `cache` is the probe/insert handle; when the
-/// `analyzer` carries its own cache the evaluation path inserts results
-/// itself and this function only probes.
-fn search_impl(
-    problem: &DesignProblem,
-    options: &SearchOptions,
-    cache: Option<&dyn VerdictCache>,
-    analyzer: &Analyzer<'_>,
-) -> Result<SearchOutcome, PipelineError> {
     let hyperperiod = problem.hyperperiod().ok_or_else(bad_problem)?;
     let frame = problem.min_period().ok_or_else(bad_problem)?;
     let mut packing =
         first_fit_decreasing(problem, options.utilization_cap).ok_or_else(bad_problem)?;
 
-    let ladder = VerdictLadder::new(options.ladder);
     let mut boosts = vec![options.initial_boost; problem.partitions.len()];
     // Which partitions the next repair escalates. Before any verdict the
     // best guess is "all of them"; afterwards, the ones that just missed.
@@ -219,43 +205,31 @@ fn search_impl(
             ladder_boosts.push(rung.clone());
         }
 
-        // Probe the cache: ladder candidates regenerated by the window
-        // quantization (and whole re-runs of a search) hit here and skip
-        // the batch engine. Under compositional analysis the probe also
-        // composes a whole verdict from per-module entries, so a candidate
-        // is served even when only its *modules* were seen before.
-        let hp = analyzer.hyperperiods();
-        let mut known: Vec<Option<Arc<CachedVerdict>>> = match cache {
-            Some(cache) if analyzer.is_compositional() => candidates
-                .iter()
-                .map(|c| compositional_lookup(cache, c, hp))
-                .collect(),
-            Some(cache) => candidates
-                .iter()
-                .map(|c| cache.lookup(&canonicalize(c, hp)))
-                .collect(),
-            None => vec![None; candidates.len()],
-        };
-        // Analytic pre-filter: let the ladder decide candidates the cache
-        // could not, *except the deepest rung* — when no winner emerges
-        // this round, the repair rule reads the deepest rung's simulated
-        // diagnostics, and those must stay identical to a ladder-off run.
-        // Ladder verdicts are not inserted into the cache (they carry no
-        // job-level counts) and only cover a single hyperperiod.
-        if ladder.mode() != LadderMode::Off && hp == 1 {
-            let noop = swa_core::NoopRecorder;
-            let recorder: &dyn swa_core::Recorder = analyzer
-                .attached_recorder()
-                .map_or(&noop, |r| r.as_ref());
-            for (k, slot) in known.iter_mut().enumerate().take(candidates.len() - 1) {
-                if slot.is_none() {
-                    if let Some(decision) = ladder.evaluate(&candidates[k], recorder) {
-                        *slot =
-                            Some(Arc::new(CachedVerdict::from_ladder(&decision, &candidates[k])));
-                    }
-                }
-            }
-        }
+        // Resolve what can be known without simulating. The cache answers
+        // candidates regenerated by the window quantization (and whole
+        // re-runs of a search), also by composing per-module entries. The
+        // ladder decides the rest, *except the deepest rung*: when no
+        // winner emerges this round, the repair rule reads the deepest
+        // rung's simulated diagnostics, and those must stay identical to
+        // a ladder-off run. For the same reason a cached ladder verdict
+        // (no job counts) counts only where a fresh one would. Ladder
+        // verdicts are not inserted into the cache.
+        let deepest = candidates.len() - 1;
+        let known: Vec<Option<Arc<CachedVerdict>>> = candidates
+            .iter()
+            .enumerate()
+            .map(|(k, candidate)| {
+                let mode = if k < deepest {
+                    options.ladder
+                } else {
+                    LadderMode::Off
+                };
+                analyzer
+                    .lookup(candidate)
+                    .filter(|v| mode != LadderMode::Off || v.decided_by == DecidedBy::Simulation)
+                    .or_else(|| analyzer.decide(candidate, mode))
+            })
+            .collect();
         let cached_winner = known
             .iter()
             .position(|v| v.as_ref().is_some_and(|v| v.schedulable));
@@ -277,21 +251,6 @@ fn search_impl(
                     .first_schedulable(&subset)?,
             )
         };
-        // An analyzer carrying its own cache inserts during evaluation
-        // (whole and — compositionally — per-module keys); only the
-        // borrowed-cache entry points insert here.
-        if analyzer.verdict_cache().is_none() {
-            if let (Some(cache), Some(batch)) = (cache, &batch) {
-                for (pos, result) in batch.results.iter().enumerate() {
-                    if let Some(result) = result.as_ref() {
-                        cache.insert(
-                            &canonicalize(&candidates[subset_idx[pos]], hp),
-                            Arc::new(CachedVerdict::from_report(&result.report)),
-                        );
-                    }
-                }
-            }
-        }
         let subset_winner = batch
             .as_ref()
             .and_then(|b| b.winner)
@@ -351,7 +310,7 @@ fn search_impl(
         // Repair from the deepest rung's diagnostics: adopt its boosts,
         // widen the partitions that still missed there, and predict they
         // miss again.
-        let deepest = record_of(candidates.len() - 1);
+        let deepest = record_of(deepest);
         let missed = deepest.missing_partitions;
         let missed_jobs = deepest.missed_jobs;
         boosts = ladder_boosts.pop().expect("nonempty ladder");
@@ -492,7 +451,7 @@ fn least_loaded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swa_core::analyze_configuration;
+    use swa_core::{analyze_configuration, VerdictCache};
     use swa_ima::{CoreType, CoreTypeId, Module, Partition, SchedulerKind, Task};
 
     fn two_partition_problem(cores: usize) -> DesignProblem {
@@ -800,6 +759,101 @@ mod tests {
             .iterations
             .iter()
             .any(|i| i.check_time == Duration::ZERO));
+    }
+
+    #[test]
+    fn cached_ladder_verdicts_do_not_stand_in_for_simulations() {
+        use swa_core::{canonicalize, NoopRecorder, ShardedVerdictCache, VerdictLadder};
+
+        // Utilization 1.5 on one core: both partitions miss on every rung,
+        // so the repair widens them uniformly and the search's candidates
+        // are exactly the uniform boosts initial·step^j.
+        let problem = DesignProblem {
+            core_types: vec![CoreType::new("ct")],
+            modules: vec![Module::homogeneous("M", 1, CoreTypeId::from_raw(0))],
+            partitions: vec![
+                Partition::new(
+                    "a",
+                    SchedulerKind::Fpps,
+                    vec![Task::new("t", 1, vec![80], 100)],
+                ),
+                Partition::new(
+                    "b",
+                    SchedulerKind::Fpps,
+                    vec![Task::new("t", 1, vec![70], 100)],
+                ),
+            ],
+            messages: vec![],
+        };
+        let options = SearchOptions {
+            max_iterations: 8,
+            ..SearchOptions::default()
+        };
+        let hyperperiod = problem.hyperperiod().unwrap();
+        let frame = problem.min_period().unwrap();
+        let binding = first_fit_decreasing(&problem, options.utilization_cap)
+            .unwrap()
+            .binding;
+        // A cache as `swa serve --ladder` leaves it: a T0 verdict, with no
+        // job counts, for every candidate the search will propose.
+        let cache_with = |seed: bool| {
+            let cache = Arc::new(ShardedVerdictCache::new(1 << 22));
+            if !seed {
+                return cache;
+            }
+            let mut boosts = vec![options.initial_boost; problem.partitions.len()];
+            for _ in 0..options.max_iterations {
+                let windows = synthesize(&problem, &binding, &boosts, hyperperiod, frame);
+                let candidate = problem.candidate(binding.clone(), windows);
+                let decision = VerdictLadder::new(LadderMode::Fast)
+                    .evaluate(&candidate, &NoopRecorder)
+                    .expect("T0 decides the overload");
+                cache.insert(
+                    &canonicalize(&candidate, 1),
+                    Arc::new(CachedVerdict::from_ladder(&decision, &candidate)),
+                );
+                for b in &mut boosts {
+                    *b *= options.boost_step;
+                }
+            }
+            cache
+        };
+
+        // Against the same search over an empty cache: seeded entries may
+        // answer only the rungs the ladder itself would answer.
+        for ladder in [LadderMode::Off, LadderMode::Fast] {
+            let options = SearchOptions { ladder, ..options };
+            let search_over = |cache: Arc<ShardedVerdictCache>| {
+                search_with(&problem, &options, &Analyzer::configure().cache(cache)).unwrap()
+            };
+            let cold = search_over(cache_with(false));
+            let cache = cache_with(true);
+            let warm = search_over(cache.clone());
+            assert!(
+                cache.stats().hits > 0,
+                "ladder {ladder}: the seeds were probed"
+            );
+            assert_eq!(
+                warm.iterations.len(),
+                cold.iterations.len(),
+                "ladder {ladder}"
+            );
+            for (w, c) in warm.iterations.iter().zip(&cold.iterations) {
+                assert_eq!(w.schedulable, c.schedulable, "ladder {ladder}");
+                assert_eq!(
+                    w.missed_jobs, c.missed_jobs,
+                    "ladder {ladder}, iteration {}",
+                    c.index
+                );
+                assert_eq!(
+                    w.missing_partitions, c.missing_partitions,
+                    "ladder {ladder}"
+                );
+            }
+            if ladder == LadderMode::Off {
+                assert!(cold.iterations.iter().all(|i| i.missed_jobs > 0));
+            }
+        }
     }
 
     #[test]

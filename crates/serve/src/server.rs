@@ -43,9 +43,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use swa_core::{
-    canonicalize, compositional_lookup, open_state_dir, Analyzer, CacheStats, CachedVerdict,
-    CanonicalRequest, CheckpointStats, CheckpointStore, LadderMode, MetricsRecorder, Recorder,
-    ShardedCheckpointStore, ShardedVerdictCache, VerdictCache, VerdictLadder,
+    canonicalize, open_state_dir, Analyzer, CacheStats, CachedVerdict, CanonicalRequest,
+    CheckpointStats, CheckpointStore, LadderMode, MetricsRecorder, Recorder,
+    ShardedCheckpointStore, ShardedVerdictCache, VerdictCache,
 };
 
 use swa_sweep::{render_step_json, run_sweep, SweepEngine, SweepError, SweepEvent};
@@ -184,11 +184,19 @@ impl Server {
         } else {
             options.shed_inflight
         };
+        let mut analyzer = Analyzer::configure()
+            .recorder(recorder.clone() as Arc<dyn Recorder>)
+            .cache(Arc::clone(&cache))
+            .compositional(options.compositional);
+        if let Some(store) = &checkpoints {
+            analyzer = analyzer.checkpoints(Arc::clone(store));
+        }
         let inner = Arc::new(Inner {
             local_addr,
             recorder,
             cache,
             checkpoints,
+            analyzer,
             compositional: options.compositional,
             ladder: options.ladder,
             pool: WorkerPool::new(options.workers, options.queue_depth),
@@ -280,7 +288,12 @@ struct Inner {
     cache: Arc<dyn VerdictCache>,
     /// Warm-start store shared across requests; `None` when disabled.
     checkpoints: Option<Arc<dyn CheckpointStore>>,
-    /// Per-module analysis and caching for decomposable requests.
+    /// The resolver every cached request goes through: the server's
+    /// recorder, cache, checkpoints and compositional mode. Requests
+    /// clone it and add their own horizon, engine and `explain`.
+    analyzer: Analyzer<'static>,
+    /// Per-module reuse for every sweep (the analyzer carries the same
+    /// mode for `/analyze`).
     compositional: bool,
     /// Analytic admission pre-filter mode (see [`ServeOptions::ladder`]).
     ladder: LadderMode,
@@ -708,23 +721,28 @@ fn analyze(inner: &Arc<Inner>, body: &[u8]) -> (u16, String) {
         .deadline_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
     let canon = canonicalize(&parsed.config, parsed.hyperperiods);
+    // `no_cache` asks for a fresh simulation: no verdict cache and no
+    // warm start, on the whole configuration.
+    let analyzer = if parsed.no_cache {
+        Analyzer::configure().recorder(inner.recorder.clone() as Arc<dyn Recorder>)
+    } else {
+        inner.analyzer.clone()
+    }
+    .engine(parsed.engine)
+    .horizon(parsed.hyperperiods)
+    .explain(parsed.explain);
 
     if parsed.no_cache {
         // Cache bypass also skips single-flight: the client explicitly
         // asked for a fresh simulation.
-        return run_leader(inner, parsed, &canon, deadline);
+        return run_leader(inner, parsed, analyzer, &canon, deadline);
     }
 
     for _ in 0..MAX_FLIGHT_ATTEMPTS {
         // Under compositional mode a miss on the whole key still composes
         // a cached answer when every module's verdict is warm (the
         // composed verdict is inserted back under the whole key).
-        let cached = if inner.compositional {
-            compositional_lookup(&*inner.cache, &parsed.config, parsed.hyperperiods)
-        } else {
-            inner.cache.lookup(&canon)
-        };
-        if let Some(verdict) = cached {
+        if let Some(verdict) = analyzer.lookup(&parsed.config) {
             return (200, render_verdict(&verdict, true, canon.key, 0.0));
         }
         if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -756,7 +774,7 @@ fn analyze(inner: &Arc<Inner>, body: &[u8]) -> (u16, String) {
                     key: canon.key,
                     gate,
                 };
-                return run_leader(inner, parsed, &canon, deadline);
+                return run_leader(inner, parsed, analyzer, &canon, deadline);
             }
             Err(gate) => {
                 // Follower: wait for the leader, then re-probe the cache.
@@ -777,6 +795,7 @@ fn analyze(inner: &Arc<Inner>, body: &[u8]) -> (u16, String) {
 fn run_leader(
     inner: &Arc<Inner>,
     parsed: AnalyzeRequest,
+    analyzer: Analyzer<'static>,
     canon: &CanonicalRequest,
     deadline: Option<Instant>,
 ) -> (u16, String) {
@@ -785,29 +804,24 @@ fn run_leader(
         return (504, render_error("deadline", "request deadline expired"));
     }
     // Analytic admission: a ladder-decided request never touches the
-    // worker pool. Gated to single-hyperperiod requests (the ladder's
-    // tiers reason over one hyperperiod) and skipped for `no_cache`
-    // (explicit fresh simulation) and `explain` (wants the full run's
-    // forensics machinery).
-    if inner.ladder != LadderMode::Off
-        && parsed.hyperperiods == 1
-        && !parsed.no_cache
-        && !parsed.explain
-    {
-        let started = Instant::now();
-        let ladder = VerdictLadder::new(inner.ladder);
-        if let Some(decision) = ladder.evaluate(&parsed.config, inner.recorder.as_ref()) {
-            let verdict = Arc::new(CachedVerdict::from_ladder(&decision, &parsed.config));
-            inner.cache.insert(canon, Arc::clone(&verdict));
-            inner.recorder.counter("serve.ladder_decided", 1);
-            #[allow(clippy::cast_precision_loss)]
-            let check_ms = started.elapsed().as_secs_f64() * 1e3;
-            return (200, render_verdict(&verdict, false, canon.key, check_ms));
-        }
+    // worker pool, and its verdict is cached. Skipped for `no_cache`
+    // (explicit fresh simulation); the analyzer skips multi-hyperperiod
+    // and `explain` requests itself.
+    let started = Instant::now();
+    let ladder = if parsed.no_cache {
+        LadderMode::Off
+    } else {
+        inner.ladder
+    };
+    if let Some(verdict) = analyzer.decide(&parsed.config, ladder) {
+        inner.cache.insert(canon, Arc::clone(&verdict));
+        inner.recorder.counter("serve.ladder_decided", 1);
+        #[allow(clippy::cast_precision_loss)]
+        let check_ms = started.elapsed().as_secs_f64() * 1e3;
+        return (200, render_verdict(&verdict, false, canon.key, check_ms));
     }
     let (reply_tx, reply_rx) = mpsc::channel::<JobReply>();
     let job_inner = Arc::clone(inner);
-    let job_canon = canon.clone();
     let job: Job = Box::new(move |ctx| {
         if ctx.is_cancelled() {
             let _ = reply_tx.send(JobReply::Cancelled);
@@ -818,38 +832,15 @@ fn run_leader(
             return;
         }
         let started = Instant::now();
-        let mut analyzer = Analyzer::new(&parsed.config)
-            .engine(parsed.engine)
-            .horizon(parsed.hyperperiods)
-            .recorder(job_inner.recorder.clone() as Arc<dyn Recorder>)
-            .explain(parsed.explain);
-        // `no_cache` asks for a fresh simulation; honor it for warm
-        // starts too, not just the verdict cache.
-        if !parsed.no_cache {
-            if let Some(store) = &job_inner.checkpoints {
-                analyzer = analyzer.checkpoints(Arc::clone(store));
-            }
-            if job_inner.compositional {
-                // The analyzer inserts per-module verdicts (and the whole
-                // key) itself, so the manual insert below is skipped.
-                analyzer = analyzer
-                    .compositional(true)
-                    .cache(Arc::clone(&job_inner.cache));
-            }
-        }
-        let result = analyzer.run();
+        // With a cache attached the analyzer inserts the verdict itself
+        // (per module too, when compositional).
+        let result = analyzer.analyze(&parsed.config);
         job_inner.recorder.counter("serve.analyses", 1);
         let reply = match result {
-            Ok(report) => {
-                let verdict = Arc::new(CachedVerdict::from_report(&report));
-                if !parsed.no_cache && !job_inner.compositional {
-                    job_inner.cache.insert(&job_canon, Arc::clone(&verdict));
-                }
-                JobReply::Done {
-                    verdict,
-                    check: started.elapsed(),
-                }
-            }
+            Ok(report) => JobReply::Done {
+                verdict: Arc::new(CachedVerdict::from_report(&report)),
+                check: started.elapsed(),
+            },
             Err(e) => JobReply::Failed(e.to_string()),
         };
         let _ = reply_tx.send(reply);

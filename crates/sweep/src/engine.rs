@@ -24,10 +24,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use swa_core::{
-    canonicalize, chain_latency, compositional_lookup, Analyzer, CheckpointStore, NoopRecorder,
-    Recorder, VerdictCache,
-};
+use swa_core::{chain_latency, Analyzer, CheckpointStore, NoopRecorder, Recorder, VerdictCache};
 use swa_core::EvalEngine;
 use swa_ima::{Configuration, TaskRef};
 
@@ -151,8 +148,9 @@ impl TaskSensitivity {
 pub struct SweepEngine {
     base: Configuration,
     options: SweepOptions,
-    cache: Option<Arc<dyn VerdictCache>>,
-    checkpoints: Option<Arc<dyn CheckpointStore>>,
+    /// Every probe's resolver: the options' engine, horizon and
+    /// compositional mode plus the attached stores and recorder.
+    analyzer: Analyzer<'static>,
     recorder: Arc<dyn Recorder>,
     memo: HashMap<(Axis, u64), Probe>,
     chains: Vec<Vec<TaskRef>>,
@@ -175,12 +173,17 @@ impl SweepEngine {
             return Err(SweepError::InvalidScaledConfig(detail));
         }
         let chains = derive_chains(&base);
+        let recorder: Arc<dyn Recorder> = Arc::new(NoopRecorder);
+        let analyzer = Analyzer::configure()
+            .engine(options.engine)
+            .horizon(options.hyperperiods)
+            .compositional(options.compositional)
+            .recorder(recorder.clone());
         Ok(Self {
             base,
             options,
-            cache: None,
-            checkpoints: None,
-            recorder: Arc::new(NoopRecorder),
+            analyzer,
+            recorder,
             memo: HashMap::new(),
             chains,
         })
@@ -189,20 +192,22 @@ impl SweepEngine {
     /// Attaches a verdict cache shared with other analyses.
     #[must_use]
     pub fn cache(mut self, cache: Arc<dyn VerdictCache>) -> Self {
-        self.cache = Some(cache);
+        self.analyzer = self.analyzer.cache(cache);
         self
     }
 
     /// Attaches a checkpoint store for warm-started simulations.
     #[must_use]
     pub fn checkpoints(mut self, store: Arc<dyn CheckpointStore>) -> Self {
-        self.checkpoints = Some(store);
+        self.analyzer = self.analyzer.checkpoints(store);
         self
     }
 
-    /// Attaches an observability sink for the `sweep.*` counter family.
+    /// Attaches an observability sink for the `sweep.*` counter family
+    /// (and the probes' own analysis counters).
     #[must_use]
     pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
+        self.analyzer = self.analyzer.recorder(recorder.clone());
         self.recorder = recorder;
         self
     }
@@ -280,54 +285,31 @@ impl SweepEngine {
             Err(e) => return Err(e),
         };
 
-        // Chain gating needs the per-job analysis, which a cached verdict
-        // does not carry — the cache tier only serves ungated probes.
+        // Chain gating needs the per-job analysis, which neither a cached
+        // verdict nor a ladder decision carries — only ungated probes are
+        // answered without simulating. Ladder decisions are sound, so the
+        // breakdown interval the search certifies is unchanged.
         let gate_chains = self.options.chains && !self.chains.is_empty();
         if !gate_chains {
-            if let Some(cache) = &self.cache {
-                let hit = if self.options.compositional {
-                    compositional_lookup(cache.as_ref(), &scaled, self.options.hyperperiods)
-                } else {
-                    cache.lookup(&canonicalize(&scaled, self.options.hyperperiods))
-                };
-                if let Some(verdict) = hit {
-                    self.recorder.counter("sweep.cache_hits", 1);
-                    let probe = Probe {
-                        requested: factor,
-                        factor: quantized,
-                        feasible: verdict.schedulable,
-                        schedulable: verdict.schedulable,
-                        chains_ok: None,
-                        worst_chain_latency: None,
-                        source: ProbeSource::CacheHit,
-                        domain_edge: None,
-                    };
-                    self.memo.insert(memo_key, probe.clone());
-                    return Ok(probe);
-                }
-            }
-        }
-
-        // Analytic tier: the ladder decides clear-cut scaled
-        // configurations without a simulation. Single-hyperperiod,
-        // ungated probes only; decisions are sound, so the breakdown
-        // interval the search certifies is unchanged.
-        if !gate_chains
-            && self.options.ladder != swa_core::LadderMode::Off
-            && self.options.hyperperiods == 1
-        {
-            let ladder = swa_core::VerdictLadder::new(self.options.ladder);
-            if let Some(decision) = ladder.evaluate(&scaled, self.recorder.as_ref()) {
-                self.recorder.counter("sweep.ladder_hits", 1);
-                let schedulable = decision.verdict.is_schedulable();
+            let known = self
+                .analyzer
+                .lookup(&scaled)
+                .map(|v| (v, ProbeSource::CacheHit, "sweep.cache_hits"))
+                .or_else(|| {
+                    self.analyzer
+                        .decide(&scaled, self.options.ladder)
+                        .map(|v| (v, ProbeSource::Ladder, "sweep.ladder_hits"))
+                });
+            if let Some((verdict, source, counter)) = known {
+                self.recorder.counter(counter, 1);
                 let probe = Probe {
                     requested: factor,
                     factor: quantized,
-                    feasible: schedulable,
-                    schedulable,
+                    feasible: verdict.schedulable,
+                    schedulable: verdict.schedulable,
                     chains_ok: None,
                     worst_chain_latency: None,
-                    source: ProbeSource::Ladder,
+                    source,
                     domain_edge: None,
                 };
                 self.memo.insert(memo_key, probe.clone());
@@ -336,18 +318,7 @@ impl SweepEngine {
         }
 
         self.recorder.counter("sweep.simulated", 1);
-        let mut analyzer = Analyzer::new(&scaled)
-            .engine(self.options.engine)
-            .horizon(self.options.hyperperiods)
-            .compositional(self.options.compositional)
-            .recorder(self.recorder.clone());
-        if let Some(cache) = &self.cache {
-            analyzer = analyzer.cache(cache.clone());
-        }
-        if let Some(store) = &self.checkpoints {
-            analyzer = analyzer.checkpoints(store.clone());
-        }
-        let report = analyzer.run()?;
+        let report = self.analyzer.analyze(&scaled)?;
         let schedulable = report.schedulable();
 
         let (chains_ok, worst_latency) = if gate_chains {

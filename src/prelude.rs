@@ -22,8 +22,8 @@ pub use swa_ima::{
 
 // Running the analysis: the builder entry point and its results.
 pub use swa_core::{
-    Analysis, AnalysisReport, Analyzer, BatchMetrics, BatchMode, BatchOptions, BatchOutcome,
-    CandidateResult, RunMetrics, Verdict, VerdictDiagnosis,
+    Analysis, AnalysisReport, Analyzer, BatchMetrics, BatchOutcome, CandidateResult, RunMetrics,
+    Verdict, VerdictDiagnosis,
 };
 
 // The simulator knob exposed through `Analyzer::tie_break`.
