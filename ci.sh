@@ -384,4 +384,20 @@ echo "$loop_out" | tail -n 1 | grep -q '"failed": 0,' || {
     exit 1
 }
 
+echo "==> paper-scale smoke (FPPS/FPNPS/EDF models match the golden verdicts, signatures and step counts)"
+# Correctness only, no timing gate: the suite checks every input's verdict,
+# signature hash and step count against its golden digest, exits non-zero
+# when a check fails, and its last stdout line reports the failure count.
+paper_out="$(cargo run --release --offline -q --manifest-path benchsuite/Cargo.toml \
+    --bin suite -- --smoke --workload paper-scale)" || {
+    echo "paper-scale smoke FAILED: the suite exited non-zero"
+    echo "$paper_out"
+    exit 1
+}
+echo "$paper_out" | tail -n 1 | grep -q '"failed": 0,' || {
+    echo "paper-scale smoke FAILED: failed operations reported"
+    echo "$paper_out"
+    exit 1
+}
+
 echo "==> ci.sh: all green"

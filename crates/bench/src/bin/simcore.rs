@@ -191,7 +191,7 @@ fn main() {
     let config = config_with_jobs(jobs, 1);
     let actual_jobs = config.job_count().expect("valid generated config");
     let model = SystemModel::build(&config).expect("valid generated config");
-    let automata = model.network().automata().len();
+    let automata = model.network().automaton_count();
     eprintln!("simcore: {actual_jobs} jobs, {automata} automata");
 
     let initial = State::initial(model.network());

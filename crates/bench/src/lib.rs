@@ -119,7 +119,7 @@ pub fn scalability_row(target_jobs: u64, seed: u64) -> ScalabilityRow {
     let config = config_with_jobs(target_jobs, seed);
     let jobs = config.job_count().expect("valid generated config");
     let model = SystemModel::build(&config).expect("valid generated config");
-    let automata = model.network().automata().len();
+    let automata = model.network().automaton_count();
     let report = analyze_configuration(&config).expect("simulation run");
     ScalabilityRow {
         target_jobs,
@@ -163,7 +163,7 @@ pub fn determinism_check(
     all_equal &= reversed.analysis.signature() == ref_sig;
 
     let model = SystemModel::build(config).expect("valid config");
-    let n_automata = model.network().automata().len();
+    let n_automata = model.network().automaton_count();
     let mut rng = swa_workload::rng::Rng64::seed_from_u64(seed);
     for _ in 0..permutations {
         let mut perm: Vec<u32> =

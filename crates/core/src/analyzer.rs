@@ -642,6 +642,12 @@ impl<'a> Analyzer<'a> {
         if let Some(recorder) = &self.recorder {
             metrics.record_to(recorder.as_ref());
             recorder.counter("bytecode.cache_hits", u64::from(cache_warm));
+            // Whether anything expanded the templates into per-instance
+            // automata (the bytecode path never needs them).
+            recorder.counter(
+                "instance.expanded",
+                u64::from(model.network().is_materialized()),
+            );
         }
 
         Ok(AnalysisReport {
@@ -726,6 +732,24 @@ mod tests {
         assert_eq!(recorder.counter_value("bytecode.cache_hits"), 0);
         assert!(recorder.span_total("simulate") > Duration::ZERO);
         assert_eq!(recorder.spans()["build"].count, 1);
+    }
+
+    #[test]
+    fn the_bytecode_path_never_expands_the_templates() {
+        let config = config();
+        for (engine, expanded) in [(EvalEngine::Bytecode, 0), (EvalEngine::Ast, 1)] {
+            let recorder = Arc::new(MetricsRecorder::new());
+            Analyzer::new(&config)
+                .engine(engine)
+                .recorder(recorder.clone())
+                .run()
+                .unwrap();
+            assert_eq!(
+                recorder.counter_value("instance.expanded"),
+                expanded,
+                "{engine}"
+            );
+        }
     }
 
     #[test]

@@ -20,9 +20,9 @@ use swa_nsa::{
 use crate::error::ModelError;
 use crate::templates::{
     cs::{cs_automaton, window_events},
-    link::{link_automaton, ChainParams, LinkParams},
-    sched::{sched_automaton, SchedParams},
-    task::{task_automaton, TaskParams},
+    link::{link_template, HopParams, LinkShape},
+    sched::{sched_template, SchedParams},
+    task::{task_template, TaskParams},
     Ctx,
 };
 
@@ -259,7 +259,8 @@ impl SystemModel {
         let vl_overrun = nb.flag("vl_overrun", false);
 
         // Channels, with their system-level roles.
-        let mut channel_roles = HashMap::new();
+        let mut channel_roles =
+            HashMap::with_capacity(4 * (task_count + config.partitions.len()) + msg_count);
         let mut exec_ch = Vec::with_capacity(task_count);
         let mut preempt_ch = Vec::with_capacity(task_count);
         let mut send_ch = Vec::with_capacity(task_count);
@@ -326,11 +327,15 @@ impl SystemModel {
 
         // Algorithm 1: per core, per bound partition, create task automata
         // then the partition scheduler; then the core scheduler; finally the
-        // links.
+        // links. Each task, scheduler and link automaton instantiates the
+        // template of its shape, built on the shape's first use.
         let mut task_automata = vec![AutomatonId::from_raw(0); task_count];
         let mut ts_automata = vec![AutomatonId::from_raw(0); config.partitions.len()];
         let mut cs_automata = Vec::new();
-        let mut task_of_automaton = HashMap::new();
+        let mut task_of_automaton = HashMap::with_capacity(task_count);
+        let mut task_templates = HashMap::new();
+        let mut sched_templates = HashMap::new();
+        let mut link_templates = HashMap::new();
 
         for (core_ref, core) in config.cores() {
             let partitions: Vec<PartitionId> = config.partitions_on(core_ref).collect();
@@ -343,40 +348,34 @@ impl SystemModel {
                 for (k, task) in partition.tasks.iter().enumerate() {
                     let tr = TaskRef::new(pid, u32::try_from(k).expect("task count fits u32"));
                     let g = global_index[&tr];
-                    let rel = nb.clock(format!("rel_{g}"));
-                    let exe = nb.stopped_clock(format!("exe_{g}"));
-                    let wcet = task.wcet_on(core.core_type);
-                    let params = TaskParams::from_task(
+                    let params = TaskParams {
                         g,
                         j,
-                        task,
-                        wcet,
-                        inputs_of.get(&g).cloned().unwrap_or_default(),
-                        rel,
-                        exe,
-                    );
+                        wcet: task.wcet_on(core.core_type),
+                        period: task.period,
+                        deadline: task.deadline,
+                        offset: task.offset,
+                        inputs: inputs_of.get(&g).cloned().unwrap_or_default(),
+                        rel: nb.clock(format!("rel_{g}")),
+                        exe: nb.stopped_clock(format!("exe_{g}")),
+                    };
+                    let template = *task_templates
+                        .entry(params.shape())
+                        .or_insert_with(|| nb.template(task_template(&ctx, params.shape())));
                     let name = format!("T{g}_{}_{}", partition.name, task.name);
-                    let aid = nb.automaton(task_automaton(name, &ctx, &params));
+                    let aid = nb.instance(template, params.frame(name, &ctx));
                     task_automata[g] = aid;
                     task_of_automaton.insert(aid, g);
                 }
-                let running = nb.var(format!("running_{j}"), 0, 0, {
-                    i64::try_from(partition.tasks.len()).expect("task count fits i64")
-                });
+                let k_tasks = i64::try_from(partition.tasks.len()).expect("task count fits i64");
+                let running = nb.var(format!("running_{j}"), 0, 0, k_tasks);
                 // Round-robin schedulers own a last-served index and the
                 // quantum clock.
-                let rr = if matches!(partition.scheduler, SchedulerKind::RoundRobin { .. }) {
-                    let last = nb.var(
-                        format!("rr_last_{j}"),
-                        i64::try_from(partition.tasks.len()).expect("task count fits i64") - 1,
-                        0,
-                        i64::try_from(partition.tasks.len()).expect("task count fits i64") - 1,
-                    );
-                    let q_clock = nb.clock(format!("rr_q_{j}"));
-                    Some((last, q_clock))
-                } else {
-                    None
-                };
+                let rr =
+                    matches!(partition.scheduler, SchedulerKind::RoundRobin { .. }).then(|| {
+                        let last = nb.var(format!("rr_last_{j}"), k_tasks - 1, 0, k_tasks - 1);
+                        (last, nb.clock(format!("rr_q_{j}")))
+                    });
                 let params = SchedParams {
                     j,
                     k_tasks: partition.tasks.len(),
@@ -390,8 +389,11 @@ impl SystemModel {
                     SchedulerKind::Edf => "EDF",
                     SchedulerKind::RoundRobin { .. } => "RR",
                 };
+                let template = *sched_templates
+                    .entry(params.shape())
+                    .or_insert_with(|| nb.template(sched_template(&ctx, params.shape())));
                 let name = format!("TS{j}_{}_{kind_tag}", partition.name);
-                ts_automata[j] = nb.automaton(sched_automaton(name, &ctx, &params));
+                ts_automata[j] = nb.instance(template, params.frame(name, &ctx));
             }
 
             // Core scheduler for this core.
@@ -406,8 +408,8 @@ impl SystemModel {
             cs_automata.push((core_ref, aid));
         }
 
-        // Virtual links: single automata for direct messages, hop chains
-        // for routed ones.
+        // Virtual links: one automaton for a direct message, a hop chain
+        // for a routed one (relay channels link consecutive hops).
         let mut link_automata = Vec::with_capacity(msg_count);
         let mut link_chain_automata = Vec::with_capacity(msg_count);
         let mut link_delays = Vec::with_capacity(msg_count);
@@ -417,41 +419,40 @@ impl SystemModel {
             let hops = hop_delays_of(mid);
             link_delays.push(hops.iter().sum());
             let name = format!("L{h}_{}", m.name);
-            if hops.len() == 1 {
-                let clock = nb.clock(format!("vl_{h}"));
-                let params = LinkParams {
-                    h,
-                    sender: global_index[&m.sender],
-                    receiver: global_index[&m.receiver],
-                    delay: hops[0],
-                    clock,
-                };
-                let aid = nb.automaton(link_automaton(name, &ctx, &params));
-                link_automata.push(aid);
-                link_chain_automata.push(vec![aid]);
+            let n = hops.len();
+            let clocks: Vec<_> = if n == 1 {
+                vec![nb.clock(format!("vl_{h}"))]
             } else {
-                let clocks: Vec<_> = (0..hops.len())
-                    .map(|i| nb.clock(format!("vl_{h}_{i}")))
-                    .collect();
-                let relay_channels: Vec<_> = (0..hops.len() - 1)
-                    .map(|i| nb.broadcast_channel(format!("vl_relay_{h}_{i}")))
-                    .collect();
-                let params = ChainParams {
-                    h,
-                    sender: global_index[&m.sender],
-                    receiver: global_index[&m.receiver],
-                    hop_delays: hops,
-                    clocks,
-                    relay_channels,
-                };
-                let chain: Vec<AutomatonId> =
-                    crate::templates::link::link_chain_automata(name, &ctx, &params)
-                        .into_iter()
-                        .map(|a| nb.automaton(a))
-                        .collect();
-                link_automata.push(*chain.last().expect("nonempty chain"));
-                link_chain_automata.push(chain);
-            }
+                (0..n).map(|i| nb.clock(format!("vl_{h}_{i}"))).collect()
+            };
+            let mut channels = vec![ctx.send_ch[global_index[&m.sender]]];
+            channels.extend((0..n - 1).map(|i| nb.broadcast_channel(format!("vl_relay_{h}_{i}"))));
+            channels.push(ctx.receive_ch[global_index[&m.receiver]]);
+            let chain: Vec<AutomatonId> = (0..n)
+                .map(|i| {
+                    let (shape, name) = if n == 1 {
+                        (LinkShape::Direct, name.clone())
+                    } else {
+                        (
+                            LinkShape::Hop { last: i == n - 1 },
+                            format!("{name}_hop{i}"),
+                        )
+                    };
+                    let template = *link_templates
+                        .entry(shape)
+                        .or_insert_with(|| nb.template(link_template(&ctx, shape)));
+                    let hop = HopParams {
+                        h,
+                        delay: hops[i],
+                        clock: clocks[i],
+                        input: channels[i],
+                        output: channels[i + 1],
+                    };
+                    nb.instance(template, hop.frame(name, &ctx))
+                })
+                .collect();
+            link_automata.push(*chain.last().expect("nonempty chain"));
+            link_chain_automata.push(chain);
         }
 
         let network = nb.build()?;
@@ -508,7 +509,8 @@ impl SystemModel {
         self.map.hyperperiod
     }
 
-    /// The simulation horizon (`L + 1`).
+    /// The simulation horizon, `hyperperiods · L + max_offset + 1` (see
+    /// [`ModelMap::horizon`]).
     #[must_use]
     pub fn horizon(&self) -> i64 {
         self.map.horizon

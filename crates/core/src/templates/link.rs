@@ -7,173 +7,127 @@
 //! receiver job.
 
 use swa_nsa::{
-    Automaton, AutomatonBuilder, ClockAtom, ClockId, CmpOp, Edge, Guard, Invariant, Sync, Update,
+    Automaton, AutomatonBuilder, ChannelId, ClockAtom, ClockId, CmpOp, Edge, Frame, Guard,
+    Invariant, Sync, Update, VarId,
 };
 
-use super::Ctx;
+use super::{param, Ctx};
 
-/// Per-instance parameters of a virtual-link automaton.
+/// Template parameters, by [`swa_nsa::ParamId`] index.
+const MESSAGE: u32 = 0;
+const DELAY: u32 = 1;
+
+/// Template-local clock, variable and channels, in [`HopParams::frame`]
+/// order.
+const CLOCK: ClockId = ClockId::from_raw(0);
+const OVERRUN: VarId = VarId::from_raw(0);
+const IN: ChannelId = ChannelId::from_raw(0);
+const OUT: ChannelId = ChannelId::from_raw(1);
+
+/// The structural role of a link automaton: a whole direct link, or one
+/// hop of a routed chain (the last hop delivers, the others relay).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LinkShape {
+    /// A single-jump virtual link.
+    Direct,
+    /// A hop of a multi-hop chain; `last` delivers.
+    Hop {
+        /// Whether this is the delivering (wire) hop.
+        last: bool,
+    },
+}
+
+/// Per-instance parameters of one link or hop automaton.
 #[derive(Debug, Clone)]
-pub struct LinkParams {
+pub struct HopParams {
     /// Message index `h`.
     pub h: usize,
-    /// Global index of the sender task.
-    pub sender: usize,
-    /// Global index of the receiver task.
-    pub receiver: usize,
-    /// Effective worst-case transfer delay (memory or network, depending on
-    /// the binding).
+    /// Worst-case delay of this hop (the whole link's for a direct link).
     pub delay: i64,
     /// The transfer clock.
     pub clock: ClockId,
+    /// The channel a frame arrives on (the sender's `send`, or the
+    /// previous hop's relay).
+    pub input: ChannelId,
+    /// The channel a frame leaves on (the receiver's `receive`, or the
+    /// next hop's relay).
+    pub output: ChannelId,
 }
 
-/// Builds the virtual-link automaton.
+impl HopParams {
+    /// The frame binding [`link_template`] to this automaton.
+    #[must_use]
+    pub fn frame(&self, name: String, ctx: &Ctx) -> Frame {
+        Frame {
+            name,
+            params: vec![
+                i64::try_from(self.h).expect("message index fits i64"),
+                self.delay,
+            ],
+            clocks: vec![self.clock],
+            vars: vec![ctx.vl_overrun],
+            channels: vec![self.input, self.output],
+        }
+    }
+}
+
+/// Builds the link template of one shape.
 ///
-/// If a `send` arrives while a transfer is still in progress (which a valid
-/// configuration rules out — the model builder rejects delays that are not
-/// smaller than the endpoint period), the link raises the global
+/// A link holds each frame for exactly its worst-case delay (the paper's
+/// worst-case assumption). The delivering automaton sets
+/// `is_data_ready[h]` and broadcasts on the receiver's `receive` channel
+/// to wake a waiting receiver job; a relaying hop broadcasts to the next
+/// hop instead, so a chain delivers at the sum of its hop delays — the
+/// equivalence the `link_chain` tests assert.
+///
+/// If a frame arrives while a transfer is still in progress (which a
+/// valid configuration rules out — the model builder rejects delays that
+/// are not smaller than the endpoint period), the link raises the global
 /// `vl_overrun` flag instead of silently dropping the instance.
 #[must_use]
-pub fn link_automaton(name: String, ctx: &Ctx, p: &LinkParams) -> Automaton {
-    let h = i64::try_from(p.h).expect("message index fits i64");
-    let mut b = AutomatonBuilder::new(name);
-
+pub fn link_template(ctx: &Ctx, shape: LinkShape) -> Automaton {
+    let delivers = matches!(shape, LinkShape::Direct | LinkShape::Hop { last: true });
+    let mut b = AutomatonBuilder::new("link");
     let idle = b.location("idle");
-    let transfer = b.location_with_invariant("transfer", Invariant::upper_bound(p.clock, p.delay));
-    let deliver = b.committed_location("deliver");
-
+    let transfer =
+        b.location_with_invariant("transfer", Invariant::upper_bound(CLOCK, param(DELAY)));
+    let out = b.committed_location(if shape == LinkShape::Direct {
+        "deliver"
+    } else {
+        "forward"
+    });
     b.edge(
         Edge::new(idle, transfer)
-            .with_sync(Sync::Recv(ctx.send_ch[p.sender]))
-            .with_update(Update::ResetClock(p.clock))
+            .with_sync(Sync::Recv(IN))
+            .with_update(Update::ResetClock(CLOCK))
             .with_label("accept"),
     );
+    let elapsed = Edge::new(transfer, out).with_guard(Guard::always().and_clock(ClockAtom::new(
+        CLOCK,
+        CmpOp::Ge,
+        param(DELAY),
+    )));
+    b.edge(if delivers {
+        elapsed
+            .with_update(Update::set_elem(ctx.is_data_ready, param(MESSAGE), 1))
+            .with_label("delay_elapsed")
+    } else {
+        elapsed.with_label("latency_elapsed")
+    });
     b.edge(
-        Edge::new(transfer, deliver)
-            .with_guard(Guard::always().and_clock(ClockAtom::new(p.clock, CmpOp::Ge, p.delay)))
-            .with_update(Update::set_elem(ctx.is_data_ready, h, 1))
-            .with_label("delay_elapsed"),
+        Edge::new(out, idle)
+            .with_sync(Sync::Send(OUT))
+            .with_label(if delivers { "deliver" } else { "relay" }),
     );
-    b.edge(
-        Edge::new(deliver, idle)
-            .with_sync(Sync::Send(ctx.receive_ch[p.receiver]))
-            .with_label("deliver"),
-    );
-
-    // Overrun detection: a send while busy is a modeling error we surface
-    // via the shared flag rather than a silent drop.
-    b.edge(
-        Edge::new(transfer, transfer)
-            .with_sync(Sync::Recv(ctx.send_ch[p.sender]))
-            .with_update(Update::set(ctx.vl_overrun, 1))
-            .with_label("overrun"),
-    );
-    b.edge(
-        Edge::new(deliver, deliver)
-            .with_sync(Sync::Recv(ctx.send_ch[p.sender]))
-            .with_update(Update::set(ctx.vl_overrun, 1))
-            .with_label("overrun"),
-    );
-
-    b.finish(idle)
-}
-
-/// Per-instance parameters of a multi-hop virtual-link chain (the switched
-/// network extension: one automaton per traversed switch plus the final
-/// wire hop).
-#[derive(Debug, Clone)]
-pub struct ChainParams {
-    /// Message index `h`.
-    pub h: usize,
-    /// Global index of the sender task.
-    pub sender: usize,
-    /// Global index of the receiver task.
-    pub receiver: usize,
-    /// Worst-case delay of each hop, in traversal order (last entry is the
-    /// wire hop).
-    pub hop_delays: Vec<i64>,
-    /// One transfer clock per hop.
-    pub clocks: Vec<swa_nsa::ClockId>,
-    /// Relay channels between consecutive hops (`hop_delays.len() - 1`
-    /// broadcast channels).
-    pub relay_channels: Vec<swa_nsa::ChannelId>,
-}
-
-/// Builds the chain of hop automata for a routed message.
-///
-/// Hop `i` accepts a frame (from the sender's `send` broadcast or the
-/// previous hop's relay), holds it for exactly its worst-case latency, and
-/// forwards it; the final hop performs the delivery (`is_data_ready` +
-/// `receive` broadcast) exactly like the single-hop link. End-to-end, the
-/// chain delivers at the sum of the hop delays — the equivalence the
-/// `link_chain` tests assert.
-///
-/// # Panics
-///
-/// Panics if the parameter vectors are inconsistent.
-#[must_use]
-pub fn link_chain_automata(name: String, ctx: &Ctx, p: &ChainParams) -> Vec<Automaton> {
-    let n = p.hop_delays.len();
-    assert!(n >= 1, "a chain needs at least one hop");
-    assert_eq!(p.clocks.len(), n, "one clock per hop");
-    assert_eq!(p.relay_channels.len(), n - 1, "n - 1 relay channels");
-    let h = i64::try_from(p.h).expect("message index fits i64");
-
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut b = AutomatonBuilder::new(format!("{name}_hop{i}"));
-        let idle = b.location("idle");
-        let transfer = b.location_with_invariant(
-            "transfer",
-            Invariant::upper_bound(p.clocks[i], p.hop_delays[i]),
-        );
-        let out_loc = b.committed_location("forward");
-
-        let in_channel = if i == 0 {
-            ctx.send_ch[p.sender]
-        } else {
-            p.relay_channels[i - 1]
-        };
+    // Overrun detection: a frame arriving while busy is a modeling error
+    // surfaced via the shared flag rather than a silent drop.
+    for loc in [transfer, out] {
         b.edge(
-            Edge::new(idle, transfer)
-                .with_sync(Sync::Recv(in_channel))
-                .with_update(Update::ResetClock(p.clocks[i]))
-                .with_label("accept"),
+            Edge::new(loc, loc)
+                .with_sync(Sync::Recv(IN))
+                .with_update(Update::set(OVERRUN, 1))
+                .with_label("overrun"),
         );
-        let mut elapsed = Edge::new(transfer, out_loc).with_guard(
-            Guard::always().and_clock(ClockAtom::new(p.clocks[i], CmpOp::Ge, p.hop_delays[i])),
-        );
-        if i == n - 1 {
-            elapsed = elapsed
-                .with_update(Update::set_elem(ctx.is_data_ready, h, 1))
-                .with_label("delay_elapsed");
-        } else {
-            elapsed = elapsed.with_label("latency_elapsed");
-        }
-        b.edge(elapsed);
-        let out_channel = if i == n - 1 {
-            ctx.receive_ch[p.receiver]
-        } else {
-            p.relay_channels[i]
-        };
-        b.edge(
-            Edge::new(out_loc, idle)
-                .with_sync(Sync::Send(out_channel))
-                .with_label(if i == n - 1 { "deliver" } else { "relay" }),
-        );
-
-        // Overrun detection, as for the single-hop link.
-        for loc in [transfer, out_loc] {
-            b.edge(
-                Edge::new(loc, loc)
-                    .with_sync(Sync::Recv(in_channel))
-                    .with_update(Update::set(ctx.vl_overrun, 1))
-                    .with_label("overrun"),
-            );
-        }
-
-        out.push(b.finish(idle));
     }
-    out
+    b.finish(idle)
 }

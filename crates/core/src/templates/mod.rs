@@ -1,13 +1,19 @@
 //! Concrete automata types implementing the paper's general NSA.
 //!
 //! Each submodule is one parametric stopwatch automaton (the paper's
-//! *concrete automata types*, Sect. 2.3):
+//! *concrete automata types*, Sect. 2.3). The task, scheduler and link
+//! types are network templates: a skeleton built once per *shape* (what
+//! changes its structure, e.g. a task's input count or a scheduler's
+//! policy and task count) whose clocks, variables and channels are local
+//! ids and whose per-instance constants are parameters, plus a
+//! [`swa_nsa::Frame`] per instance that binds them:
 //!
 //! * [`task`] — the **T** base type: job release, data wait, execution with
 //!   a stopwatch, preemption, completion, deadline kill, data send;
 //! * [`sched`] — the **TS** base type in three implementations (FPPS,
 //!   FPNPS, EDF);
-//! * [`cs`] — the **CS** base type: the static window schedule of one core;
+//! * [`cs`] — the **CS** base type: the static window schedule of one core
+//!   (one automaton per core, since its structure *is* the schedule);
 //! * [`link`] — the **L** base type: a virtual link with worst-case
 //!   transfer delay.
 //!
@@ -22,8 +28,7 @@ pub mod link;
 pub mod sched;
 pub mod task;
 
-use swa_ima::Configuration;
-use swa_nsa::{ArrayId, ChannelId, IntExpr, Pred, VarId};
+use swa_nsa::{ArrayId, ChannelId, IntExpr, ParamId, VarId};
 
 /// Shared interface of the general model: ids of all arrays and channels,
 /// plus per-partition base offsets into the task-indexed arrays.
@@ -69,24 +74,7 @@ pub struct Ctx {
     pub partition_base: Vec<usize>,
 }
 
-impl Ctx {
-    /// Global task index of the `k`-th task of partition `j`, as an `i64`
-    /// for use in expressions.
-    #[must_use]
-    pub fn global(&self, j: usize, k: usize) -> i64 {
-        i64::try_from(self.partition_base[j] + k).expect("task index fits i64")
-    }
-
-    /// Predicate `is_ready[g] == 1` for a literal global index.
-    #[must_use]
-    pub fn ready_pred(&self, g: i64) -> Pred {
-        IntExpr::elem(self.is_ready, g).eq(1)
-    }
-}
-
-/// Builds the per-task channel names used by the builder and tests.
-#[must_use]
-pub fn task_channel_name(prefix: &str, config: &Configuration, g: usize) -> String {
-    let (tr, t) = config.tasks().nth(g).expect("global task index in range");
-    format!("{prefix}_{}_{}", tr.partition.index(), t.name)
+/// Template parameter `i` as an expression.
+fn param(i: u32) -> IntExpr {
+    IntExpr::param(ParamId::from_raw(i))
 }

@@ -26,13 +26,43 @@
 //!  kill         completion)───► await_release ─────┘
 //! ```
 
-use swa_ima::Task;
 use swa_nsa::{
-    Automaton, AutomatonBuilder, ClockAtom, ClockId, CmpOp, Edge, Guard, IntExpr, Invariant, Pred,
-    Sync, Update,
+    Automaton, AutomatonBuilder, ChannelId, ClockAtom, ClockId, CmpOp, Edge, Frame, Guard, IntExpr,
+    Invariant, Pred, Sync, Update,
 };
 
-use super::Ctx;
+use super::{param, Ctx};
+
+/// Template parameters, by [`swa_nsa::ParamId`] index.
+const G: u32 = 0;
+const WCET: u32 = 1;
+const PERIOD: u32 = 2;
+const DEADLINE: u32 = 3;
+const OFFSET: u32 = 4;
+/// `offset + deadline`: the first job's absolute deadline.
+const DUE: u32 = 5;
+/// The first input message's index; one parameter per input follows.
+const INPUT0: u32 = 6;
+
+/// Template-local clocks and channels, in [`TaskParams::frame`] order.
+const REL: ClockId = ClockId::from_raw(0);
+const EXE: ClockId = ClockId::from_raw(1);
+const READY: ChannelId = ChannelId::from_raw(0);
+const FINISHED: ChannelId = ChannelId::from_raw(1);
+const EXEC: ChannelId = ChannelId::from_raw(2);
+const PREEMPT: ChannelId = ChannelId::from_raw(3);
+const SEND: ChannelId = ChannelId::from_raw(4);
+const RECEIVE: ChannelId = ChannelId::from_raw(5);
+
+/// What changes a task automaton's structure: whether the first release
+/// waits for an offset, and how many input messages the task consumes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TaskShape {
+    /// A positive release offset.
+    pub offset: bool,
+    /// Number of input messages.
+    pub inputs: usize,
+}
 
 /// Per-instance parameters of a task automaton.
 #[derive(Debug, Clone)]
@@ -58,98 +88,116 @@ pub struct TaskParams {
 }
 
 impl TaskParams {
-    /// Convenience constructor from a domain task.
+    /// The template this task instantiates.
     #[must_use]
-    pub fn from_task(
-        g: usize,
-        j: usize,
-        task: &Task,
-        wcet: i64,
-        inputs: Vec<usize>,
-        rel: ClockId,
-        exe: ClockId,
-    ) -> Self {
-        Self {
-            g,
-            j,
-            wcet,
-            period: task.period,
-            deadline: task.deadline,
-            offset: task.offset,
-            inputs,
-            rel,
-            exe,
+    pub fn shape(&self) -> TaskShape {
+        TaskShape {
+            offset: self.offset != 0,
+            inputs: self.inputs.len(),
+        }
+    }
+
+    /// The frame binding [`task_template`] to this task.
+    #[must_use]
+    pub fn frame(&self, name: String, ctx: &Ctx) -> Frame {
+        let index = |i: usize| i64::try_from(i).expect("index fits i64");
+        let mut params = vec![
+            index(self.g),
+            self.wcet,
+            self.period,
+            self.deadline,
+            self.offset,
+            self.offset + self.deadline,
+        ];
+        params.extend(self.inputs.iter().map(|&h| index(h)));
+        Frame {
+            name,
+            params,
+            clocks: vec![self.rel, self.exe],
+            vars: Vec::new(),
+            channels: vec![
+                ctx.ready_ch[self.j],
+                ctx.finished_ch[self.j],
+                ctx.exec_ch[self.g],
+                ctx.preempt_ch[self.g],
+                ctx.send_ch[self.g],
+                ctx.receive_ch[self.g],
+            ],
         }
     }
 }
 
-/// Builds the task automaton.
+/// Builds the task template of one shape.
 ///
 /// The automaton applies the paper's worst-case assumptions: a job runs for
 /// exactly its WCET, data is consumed when the job becomes ready, and a job
 /// whose deadline passes is removed immediately (with a `finished`
 /// synchronization when the scheduler knew about it).
 #[must_use]
-pub fn task_automaton(name: String, ctx: &Ctx, p: &TaskParams) -> Automaton {
-    let g = i64::try_from(p.g).expect("task index fits i64");
-    let mut b = AutomatonBuilder::new(name);
+pub fn task_template(ctx: &Ctx, shape: TaskShape) -> Automaton {
+    let g = || param(G);
+    let (wcet, period, deadline) = (|| param(WCET), || param(PERIOD), || param(DEADLINE));
+    let mut b = AutomatonBuilder::new("task");
 
     // Locations. With a zero offset the first release is immediate
     // (committed init); with a positive offset the task waits `offset`
     // first.
-    let init = if p.offset == 0 {
+    let init = if shape.offset {
+        b.location_with_invariant("init", Invariant::upper_bound(REL, param(OFFSET)))
+    } else {
         b.committed_location("init")
-    } else {
-        b.location_with_invariant("init", Invariant::upper_bound(p.rel, p.offset))
     };
-    let first_release_guard = if p.offset == 0 {
-        Guard::always()
+    let first_release_guard = if shape.offset {
+        Guard::always().and_clock(ClockAtom::new(REL, CmpOp::Ge, param(OFFSET)))
     } else {
-        Guard::always().and_clock(ClockAtom::new(p.rel, CmpOp::Ge, p.offset))
+        Guard::always()
     };
     let check_data = b.committed_location("check_data");
-    let wait_data =
-        b.location_with_invariant("wait_data", Invariant::upper_bound(p.rel, p.deadline));
-    let ready = b.location_with_invariant("ready", Invariant::upper_bound(p.rel, p.deadline));
+    let wait_data = b.location_with_invariant("wait_data", Invariant::upper_bound(REL, deadline()));
+    let ready = b.location_with_invariant("ready", Invariant::upper_bound(REL, deadline()));
     let running = b.location_with_invariant(
         "running",
-        Invariant::upper_bound(p.exe, p.wcet).and_upper_bound(p.rel, p.deadline),
+        Invariant::upper_bound(EXE, wcet()).and_upper_bound(REL, deadline()),
     );
     let fin_complete = b.committed_location("fin_complete");
     let send_data = b.committed_location("send_data");
     let fin_killed = b.committed_location("fin_killed");
     let await_release =
-        b.location_with_invariant("await_release", Invariant::upper_bound(p.rel, p.period));
+        b.location_with_invariant("await_release", Invariant::upper_bound(REL, period()));
 
     // Updates performed at every job release.
     let release_updates = vec![
         Update::set_elem(
             ctx.abs_deadline,
-            g,
-            IntExpr::elem(ctx.nrel, g) * IntExpr::lit(p.period)
-                + IntExpr::lit(p.offset + p.deadline),
+            g(),
+            IntExpr::elem(ctx.nrel, g()) * period() + param(DUE),
         ),
-        Update::set_elem(ctx.nrel, g, IntExpr::elem(ctx.nrel, g) + IntExpr::lit(1)),
-        Update::ResetClock(p.rel),
+        Update::set_elem(
+            ctx.nrel,
+            g(),
+            IntExpr::elem(ctx.nrel, g()) + IntExpr::lit(1),
+        ),
+        Update::ResetClock(REL),
     ];
+    let inputs = (0..shape.inputs).map(|i| param(INPUT0 + u32::try_from(i).expect("few inputs")));
 
     // A task without inputs announces readiness in the same transition as
     // its release (no check_data hop): fewer committed intermediate states,
     // which matters for the model-checking baseline's state space.
-    if p.inputs.is_empty() {
+    if shape.inputs == 0 {
         let mut announce0 = release_updates.clone();
-        announce0.push(Update::set_elem(ctx.is_ready, g, 1));
+        announce0.push(Update::set_elem(ctx.is_ready, g(), 1));
         b.edge(
             Edge::new(init, ready)
                 .with_guard(first_release_guard.clone())
-                .with_sync(Sync::Send(ctx.ready_ch[p.j]))
+                .with_sync(Sync::Send(READY))
                 .with_updates(announce0.clone())
                 .with_label("release0_announce"),
         );
         b.edge(
             Edge::new(await_release, ready)
-                .with_guard(Guard::always().and_clock(ClockAtom::new(p.rel, CmpOp::Ge, p.period)))
-                .with_sync(Sync::Send(ctx.ready_ch[p.j]))
+                .with_guard(Guard::always().and_clock(ClockAtom::new(REL, CmpOp::Ge, period())))
+                .with_sync(Sync::Send(READY))
                 .with_updates(announce0)
                 .with_label("release_announce"),
         );
@@ -164,31 +212,17 @@ pub fn task_automaton(name: String, ctx: &Ctx, p: &TaskParams) -> Automaton {
 
         // check_data: either all inputs are delivered (consume and
         // announce) or wait for the virtual links.
-        let all_inputs_ready = p.inputs.iter().fold(Pred::tt(), |acc, &h| {
-            acc.and(
-                IntExpr::elem(
-                    ctx.is_data_ready,
-                    i64::try_from(h).expect("message index fits i64"),
-                )
-                .eq(1),
-            )
+        let all_inputs_ready = inputs.clone().fold(Pred::tt(), |acc, h| {
+            acc.and(IntExpr::elem(ctx.is_data_ready, h).eq(1))
         });
-        let announce_updates: Vec<Update> = p
-            .inputs
-            .iter()
-            .map(|&h| {
-                Update::set_elem(
-                    ctx.is_data_ready,
-                    i64::try_from(h).expect("message index fits i64"),
-                    0,
-                )
-            })
-            .chain([Update::set_elem(ctx.is_ready, g, 1)])
+        let announce_updates: Vec<Update> = inputs
+            .map(|h| Update::set_elem(ctx.is_data_ready, h, 0))
+            .chain([Update::set_elem(ctx.is_ready, g(), 1)])
             .collect();
         b.edge(
             Edge::new(check_data, ready)
                 .with_guard(Guard::when(all_inputs_ready.clone()))
-                .with_sync(Sync::Send(ctx.ready_ch[p.j]))
+                .with_sync(Sync::Send(READY))
                 .with_updates(announce_updates)
                 .with_label("announce"),
         );
@@ -202,13 +236,13 @@ pub fn task_automaton(name: String, ctx: &Ctx, p: &TaskParams) -> Automaton {
         // then wake-up on any delivery.
         b.edge(
             Edge::new(wait_data, await_release)
-                .with_guard(Guard::always().and_clock(ClockAtom::new(p.rel, CmpOp::Ge, p.deadline)))
-                .with_update(Update::set_elem(ctx.is_failed, g, 1))
+                .with_guard(Guard::always().and_clock(ClockAtom::new(REL, CmpOp::Ge, deadline())))
+                .with_update(Update::set_elem(ctx.is_failed, g(), 1))
                 .with_label("kill_waiting"),
         );
         b.edge(
             Edge::new(wait_data, check_data)
-                .with_sync(Sync::Recv(ctx.receive_ch[p.g]))
+                .with_sync(Sync::Recv(RECEIVE))
                 .with_label("data_arrived"),
         );
     }
@@ -219,27 +253,28 @@ pub fn task_automaton(name: String, ctx: &Ctx, p: &TaskParams) -> Automaton {
     // the traces equivalent for analysis purposes; see DESIGN.md).
     b.edge(
         Edge::new(ready, fin_complete)
-            .with_guard(Guard::always().and_clock(ClockAtom::new(p.exe, CmpOp::Ge, p.wcet)))
-            .with_update(Update::set_elem(ctx.is_ready, g, 0))
+            .with_guard(Guard::always().and_clock(ClockAtom::new(EXE, CmpOp::Ge, wcet())))
+            .with_update(Update::set_elem(ctx.is_ready, g(), 0))
             .with_label("complete_preempted"),
     );
+    let killed = || {
+        Guard::always()
+            .and_clock(ClockAtom::new(REL, CmpOp::Ge, deadline()))
+            .and_clock(ClockAtom::new(EXE, CmpOp::Lt, wcet()))
+    };
     b.edge(
         Edge::new(ready, fin_killed)
-            .with_guard(
-                Guard::always()
-                    .and_clock(ClockAtom::new(p.rel, CmpOp::Ge, p.deadline))
-                    .and_clock(ClockAtom::new(p.exe, CmpOp::Lt, p.wcet)),
-            )
+            .with_guard(killed())
             .with_updates([
-                Update::set_elem(ctx.is_ready, g, 0),
-                Update::set_elem(ctx.is_failed, g, 1),
+                Update::set_elem(ctx.is_ready, g(), 0),
+                Update::set_elem(ctx.is_failed, g(), 1),
             ])
             .with_label("kill_ready"),
     );
     b.edge(
         Edge::new(ready, running)
-            .with_sync(Sync::Recv(ctx.exec_ch[p.g]))
-            .with_update(Update::StartClock(p.exe))
+            .with_sync(Sync::Recv(EXEC))
+            .with_update(Update::StartClock(EXE))
             .with_label("exec"),
     );
 
@@ -248,61 +283,57 @@ pub fn task_automaton(name: String, ctx: &Ctx, p: &TaskParams) -> Automaton {
     // interleaving order produces the same trace).
     b.edge(
         Edge::new(running, fin_complete)
-            .with_guard(Guard::always().and_clock(ClockAtom::new(p.exe, CmpOp::Ge, p.wcet)))
+            .with_guard(Guard::always().and_clock(ClockAtom::new(EXE, CmpOp::Ge, wcet())))
             .with_updates([
-                Update::StopClock(p.exe),
-                Update::set_elem(ctx.is_ready, g, 0),
+                Update::StopClock(EXE),
+                Update::set_elem(ctx.is_ready, g(), 0),
             ])
             .with_label("complete"),
     );
     b.edge(
         Edge::new(running, fin_killed)
-            .with_guard(
-                Guard::always()
-                    .and_clock(ClockAtom::new(p.rel, CmpOp::Ge, p.deadline))
-                    .and_clock(ClockAtom::new(p.exe, CmpOp::Lt, p.wcet)),
-            )
+            .with_guard(killed())
             .with_updates([
-                Update::StopClock(p.exe),
-                Update::set_elem(ctx.is_ready, g, 0),
-                Update::set_elem(ctx.is_failed, g, 1),
+                Update::StopClock(EXE),
+                Update::set_elem(ctx.is_ready, g(), 0),
+                Update::set_elem(ctx.is_failed, g(), 1),
             ])
             .with_label("kill_running"),
     );
     b.edge(
         Edge::new(running, ready)
-            .with_sync(Sync::Recv(ctx.preempt_ch[p.g]))
-            .with_update(Update::StopClock(p.exe))
+            .with_sync(Sync::Recv(PREEMPT))
+            .with_update(Update::StopClock(EXE))
             .with_label("preempted"),
     );
 
     // fin_complete → finished! → send! → await_release.
     b.edge(
         Edge::new(fin_complete, send_data)
-            .with_sync(Sync::Send(ctx.finished_ch[p.j]))
+            .with_sync(Sync::Send(FINISHED))
             .with_label("finished_ok"),
     );
     b.edge(
         Edge::new(send_data, await_release)
-            .with_sync(Sync::Send(ctx.send_ch[p.g]))
-            .with_update(Update::ResetClock(p.exe))
+            .with_sync(Sync::Send(SEND))
+            .with_update(Update::ResetClock(EXE))
             .with_label("send_outputs"),
     );
 
     // fin_killed → finished! → await_release (no data is sent).
     b.edge(
         Edge::new(fin_killed, await_release)
-            .with_sync(Sync::Send(ctx.finished_ch[p.j]))
-            .with_update(Update::ResetClock(p.exe))
+            .with_sync(Sync::Send(FINISHED))
+            .with_update(Update::ResetClock(EXE))
             .with_label("finished_killed"),
     );
 
     // await_release: next job at the next period boundary (input-free
     // tasks release-and-announce in one step, added above).
-    if !p.inputs.is_empty() {
+    if shape.inputs > 0 {
         b.edge(
             Edge::new(await_release, check_data)
-                .with_guard(Guard::always().and_clock(ClockAtom::new(p.rel, CmpOp::Ge, p.period)))
+                .with_guard(Guard::always().and_clock(ClockAtom::new(REL, CmpOp::Ge, period())))
                 .with_updates(release_updates)
                 .with_label("release"),
         );

@@ -8,8 +8,9 @@
 
 use std::fmt;
 
+use crate::expr::Binding;
 use crate::guard::{Guard, Invariant};
-use crate::ids::{ChannelId, EdgeId, LocationId};
+use crate::ids::{ChannelId, ClockId, EdgeId, LocationId, VarId};
 use crate::update::Update;
 
 /// Synchronization action of an edge.
@@ -30,6 +31,17 @@ impl Sync {
         match self {
             Self::Internal => None,
             Self::Send(c) | Self::Recv(c) => Some(c),
+        }
+    }
+}
+
+impl Sync {
+    /// The action with its channel renamed as `b` says.
+    pub(crate) fn rebind(self, b: &Binding<'_>) -> Self {
+        match self {
+            Self::Internal => Self::Internal,
+            Self::Send(c) => Self::Send(b.channel(c)),
+            Self::Recv(c) => Self::Recv(b.channel(c)),
         }
     }
 }
@@ -153,12 +165,17 @@ impl Edge {
     /// Substitutes template parameters in guard and updates.
     #[must_use]
     pub fn bind_params(&self, params: &[i64]) -> Self {
+        self.rebind(&Binding::params(params))
+    }
+
+    /// Binds parameters and renames clocks, variables and channels.
+    pub(crate) fn rebind(&self, b: &Binding<'_>) -> Self {
         Self {
             from: self.from,
             to: self.to,
-            guard: self.guard.bind_params(params),
-            sync: self.sync,
-            updates: self.updates.iter().map(|u| u.bind_params(params)).collect(),
+            guard: self.guard.rebind(b),
+            sync: self.sync.rebind(b),
+            updates: self.updates.iter().map(|u| u.rebind(b)).collect(),
             label: self.label.clone(),
         }
     }
@@ -257,19 +274,24 @@ impl Automaton {
     /// Substitutes template parameters in every edge and invariant.
     #[must_use]
     pub fn bind_params(&self, params: &[i64]) -> Self {
+        self.rebind(&Binding::params(params), self.name.clone())
+    }
+
+    /// The instance of this template that `b` binds, named `name`.
+    pub(crate) fn rebind(&self, b: &Binding<'_>, name: String) -> Self {
         Self {
-            name: self.name.clone(),
+            name,
             locations: self
                 .locations
                 .iter()
                 .map(|l| Location {
                     name: l.name.clone(),
                     committed: l.committed,
-                    invariant: l.invariant.bind_params(params),
+                    invariant: l.invariant.rebind(b),
                 })
                 .collect(),
             initial: self.initial,
-            edges: self.edges.iter().map(|e| e.bind_params(params)).collect(),
+            edges: self.edges.iter().map(|e| e.rebind(b)).collect(),
         }
     }
 
@@ -292,6 +314,39 @@ fn opt_max(a: Option<u32>, b: Option<u32>) -> Option<u32> {
         (Some(x), Some(y)) => Some(x.max(y)),
         (x, None) => x,
         (None, y) => y,
+    }
+}
+
+/// One instance of a template (see
+/// [`NetworkBuilder::template`](crate::network::NetworkBuilder::template)):
+/// its name, the values of the template's parameters, and the network ids
+/// its local clocks, variables and channels stand for. The template's
+/// local id `i` of a kind maps to entry `i` of that kind's table; an empty
+/// table leaves that kind's ids as written, which is how an automaton
+/// added with [`NetworkBuilder::automaton`](crate::network::NetworkBuilder::automaton)
+/// becomes its own one-instance template.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Frame {
+    /// Name of the instance (unique within a network).
+    pub name: String,
+    /// Value of each [`crate::ids::ParamId`], by index.
+    pub params: Vec<i64>,
+    /// Network clock of each local clock id.
+    pub clocks: Vec<ClockId>,
+    /// Network variable of each local variable id.
+    pub vars: Vec<VarId>,
+    /// Network channel of each local channel id.
+    pub channels: Vec<ChannelId>,
+}
+
+impl Frame {
+    pub(crate) fn binding(&self) -> Binding<'_> {
+        Binding {
+            params: &self.params,
+            clocks: &self.clocks,
+            vars: &self.vars,
+            channels: &self.channels,
+        }
     }
 }
 

@@ -3,8 +3,11 @@
 //! The generic evaluator walks the [`IntExpr`]/[`Pred`] AST on every guard
 //! check — a pointer chase per node, a `Vec` allocation per call (the
 //! binder stack), and a virtual dispatch per variable read. This module
-//! lowers the whole expression language once, per network, into flat
-//! stack-machine programs:
+//! lowers the whole expression language into flat stack-machine programs,
+//! once per template shape: every instance of a template copies the
+//! template's programs and *relocates* the fields its frame binds
+//! (parameter-derived constants, the slots of its variables, its clocks;
+//! see [`CompiledNetwork`]). The programs:
 //!
 //! * variable and array reads are pre-resolved to **slots** in the state's
 //!   flattened `vars` vector (scalars first, then array cells);
@@ -32,9 +35,10 @@
 
 use std::cell::RefCell;
 
+use crate::automaton::Automaton;
 use crate::error::{EvalError, SimError};
-use crate::expr::{CmpOp, IntExpr, Pred, MAX_QUANTIFIER_RANGE};
-use crate::guard::{atom_delay_window, DelayWindow, Guard, Invariant};
+use crate::expr::{Binding, CmpOp, IntExpr, Pred, MAX_QUANTIFIER_RANGE};
+use crate::guard::{atom_delay_window, DelayWindow};
 use crate::ids::{ArrayId, AutomatonId, ClockId, EdgeId, LocationId, VarId};
 use crate::network::Network;
 use crate::state::State;
@@ -77,7 +81,7 @@ impl std::fmt::Display for EvalEngine {
 /// boolean-producing instruction (`Cmp`, `Not`, quantifier steps, `Push` of
 /// a predicate literal) pushes exactly `0` or `1`, which `AndCheck`/
 /// `OrCheck` rely on to keep the short-circuited value as the result.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
     /// Push a literal.
     Push(i64),
@@ -337,44 +341,26 @@ impl Env for WriteEnv<'_> {
     }
 }
 
-/// A compiled, flat, allocation-free program.
-///
-/// Obtained from [`Program::from_expr`], [`Program::from_pred`] or
-/// [`Program::from_updates`]; slots are resolved against the network the
-/// program was compiled for, so a program must only ever run against states
-/// of that network (or a clone of it).
-#[derive(Debug, Clone, Default)]
-pub struct Program {
-    code: Vec<Op>,
+/// Evaluates a pure program against a variable slice.
+fn eval_vars(code: &[Op], vars: &[i64]) -> Result<i64, EvalError> {
+    SCRATCH.with(|scratch| {
+        let vm = &mut *scratch.borrow_mut();
+        let mut env = ReadEnv { vars };
+        match run(code, &mut env, vm) {
+            Ok(()) => Ok(vm.stack.pop().expect("pure program leaves its result")),
+            Err(SimError::Eval(e)) => Err(e),
+            Err(other) => unreachable!("pure program raised {other}"),
+        }
+    })
 }
 
-impl Program {
-    /// Compiles an integer expression.
-    #[must_use]
-    pub fn from_expr(expr: &IntExpr, network: &Network) -> Self {
-        let mut c = Compiler::new(network);
-        c.expr(expr);
-        Self { code: fuse(c.code) }
-    }
+/// A compiled update program (a view into a [`CompiledNetwork`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Program<'a> {
+    code: &'a [Op],
+}
 
-    /// Compiles a predicate; the program leaves `0`/`1` on the stack.
-    #[must_use]
-    pub fn from_pred(pred: &Pred, network: &Network) -> Self {
-        let mut c = Compiler::new(network);
-        c.pred(pred);
-        Self { code: fuse(c.code) }
-    }
-
-    /// Compiles an update sequence into one effectful program.
-    #[must_use]
-    pub fn from_updates(updates: &[Update], network: &Network) -> Self {
-        let mut c = Compiler::new(network);
-        for u in updates {
-            c.update(u);
-        }
-        Self { code: fuse(c.code) }
-    }
-
+impl Program<'_> {
     /// Number of instructions.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -387,42 +373,7 @@ impl Program {
         self.code.is_empty()
     }
 
-    /// Evaluates a pure integer program against a state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`EvalError`] the AST walker would.
-    pub fn eval_int(&self, state: &State) -> Result<i64, EvalError> {
-        self.eval_vars(&state.vars)
-    }
-
-    /// Evaluates a pure integer program against a raw variable slice.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`EvalError`] the AST walker would.
-    pub fn eval_vars(&self, vars: &[i64]) -> Result<i64, EvalError> {
-        SCRATCH.with(|scratch| {
-            let vm = &mut *scratch.borrow_mut();
-            let mut env = ReadEnv { vars };
-            match run(&self.code, &mut env, vm) {
-                Ok(()) => Ok(vm.stack.pop().expect("pure program leaves its result")),
-                Err(SimError::Eval(e)) => Err(e),
-                Err(other) => unreachable!("pure program raised {other}"),
-            }
-        })
-    }
-
-    /// Evaluates a pure boolean program against a state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`EvalError`] the AST walker would.
-    pub fn eval_bool(&self, state: &State) -> Result<bool, EvalError> {
-        Ok(self.eval_int(state)? != 0)
-    }
-
-    /// Runs an update program, mutating the state.
+    /// Runs the update program, mutating the state.
     ///
     /// # Errors
     ///
@@ -434,8 +385,21 @@ impl Program {
         SCRATCH.with(|scratch| {
             let vm = &mut *scratch.borrow_mut();
             let mut env = WriteEnv { state };
-            run(&self.code, &mut env, vm)
+            run(self.code, &mut env, vm)
         })
+    }
+}
+
+/// A literal of an AST pattern the compiler matches: its value, and the
+/// template parameter it was bound from, if any.
+type Konst = (i64, Option<u32>);
+
+/// `e` as a literal, or as a parameter `binding` binds.
+fn konst(e: &IntExpr, binding: &Binding<'_>) -> Option<Konst> {
+    match e {
+        IntExpr::Lit(v) => Some((*v, None)),
+        IntExpr::Param(p) => binding.param(*p).map(|v| (v, Some(p.raw()))),
+        _ => None,
     }
 }
 
@@ -448,40 +412,44 @@ impl Program {
 /// short-circuit on failure, its comparison cannot error beyond the
 /// replicated checked-add/bounds checks, and `rest` keeps its original
 /// order — so the fused loop is observationally identical.
-fn scan_gate(body: &Pred, forall: bool) -> Option<(ArrayId, i64, i64, &[Pred])> {
+fn scan_gate<'p>(
+    body: &'p Pred,
+    forall: bool,
+    binding: &Binding<'_>,
+) -> Option<(ArrayId, Konst, Konst, &'p [Pred])> {
     if forall {
         let Pred::Or(ps) = body else { return None };
         let Pred::Not(gate) = ps.first()? else {
             return None;
         };
-        let (a, k, lit) = elem_eq_gate(gate)?;
+        let (a, k, lit) = elem_eq_gate(gate, binding)?;
         Some((a, k, lit, &ps[1..]))
     } else {
         let Pred::And(ps) = body else { return None };
-        let (a, k, lit) = elem_eq_gate(ps.first()?)?;
+        let (a, k, lit) = elem_eq_gate(ps.first()?, binding)?;
         Some((a, k, lit, &ps[1..]))
     }
 }
 
 /// Matches `arr[Bound(0) + k] == lit` (either operand order, `k`
-/// optional), the gate shape [`scan_gate`] accepts.
-fn elem_eq_gate(p: &Pred) -> Option<(ArrayId, i64, i64)> {
+/// optional), the gate shape [`scan_gate`] accepts. A bound parameter
+/// matches wherever a literal does: it is one once the instance is
+/// expanded.
+fn elem_eq_gate(p: &Pred, binding: &Binding<'_>) -> Option<(ArrayId, Konst, Konst)> {
     let Pred::Cmp(CmpOp::Eq, l, r) = p else {
         return None;
     };
     let (elem, lit) = match (l.as_ref(), r.as_ref()) {
-        (e @ IntExpr::Elem(..), IntExpr::Lit(c)) | (IntExpr::Lit(c), e @ IntExpr::Elem(..)) => {
-            (e, *c)
-        }
+        (e @ IntExpr::Elem(..), c) | (c, e @ IntExpr::Elem(..)) => (e, konst(c, binding)?),
         _ => return None,
     };
     let IntExpr::Elem(a, idx) = elem else {
         return None;
     };
     let k = match idx.as_ref() {
-        IntExpr::Bound(0) => 0,
+        IntExpr::Bound(0) => (0, None),
         IntExpr::Add(x, y) => match (x.as_ref(), y.as_ref()) {
-            (IntExpr::Bound(0), IntExpr::Lit(k)) | (IntExpr::Lit(k), IntExpr::Bound(0)) => *k,
+            (IntExpr::Bound(0), c) | (c, IntExpr::Bound(0)) => konst(c, binding)?,
             _ => return None,
         },
         _ => return None,
@@ -501,9 +469,10 @@ fn negate_cmp(op: CmpOp) -> CmpOp {
 }
 
 /// The jump targets of a program (positions that a fusion must not
-/// swallow: fusing across one would change where the jump lands).
-fn jump_targets(code: &[Op]) -> Vec<bool> {
-    let mut t = vec![false; code.len() + 1];
+/// swallow: fusing across one would change where the jump lands), into `t`.
+fn jump_targets(code: &[Op], t: &mut Vec<bool>) {
+    t.clear();
+    t.resize(code.len() + 1, false);
     for op in code {
         match *op {
             Op::Jump(x)
@@ -528,24 +497,48 @@ fn jump_targets(code: &[Op]) -> Vec<bool> {
             _ => {}
         }
     }
-    t
+}
+
+/// The fusion passes' reusable buffers.
+#[derive(Debug, Default)]
+struct Fusion {
+    targets: Vec<bool>,
+    map: Vec<u32>,
+    next: Vec<Op>,
 }
 
 /// One superinstruction-fusion pass: collapses adjacent pairs into fused
 /// opcodes (never across a jump target) and remaps every jump. Returns
 /// `None` when nothing fused.
-fn fuse_once(code: &[Op]) -> Option<Vec<Op>> {
-    let targets = jump_targets(code);
-    let mut new = Vec::with_capacity(code.len());
-    let mut map = vec![0u32; code.len() + 1];
+///
+/// Relocations follow their ops onto the fused ones: every fused pair
+/// joins at most one constant with at most one slot, so each relocated
+/// field keeps its kind. Negating a parameter-derived literal is not a
+/// relocation, so that one fusion pins the parameter instead.
+fn fuse_once(
+    code: &[Op],
+    relocs: &mut Vec<Reloc>,
+    checks: &mut Vec<Check>,
+    bufs: &mut Fusion,
+) -> bool {
+    jump_targets(code, &mut bufs.targets);
+    let (targets, map, new) = (&bufs.targets, &mut bufs.map, &mut bufs.next);
+    new.clear();
+    map.clear();
+    map.resize(code.len() + 1, 0);
     let mut i = 0;
     let mut fused = false;
     while i < code.len() {
         map[i] = u32::try_from(new.len()).expect("program fits u32 addresses");
-        let pair = (!targets[i + 1]).then(|| code.get(i + 1).copied()).flatten();
+        let pair = (!targets[i + 1])
+            .then(|| code.get(i + 1).copied())
+            .flatten();
         let replacement = match (code[i], pair) {
             (Op::Push(k), Some(Op::Add)) => Some(Op::AddConst(k)),
-            (Op::Push(k), Some(Op::Sub)) if k != i64::MIN => Some(Op::AddConst(-k)),
+            (Op::Push(k), Some(Op::Sub)) if k != i64::MIN => {
+                pin(relocs, checks, i, k);
+                Some(Op::AddConst(-k))
+            }
             (Op::Push(k), Some(Op::Cmp(op))) => Some(Op::CmpConst { op, k }),
             (Op::LoadVar(slot), Some(Op::Cmp(op))) => Some(Op::CmpVar { op, slot }),
             (Op::LoadVar(slot), Some(Op::AddConst(add))) => Some(Op::LoadVarConst { slot, add }),
@@ -686,10 +679,13 @@ fn fuse_once(code: &[Op]) -> Option<Vec<Op>> {
         }
     }
     if !fused {
-        return None;
+        return false;
     }
     map[code.len()] = u32::try_from(new.len()).expect("program fits u32 addresses");
-    for op in &mut new {
+    for r in relocs.iter_mut() {
+        r.at = Field::Op(map[r.op()] as usize);
+    }
+    for op in new.iter_mut() {
         match op {
             Op::Jump(x)
             | Op::JumpIfFalse(x)
@@ -713,18 +709,38 @@ fn fuse_once(code: &[Op]) -> Option<Vec<Op>> {
             _ => {}
         }
     }
-    Some(new)
+    true
 }
 
 /// Runs fusion passes to a fixpoint (fused opcodes enable further pairs,
 /// e.g. `Cmp`+`Not` exposing a `Push`+`Cmp`).
-fn fuse(mut code: Vec<Op>) -> Vec<Op> {
-    while let Some(next) = fuse_once(&code) {
-        code = next;
+fn fuse(code: &mut Vec<Op>, relocs: &mut Vec<Reloc>, checks: &mut Vec<Check>, bufs: &mut Fusion) {
+    if code.len() < 2 {
+        return;
     }
-    code
+    while fuse_once(code, relocs, checks, bufs) {
+        std::mem::swap(code, &mut bufs.next);
+    }
 }
 
+/// Drops the parameter relocation of the literal at `at`, if any, and
+/// checks instead that the parameter yields exactly `value`: code derived
+/// from it no longer depends on it linearly.
+fn pin(relocs: &mut Vec<Reloc>, checks: &mut Vec<Check>, at: usize, value: i64) {
+    let found = relocs
+        .iter()
+        .position(|r| r.op() == at && matches!(r.src, Src::Param { .. }));
+    if let Some(i) = found {
+        if let Src::Param { p, add } = relocs.remove(i).src {
+            checks.push(Check {
+                p,
+                add,
+                test: Test::Eq(value),
+                expect: true,
+            });
+        }
+    }
+}
 
 /// The interpreter loop, monomorphized per environment.
 #[allow(clippy::too_many_lines)]
@@ -1122,21 +1138,223 @@ fn run<E: Env>(code: &[Op], env: &mut E, vm: &mut Vm) -> Result<(), SimError> {
     Ok(())
 }
 
+/// Where a relocated op field takes an instance's value from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Src {
+    /// `params[p] + add`, into the op's constant.
+    Param { p: u32, add: i64 },
+    /// `base + params[p] + add`: a constant array index folded into the
+    /// op's slot.
+    Index { p: u32, add: i64, base: u32 },
+    /// The network variable of local variable `v`, into the op's slot (a
+    /// store also takes the variable's domain).
+    Var(VarId),
+    /// The network clock of local clock `c`.
+    Clock(ClockId),
+}
+
+/// Where in a [`TemplateCode`] a relocated field lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Field {
+    /// An op (its constant or its slot, by the source's kind).
+    Op(usize),
+    /// The left or right operand of a folded comparison term.
+    Lhs(usize),
+    Rhs(usize),
+    /// The folded right-hand side of a guard clock atom or of an
+    /// invariant bound.
+    Atom(usize),
+    Bound(usize),
+}
+
+/// One field that differs between instances of a template.
+#[derive(Debug, Clone, Copy)]
+struct Reloc {
+    at: Field,
+    src: Src,
+}
+
+impl Reloc {
+    /// The op a relocation of a program being lowered targets.
+    fn op(&self) -> usize {
+        match self.at {
+            Field::Op(i) => i,
+            other => unreachable!("{other:?} is not a program field"),
+        }
+    }
+}
+
+impl Src {
+    /// A [`Src::Param`]'s value for the instance. The template's
+    /// [`Check`]s guarantee it fits.
+    fn value(self, frame: &Binding<'_>) -> i64 {
+        match self {
+            Self::Param { p, add } => frame.params[p as usize].wrapping_add(add),
+            other => unreachable!("{other:?} is not a constant"),
+        }
+    }
+
+    /// A slot (or clock) source's value for the instance.
+    fn slot(self, frame: &Binding<'_>) -> u32 {
+        match self {
+            Self::Index { p, add, base } => {
+                let i = frame.params[p as usize].wrapping_add(add);
+                base + u32::try_from(i).expect("checked index")
+            }
+            Self::Var(v) => frame.var(v).raw(),
+            Self::Clock(c) => frame.clock(c).raw(),
+            Self::Param { .. } => unreachable!("a parameter is not a slot"),
+        }
+    }
+
+    fn write_op(self, op: &mut Op, frame: &Binding<'_>, network: &Network) {
+        match (self, op) {
+            (Self::Param { .. }, op) => *op.constant_mut() = self.value(frame),
+            (
+                Self::Var(v),
+                Op::StoreVar {
+                    slot,
+                    var,
+                    min,
+                    max,
+                },
+            ) => {
+                let id = frame.var(v);
+                let decl = &network.vars()[id.index()];
+                (*slot, *var, *min, *max) = (id.raw(), id.raw(), decl.min, decl.max);
+            }
+            (_, op) => *op.slot_mut() = self.slot(frame),
+        }
+    }
+
+    fn write_rhs(self, rhs: &mut Rhs, frame: &Binding<'_>) {
+        match rhs {
+            Rhs::Const(v) => *v = self.value(frame),
+            Rhs::Var(s) => *s = self.slot(frame),
+            Rhs::Prog(_) => unreachable!("a program's relocations target its ops"),
+        }
+    }
+}
+
+/// A lowering decision that depended on a parameter's value: a template's
+/// code fits an instance only if, for every check, `test` of
+/// `params[p] + add` comes out as `expect`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Check {
+    p: u32,
+    add: i64,
+    test: Test,
+    expect: bool,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Test {
+    /// The value fits an `i64` (a literal fold did not overflow).
+    Fits,
+    /// The value equals the literal (an identity operand was dropped, or
+    /// the literal was pinned).
+    Eq(i64),
+    /// The value is an in-bounds index of an array of this length.
+    Below(u32),
+}
+
+impl Check {
+    fn holds(&self, params: &[i64]) -> bool {
+        let v = i128::from(params[self.p as usize]) + i128::from(self.add);
+        let outcome = match self.test {
+            Test::Fits => i64::try_from(v).is_ok(),
+            Test::Eq(x) => v == i128::from(x),
+            Test::Below(len) => (0..i128::from(len)).contains(&v),
+        };
+        outcome == self.expect
+    }
+}
+
+impl Op {
+    /// The constant field a [`Src::Param`] relocation writes.
+    fn constant_mut(&mut self) -> &mut i64 {
+        match self {
+            Self::Push(k)
+            | Self::AddConst(k)
+            | Self::CmpConst { k, .. }
+            | Self::CmpConstOr { k, .. }
+            | Self::CmpConstAnd { k, .. }
+            | Self::LoadVarConst { add: k, .. }
+            | Self::LoadBoundConst { add: k, .. }
+            | Self::LoadElemBound { add: k, .. }
+            | Self::CmpElemVar { add: k, .. }
+            | Self::CmpElemVarOr { add: k, .. }
+            | Self::CmpElemVarAnd { add: k, .. }
+            | Self::LoopScanEq { k, .. } => k,
+            other => unreachable!("no constant to relocate in {other:?}"),
+        }
+    }
+
+    /// The slot (or clock) field a slot relocation writes.
+    fn slot_mut(&mut self) -> &mut u32 {
+        match self {
+            Self::LoadVar(s)
+            | Self::CmpVar { slot: s, .. }
+            | Self::CmpVarOr { slot: s, .. }
+            | Self::CmpVarAnd { slot: s, .. }
+            | Self::LoadVarConst { slot: s, .. }
+            | Self::CmpElemVar { slot: s, .. }
+            | Self::CmpElemVarOr { slot: s, .. }
+            | Self::CmpElemVarAnd { slot: s, .. }
+            | Self::ClockReset(s)
+            | Self::ClockStop(s)
+            | Self::ClockStart(s) => s,
+            other => unreachable!("no slot to relocate in {other:?}"),
+        }
+    }
+}
+
 /// The lowering pass. `depth` tracks the static quantifier nesting so de
 /// Bruijn indices resolve to absolute frame slots.
+///
+/// It lowers a template against one instance's frame and records, next to
+/// the code, how the code varies with the frame: a [`Reloc`] for every op
+/// field taken from a parameter, a local variable or a local clock, and a
+/// [`Check`] for every decision a parameter's value steered (a literal
+/// fold, a dropped identity operand, a constant index collapsed into a
+/// slot).
 struct Compiler<'n> {
     network: &'n Network,
+    frame: Binding<'n>,
     code: Vec<Op>,
+    /// Relocations of `code` (all [`Field::Op`]), ascending.
+    relocs: Vec<Reloc>,
+    checks: Vec<Check>,
+    fusion: Fusion,
     depth: u32,
 }
 
 impl<'n> Compiler<'n> {
-    fn new(network: &'n Network) -> Self {
+    fn new(network: &'n Network, frame: Binding<'n>) -> Self {
         Self {
             network,
+            frame,
             code: Vec::new(),
+            relocs: Vec::new(),
+            checks: Vec::new(),
+            fusion: Fusion::default(),
             depth: 0,
         }
+    }
+
+    /// Lowers one program with `f` and fuses it; the result lives in the
+    /// compiler's buffers until the next program.
+    fn program(&mut self, f: impl FnOnce(&mut Self)) -> (&[Op], &[Reloc]) {
+        self.code.clear();
+        self.relocs.clear();
+        f(self);
+        fuse(
+            &mut self.code,
+            &mut self.relocs,
+            &mut self.checks,
+            &mut self.fusion,
+        );
+        (&self.code, &self.relocs)
     }
 
     fn here(&self) -> u32 {
@@ -1146,6 +1364,44 @@ impl<'n> Compiler<'n> {
     fn emit(&mut self, op: Op) -> usize {
         self.code.push(op);
         self.code.len() - 1
+    }
+
+    /// Relocates a field of the last emitted op.
+    fn reloc(&mut self, src: Src) {
+        self.relocs.push(Reloc {
+            at: Field::Op(self.code.len() - 1),
+            src,
+        });
+    }
+
+    /// The parameter (and addend) the literal at `at` was derived from.
+    fn param_at(&self, at: usize) -> Option<(u32, i64)> {
+        self.relocs
+            .iter()
+            .rev()
+            .take_while(|r| r.op() >= at)
+            .find_map(|r| match r.src {
+                Src::Param { p, add } if r.op() == at => Some((p, add)),
+                _ => None,
+            })
+    }
+
+    fn check(&mut self, at: usize, test: Test, expect: bool) {
+        if let Some((p, add)) = self.param_at(at) {
+            self.checks.push(Check {
+                p,
+                add,
+                test,
+                expect,
+            });
+        }
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.code.truncate(len);
+        while self.relocs.last().is_some_and(|r| r.op() >= len) {
+            self.relocs.pop();
+        }
     }
 
     /// Rewrites the jump target of the instruction at `at` to `target`.
@@ -1164,27 +1420,40 @@ impl<'n> Compiler<'n> {
         }
     }
 
+    /// Slot offset and length of an array.
+    fn array(&self, a: ArrayId) -> (u32, u32) {
+        (
+            u32::try_from(self.network.array_offset(a)).expect("state vector fits u32 slots"),
+            u32::try_from(self.network.array_len(a)).expect("array length fits u32"),
+        )
+    }
+
     fn expr(&mut self, e: &IntExpr) {
         match e {
             IntExpr::Lit(v) => {
                 self.emit(Op::Push(*v));
             }
             IntExpr::Var(v) => {
-                self.emit(Op::LoadVar(v.raw()));
+                self.emit(Op::LoadVar(self.frame.var(*v).raw()));
+                self.reloc(Src::Var(*v));
             }
             IntExpr::Elem(a, idx) => {
                 self.expr(idx);
-                let base = u32::try_from(self.network.array_offset(*a))
-                    .expect("state vector fits u32 slots");
-                let len =
-                    u32::try_from(self.network.array_len(*a)).expect("array length fits u32");
+                let (base, len) = self.array(*a);
                 // Peephole: a constant in-bounds index folds to a direct
                 // slot load; out-of-range constants keep the checked form
                 // so the runtime error is preserved.
-                if let Some(Op::Push(i)) = self.code.last() {
-                    if let Some(i) = u32::try_from(*i).ok().filter(|i| *i < len) {
-                        self.code.pop();
+                if let Some(&Op::Push(i)) = self.code.last() {
+                    let at = self.code.len() - 1;
+                    let in_bounds = u32::try_from(i).ok().filter(|i| *i < len);
+                    self.check(at, Test::Below(len), in_bounds.is_some());
+                    if let Some(i) = in_bounds {
+                        let param = self.param_at(at);
+                        self.truncate(at);
                         self.emit(Op::LoadVar(base + i));
+                        if let Some((p, add)) = param {
+                            self.reloc(Src::Index { p, add, base });
+                        }
                         return;
                     }
                 }
@@ -1194,10 +1463,17 @@ impl<'n> Compiler<'n> {
                     len,
                 });
             }
-            IntExpr::Param(p) => {
-                // Never returns when executed, so no balancing push needed.
-                self.emit(Op::FailParam(p.raw()));
-            }
+            IntExpr::Param(p) => match self.frame.param(*p) {
+                Some(v) => {
+                    self.emit(Op::Push(v));
+                    self.reloc(Src::Param { p: p.raw(), add: 0 });
+                }
+                None => {
+                    // Never returns when executed, so no balancing push
+                    // needed.
+                    self.emit(Op::FailParam(p.raw()));
+                }
+            },
             IntExpr::Bound(d) => {
                 if let Ok(d32) = u32::try_from(*d) {
                     if d32 < self.depth {
@@ -1279,20 +1555,60 @@ impl<'n> Compiler<'n> {
                 // Both operands literal (a single op each) — fold.
                 if b_start == a_start + 1 {
                     if let Op::Push(x) = self.code[a_start] {
-                        if let Some(v) = fold(x, y) {
-                            self.code.truncate(a_start);
-                            self.emit(Op::Push(v));
+                        if self.fold_literals(a_start, (x, y), op, fold) {
                             return;
                         }
                     }
                 }
+                self.check(b_start, Test::Eq(identity), y == identity);
                 if y == identity {
-                    self.code.pop();
+                    self.truncate(b_start);
                     return;
                 }
             }
         }
         self.emit(op);
+    }
+
+    /// Folds the literals `x` at `at` and `y` after it into one `Push`
+    /// unless that overflows; returns whether it folded. A parameter-derived
+    /// operand stays relocatable through `p + c`, `c + p` and `p - c`;
+    /// any other combination pins its parameters.
+    fn fold_literals(
+        &mut self,
+        at: usize,
+        (x, y): (i64, i64),
+        op: Op,
+        fold: fn(i64, i64) -> Option<i64>,
+    ) -> bool {
+        let derived = match (self.param_at(at), self.param_at(at + 1), op) {
+            (Some((p, s)), None, Op::Add) => s.checked_add(y).map(|add| (p, add)),
+            (None, Some((p, s)), Op::Add) => s.checked_add(x).map(|add| (p, add)),
+            (Some((p, s)), None, Op::Sub) => s.checked_sub(y).map(|add| (p, add)),
+            _ => None,
+        };
+        if derived.is_none() {
+            pin(&mut self.relocs, &mut self.checks, at, x);
+            pin(&mut self.relocs, &mut self.checks, at + 1, y);
+        }
+        let folded = fold(x, y);
+        if let Some((p, add)) = derived {
+            self.checks.push(Check {
+                p,
+                add,
+                test: Test::Fits,
+                expect: folded.is_some(),
+            });
+        }
+        let Some(v) = folded else {
+            return false;
+        };
+        self.truncate(at);
+        self.emit(Op::Push(v));
+        if let Some((p, add)) = derived {
+            self.reloc(Src::Param { p, add });
+        }
+        true
     }
 
     fn pred(&mut self, p: &Pred) {
@@ -1345,12 +1661,10 @@ impl<'n> Compiler<'n> {
             Op::ExistsEnter(0)
         });
         let head = self.here();
-        let gate = scan_gate(body, forall);
-        let scan = gate.map(|(a, k, lit, _)| {
-            let base = u32::try_from(self.network.array_offset(a))
-                .expect("state vector fits u32 slots");
-            let len = u32::try_from(self.network.array_len(a)).expect("array length fits u32");
-            self.emit(Op::LoopScanEq {
+        let gate = scan_gate(body, forall, &self.frame);
+        let scan = gate.map(|(a, (k, k_param), (lit, lit_param), _)| {
+            let (base, len) = self.array(a);
+            let at = self.emit(Op::LoopScanEq {
                 array: a.raw(),
                 base,
                 len,
@@ -1358,7 +1672,19 @@ impl<'n> Compiler<'n> {
                 lit,
                 identity: forall,
                 exit: 0,
-            })
+            });
+            if let Some(p) = k_param {
+                self.reloc(Src::Param { p, add: 0 });
+            }
+            if let Some(p) = lit_param {
+                self.checks.push(Check {
+                    p,
+                    add: 0,
+                    test: Test::Eq(lit),
+                    expect: true,
+                });
+            }
+            at
         });
         self.depth += 1;
         match gate {
@@ -1385,38 +1711,33 @@ impl<'n> Compiler<'n> {
                 self.expr(value);
                 match target {
                     LValue::Var(v) => {
-                        let decl = &self.network.vars()[v.index()];
+                        let var = self.frame.var(*v);
+                        let decl = &self.network.vars()[var.index()];
                         self.emit(Op::StoreVar {
-                            slot: v.raw(),
-                            var: v.raw(),
+                            slot: var.raw(),
+                            var: var.raw(),
                             min: decl.min,
                             max: decl.max,
                         });
+                        self.reloc(Src::Var(*v));
                     }
                     LValue::Elem(a, idx) => {
                         self.expr(idx);
                         let decl = &self.network.arrays()[a.index()];
+                        let (base, len) = self.array(*a);
                         self.emit(Op::StoreElem {
                             array: a.raw(),
-                            base: u32::try_from(self.network.array_offset(*a))
-                                .expect("state vector fits u32 slots"),
-                            len: u32::try_from(self.network.array_len(*a))
-                                .expect("array length fits u32"),
+                            base,
+                            len,
                             min: decl.min,
                             max: decl.max,
                         });
                     }
                 }
             }
-            Update::ResetClock(c) => {
-                self.emit(Op::ClockReset(c.raw()));
-            }
-            Update::StopClock(c) => {
-                self.emit(Op::ClockStop(c.raw()));
-            }
-            Update::StartClock(c) => {
-                self.emit(Op::ClockStart(c.raw()));
-            }
+            Update::ResetClock(c) => self.clock_op(Op::ClockReset, *c),
+            Update::StopClock(c) => self.clock_op(Op::ClockStop, *c),
+            Update::StartClock(c) => self.clock_op(Op::ClockStart, *c),
             Update::If {
                 cond,
                 then,
@@ -1438,19 +1759,49 @@ impl<'n> Compiler<'n> {
             }
         }
     }
+
+    fn clock_op(&mut self, op: fn(u32) -> Op, c: ClockId) {
+        self.emit(op(self.frame.clock(c).raw()));
+        self.reloc(Src::Clock(c));
+    }
 }
 
-/// A guard in compiled form: the clock-free predicates as a short-circuit
-/// conjunction of terms plus the clock atoms with compiled right-hand
-/// sides.
-#[derive(Debug, Clone)]
-pub struct CompiledGuard {
-    terms: Vec<PredTerm>,
-    atoms: Vec<CompiledClockAtom>,
+/// A contiguous range of one of [`CompiledNetwork`]'s buffers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    fn new(start: usize, end: usize) -> Self {
+        let at = |i: usize| u32::try_from(i).expect("compiled network fits u32 offsets");
+        Self {
+            start: at(start),
+            end: at(end),
+        }
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+
+    /// The span moved `by` entries further into its buffer.
+    fn shift(self, by: usize) -> Self {
+        let by = u32::try_from(by).expect("compiled network fits u32 offsets");
+        Self {
+            start: self.start + by,
+            end: self.end + by,
+        }
+    }
+
+    fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
 }
 
 /// One operand of a fast-path comparison.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Operand {
     Const(i64),
     Slot(u32),
@@ -1480,95 +1831,68 @@ impl Operand {
 /// constant-indexed array cells (`is_ready[3] == 1 && …`); those compile
 /// to inline [`PredTerm::Cmp`] terms that evaluate — and short-circuit —
 /// without entering the interpreter at all.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PredTerm {
-    Cmp { lhs: Operand, op: CmpOp, rhs: Operand },
-    Prog(Program),
+    Cmp {
+        lhs: Operand,
+        op: CmpOp,
+        rhs: Operand,
+    },
+    Prog(Span),
 }
 
 impl PredTerm {
-    fn compile(pred: &Pred, network: &Network) -> Self {
-        let p = Program::from_pred(pred, network);
-        let fast = match p.code.as_slice() {
-            [a, b, Op::Cmp(op)] => Operand::of(a)
-                .zip(Operand::of(b))
-                .map(|(lhs, rhs)| (lhs, *op, rhs)),
-            [a, Op::CmpConst { op, k }] => {
-                Operand::of(a).map(|lhs| (lhs, *op, Operand::Const(*k)))
-            }
-            [a, Op::CmpVar { op, slot }] => {
-                Operand::of(a).map(|lhs| (lhs, *op, Operand::Slot(*slot)))
-            }
-            _ => None,
-        };
-        match fast {
-            Some((lhs, op, rhs)) => Self::Cmp { lhs, op, rhs },
-            None => Self::Prog(p),
+    /// The term with its program moved `by` ops further.
+    fn shift(self, by: usize) -> Self {
+        match self {
+            Self::Prog(span) => Self::Prog(span.shift(by)),
+            cmp @ Self::Cmp { .. } => cmp,
         }
     }
 
     #[inline]
-    fn eval(&self, vars: &[i64]) -> Result<bool, EvalError> {
+    fn eval(&self, ops: &[Op], vars: &[i64]) -> Result<bool, EvalError> {
         match self {
             Self::Cmp { lhs, op, rhs } => Ok(op.apply(lhs.get(vars), rhs.get(vars))),
-            Self::Prog(p) => Ok(p.eval_vars(vars)? != 0),
+            Self::Prog(p) => Ok(eval_vars(&ops[p.range()], vars)? != 0),
         }
     }
-
-    /// Instruction count for [`CompileStats`] (a fast comparison counts
-    /// as the three instructions it replaced).
-    fn ops(&self) -> usize {
-        match self {
-            Self::Cmp { .. } => 3,
-            Self::Prog(p) => p.len(),
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct CompiledClockAtom {
-    clock: ClockId,
-    op: CmpOp,
-    rhs: Rhs,
 }
 
 /// A compiled right-hand side with the two overwhelmingly common shapes —
 /// a literal and a bare variable — folded out of the interpreter entirely,
 /// so `c ≤ 5` and `c ≤ deadline` cost a comparison, not a program run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Rhs {
     Const(i64),
     Var(u32),
-    Prog(Program),
+    Prog(Span),
 }
 
 impl Rhs {
-    fn compile(expr: &IntExpr, network: &Network) -> Self {
-        let p = Program::from_expr(expr, network);
-        match p.code.as_slice() {
-            [Op::Push(v)] => Self::Const(*v),
-            [Op::LoadVar(slot)] => Self::Var(*slot),
-            _ => Self::Prog(p),
+    /// The right-hand side with its program moved `by` ops further.
+    fn shift(self, by: usize) -> Self {
+        match self {
+            Self::Prog(span) => Self::Prog(span.shift(by)),
+            folded => folded,
         }
     }
 
     #[inline]
-    fn eval(&self, vars: &[i64]) -> Result<i64, EvalError> {
+    fn eval(&self, ops: &[Op], vars: &[i64]) -> Result<i64, EvalError> {
         match self {
             Self::Const(v) => Ok(*v),
             Self::Var(slot) => Ok(vars[*slot as usize]),
-            Self::Prog(p) => p.eval_vars(vars),
+            Self::Prog(p) => eval_vars(&ops[p.range()], vars),
         }
     }
+}
 
-    /// Instruction count for [`CompileStats`] (folded forms count as the
-    /// one instruction they replaced).
-    fn ops(&self) -> usize {
-        match self {
-            Self::Const(_) | Self::Var(_) => 1,
-            Self::Prog(p) => p.len(),
-        }
-    }
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CompiledClockAtom {
+    clock: ClockId,
+    op: CmpOp,
+    rhs: Rhs,
 }
 
 /// Flattens a guard's clock-free part into its top-level conjuncts
@@ -1606,32 +1930,18 @@ pub(crate) enum GuardConjunct {
     ClockAtom(usize),
 }
 
-impl CompiledGuard {
-    /// Compiles a guard for `network`.
-    #[must_use]
-    pub fn compile(guard: &Guard, network: &Network) -> Self {
-        // Top-level conjunctions flatten into separate terms: a dispatch
-        // guard `a == 0 && ready[i] == 1 && ∀…` evaluates (and usually
-        // short-circuits) on inline comparisons, entering the interpreter
-        // only for the quantifier. Evaluation and error order match the
-        // AST walker's left-to-right conjunction exactly.
-        let terms = flatten_preds(&guard.preds)
-            .into_iter()
-            .map(|p| PredTerm::compile(p, network))
-            .collect();
-        let atoms = guard
-            .clock_atoms
-            .iter()
-            .map(|a| CompiledClockAtom {
-                clock: a.clock,
-                op: a.op,
-                rhs: Rhs::compile(&a.rhs, network),
-            })
-            .collect();
-        Self { terms, atoms }
-    }
+/// A guard in compiled form (a view into a [`CompiledNetwork`]): the
+/// clock-free predicates as a short-circuit conjunction of terms plus the
+/// clock atoms with compiled right-hand sides.
+#[derive(Debug, Clone, Copy)]
+pub struct CompiledGuard<'a> {
+    ops: &'a [Op],
+    terms: &'a [PredTerm],
+    atoms: &'a [CompiledClockAtom],
+}
 
-    /// As [`Guard::holds`].
+impl CompiledGuard<'_> {
+    /// As [`Guard::holds`](crate::guard::Guard::holds).
     ///
     /// # Errors
     ///
@@ -1650,13 +1960,13 @@ impl CompiledGuard {
     /// Propagates evaluation errors in the same order as the AST walker.
     #[inline]
     pub fn holds_flat(&self, clock_values: &[i64], vars: &[i64]) -> Result<bool, EvalError> {
-        for t in &self.terms {
-            if !t.eval(vars)? {
+        for t in self.terms {
+            if !t.eval(self.ops, vars)? {
                 return Ok(false);
             }
         }
-        for a in &self.atoms {
-            let rhs = a.rhs.eval(vars)?;
+        for a in self.atoms {
+            let rhs = a.rhs.eval(self.ops, vars)?;
             if !a.op.apply(clock_values[a.clock.index()], rhs) {
                 return Ok(false);
             }
@@ -1664,20 +1974,20 @@ impl CompiledGuard {
         Ok(true)
     }
 
-    /// As [`Guard::enabling_window`].
+    /// As [`Guard::enabling_window`](crate::guard::Guard::enabling_window).
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors in the same order as the AST walker.
     pub fn enabling_window(&self, state: &State) -> Result<Option<DelayWindow>, EvalError> {
-        for t in &self.terms {
-            if !t.eval(&state.vars)? {
+        for t in self.terms {
+            if !t.eval(self.ops, &state.vars)? {
                 return Ok(None);
             }
         }
         let mut window = DelayWindow::full();
-        for a in &self.atoms {
-            let rhs = a.rhs.eval(&state.vars)?;
+        for a in self.atoms {
+            let rhs = a.rhs.eval(self.ops, &state.vars)?;
             let cv = state.clock(a.clock);
             match atom_delay_window(a.op, cv.value, cv.running, rhs) {
                 None => return Ok(None),
@@ -1696,12 +2006,12 @@ impl CompiledGuard {
     /// either engine.
     pub(crate) fn first_failing(&self, state: &State) -> Result<Option<GuardConjunct>, EvalError> {
         for (i, t) in self.terms.iter().enumerate() {
-            if !t.eval(&state.vars)? {
+            if !t.eval(self.ops, &state.vars)? {
                 return Ok(Some(GuardConjunct::Pred(i)));
             }
         }
         for (i, a) in self.atoms.iter().enumerate() {
-            let rhs = a.rhs.eval(&state.vars)?;
+            let rhs = a.rhs.eval(self.ops, &state.vars)?;
             if !a.op.apply(state.clock_value(a.clock), rhs) {
                 return Ok(Some(GuardConjunct::ClockAtom(i)));
             }
@@ -1710,34 +2020,23 @@ impl CompiledGuard {
     }
 }
 
-/// An invariant in compiled form: upper-bound atoms with compiled
-/// right-hand sides.
-#[derive(Debug, Clone)]
-pub struct CompiledInvariant {
-    atoms: Vec<(ClockId, Rhs)>,
+/// An invariant in compiled form (a view into a [`CompiledNetwork`]):
+/// upper-bound atoms with compiled right-hand sides.
+#[derive(Debug, Clone, Copy)]
+pub struct CompiledInvariant<'a> {
+    ops: &'a [Op],
+    atoms: &'a [(ClockId, Rhs)],
 }
 
-impl CompiledInvariant {
-    /// Compiles an invariant for `network`.
-    #[must_use]
-    pub fn compile(invariant: &Invariant, network: &Network) -> Self {
-        Self {
-            atoms: invariant
-                .atoms
-                .iter()
-                .map(|a| (a.clock, Rhs::compile(&a.rhs, network)))
-                .collect(),
-        }
-    }
-
-    /// As [`Invariant::holds`].
+impl CompiledInvariant<'_> {
+    /// As [`Invariant::holds`](crate::guard::Invariant::holds).
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors in the same order as the AST walker.
     pub fn holds(&self, state: &State) -> Result<bool, EvalError> {
-        for (clock, rhs) in &self.atoms {
-            let rhs = rhs.eval(&state.vars)?;
+        for (clock, rhs) in self.atoms {
+            let rhs = rhs.eval(self.ops, &state.vars)?;
             if state.clock_value(*clock) > rhs {
                 return Ok(false);
             }
@@ -1745,15 +2044,15 @@ impl CompiledInvariant {
         Ok(true)
     }
 
-    /// As [`Invariant::max_delay`].
+    /// As [`Invariant::max_delay`](crate::guard::Invariant::max_delay).
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors in the same order as the AST walker.
     pub fn max_delay(&self, state: &State) -> Result<Option<i64>, EvalError> {
         let mut bound: Option<i64> = None;
-        for (clock, rhs) in &self.atoms {
-            let rhs = rhs.eval(&state.vars)?;
+        for (clock, rhs) in self.atoms {
+            let rhs = rhs.eval(self.ops, &state.vars)?;
             let cv = state.clock(*clock);
             if cv.running {
                 let d = rhs - cv.value;
@@ -1777,21 +2076,185 @@ pub struct CompileStats {
     pub ops: usize,
 }
 
-/// Every guard, invariant and update of a network in compiled form,
-/// indexed the same way the network indexes edges and locations.
+/// A template's programs, lowered once against a representative instance
+/// and laid out as a one-automaton [`CompiledNetwork`] (clocks still
+/// local), with the relocations and checks under which another instance
+/// reuses them.
+#[derive(Debug, Default)]
+struct TemplateCode {
+    net: CompiledNetwork,
+    /// Ascending by field within each buffer.
+    relocs: Vec<Reloc>,
+    /// Sorted and deduplicated.
+    checks: Vec<Check>,
+}
+
+impl TemplateCode {
+    fn compile(template: &Automaton, frame: Binding<'_>, network: &Network) -> Self {
+        let mut c = Compiler::new(network, frame);
+        let mut code = Self::default();
+        for e in &template.edges {
+            let (terms, atoms) = (code.net.terms.len(), code.net.atoms.len());
+            for p in flatten_preds(&e.guard.preds) {
+                let term = code.term(c.program(|c| c.pred(p)));
+                code.net.terms.push(term);
+            }
+            for a in &e.guard.clock_atoms {
+                let at = code.net.atoms.len();
+                let rhs = code.rhs(c.program(|c| c.expr(&a.rhs)), Field::Atom(at));
+                code.net.atoms.push(CompiledClockAtom {
+                    clock: a.clock,
+                    op: a.op,
+                    rhs,
+                });
+            }
+            let updates = c.program(|c| {
+                for u in &e.updates {
+                    c.update(u);
+                }
+            });
+            let updates = code.program(updates);
+            code.net.stats.programs += 1;
+            code.net.stats.ops += updates.len();
+            code.net.edges.push(EdgeCode {
+                terms: Span::new(terms, code.net.terms.len()),
+                atoms: Span::new(atoms, code.net.atoms.len()),
+                updates,
+            });
+        }
+        for l in &template.locations {
+            let bounds = code.net.bounds.len();
+            for a in &l.invariant.atoms {
+                let at = code.net.bounds.len();
+                let rhs = code.rhs(c.program(|c| c.expr(&a.rhs)), Field::Bound(at));
+                code.net.bounds.push((a.clock, rhs));
+            }
+            code.net
+                .locations
+                .push(Span::new(bounds, code.net.bounds.len()));
+        }
+        code.net.edge_base.push(0);
+        code.net.location_base.push(0);
+        code.checks = c.checks;
+        code.checks.sort_unstable();
+        code.checks.dedup();
+        code
+    }
+
+    /// Appends a program's ops, keeping its relocations; returns its span.
+    fn program(&mut self, (ops, relocs): (&[Op], &[Reloc])) -> Span {
+        let base = self.net.ops.len();
+        self.relocs.extend(relocs.iter().map(|&r| Reloc {
+            at: match r.at {
+                Field::Op(i) => Field::Op(i + base),
+                other => other,
+            },
+            ..r
+        }));
+        self.net.ops.extend_from_slice(ops);
+        Span::new(base, self.net.ops.len())
+    }
+
+    /// Classifies a guard conjunct, folding a plain comparison out of the
+    /// interpreter (its operands' relocations follow it).
+    fn term(&mut self, (ops, relocs): (&[Op], &[Reloc])) -> PredTerm {
+        let fast = match ops {
+            [a, b, Op::Cmp(op)] => Operand::of(a)
+                .zip(Operand::of(b))
+                .map(|(lhs, rhs)| (lhs, *op, rhs)),
+            [a, Op::CmpConst { op, k }] => Operand::of(a).map(|lhs| (lhs, *op, Operand::Const(*k))),
+            [a, Op::CmpVar { op, slot }] => {
+                Operand::of(a).map(|lhs| (lhs, *op, Operand::Slot(*slot)))
+            }
+            _ => None,
+        };
+        self.net.stats.programs += 1;
+        let Some((lhs, op, rhs)) = fast else {
+            let span = self.program((ops, relocs));
+            self.net.stats.ops += span.len();
+            return PredTerm::Prog(span);
+        };
+        // A fast comparison counts as the three instructions it replaced.
+        self.net.stats.ops += 3;
+        let term = self.net.terms.len();
+        for &r in relocs {
+            let at = if r.op() == 0 {
+                Field::Lhs(term)
+            } else {
+                Field::Rhs(term)
+            };
+            self.relocs.push(Reloc { at, ..r });
+        }
+        PredTerm::Cmp { lhs, op, rhs }
+    }
+
+    /// Classifies a right-hand side, folding a literal or a bare variable
+    /// out of the interpreter (its relocation moves to `field`).
+    fn rhs(&mut self, (ops, relocs): (&[Op], &[Reloc]), field: Field) -> Rhs {
+        let folded = match ops {
+            [Op::Push(v)] => Some(Rhs::Const(*v)),
+            [Op::LoadVar(slot)] => Some(Rhs::Var(*slot)),
+            _ => None,
+        };
+        self.net.stats.programs += 1;
+        match folded {
+            Some(rhs) => {
+                // Folded forms count as the one instruction they replaced.
+                self.net.stats.ops += 1;
+                self.relocs
+                    .extend(relocs.iter().map(|&r| Reloc { at: field, ..r }));
+                rhs
+            }
+            None => {
+                let span = self.program((ops, relocs));
+                self.net.stats.ops += span.len();
+                Rhs::Prog(span)
+            }
+        }
+    }
+
+    /// Whether an instance with these parameters may reuse this code.
+    fn fits(&self, params: &[i64]) -> bool {
+        self.checks.iter().all(|c| c.holds(params))
+    }
+}
+
+/// An edge's compiled guard and updates, as spans of the network buffers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EdgeCode {
+    terms: Span,
+    atoms: Span,
+    updates: Span,
+}
+
+/// Every guard, invariant and update of a network in compiled form.
+///
+/// Each template is lowered once (per combination of parameter-steered
+/// decisions its instances take) into a [`TemplateCode`]; every instance
+/// then copies that code into the network's contiguous buffers and
+/// relocates the fields its frame binds. No instance walks the AST or runs
+/// the fusion passes, and the per-program allocations of a direct compile
+/// collapse into a handful of buffers. The result equals, op for op, what
+/// lowering every expanded automaton on its own produces.
 ///
 /// Built lazily (and at most once) per network via
 /// [`Network::compiled`]; cloning a network clones the compiled form with
 /// it, which stays valid because programs only bake in slot offsets and
 /// domains, both preserved by clone.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompiledNetwork {
-    /// `guards[automaton][edge]`.
-    guards: Vec<Vec<CompiledGuard>>,
-    /// `invariants[automaton][location]`.
-    invariants: Vec<Vec<CompiledInvariant>>,
-    /// `updates[automaton][edge]`.
-    updates: Vec<Vec<Program>>,
+    ops: Vec<Op>,
+    terms: Vec<PredTerm>,
+    atoms: Vec<CompiledClockAtom>,
+    bounds: Vec<(ClockId, Rhs)>,
+    /// Per edge, automaton by automaton.
+    edges: Vec<EdgeCode>,
+    /// Per location, automaton by automaton: the span of `bounds`.
+    locations: Vec<Span>,
+    /// Index of each automaton's first edge in `edges`.
+    edge_base: Vec<u32>,
+    /// Index of each automaton's first location in `locations`.
+    location_base: Vec<u32>,
     stats: CompileStats,
 }
 
@@ -1799,80 +2262,120 @@ impl CompiledNetwork {
     /// Compiles every guard, invariant and update sequence of the network.
     #[must_use]
     pub fn compile(network: &Network) -> Self {
-        let mut guards = Vec::with_capacity(network.automata().len());
-        let mut invariants = Vec::with_capacity(network.automata().len());
-        let mut updates = Vec::with_capacity(network.automata().len());
-        for a in network.automata() {
-            guards.push(
-                a.edges
-                    .iter()
-                    .map(|e| CompiledGuard::compile(&e.guard, network))
-                    .collect::<Vec<_>>(),
-            );
-            invariants.push(
-                a.locations
-                    .iter()
-                    .map(|l| CompiledInvariant::compile(&l.invariant, network))
-                    .collect::<Vec<_>>(),
-            );
-            updates.push(
-                a.edges
-                    .iter()
-                    .map(|e| Program::from_updates(&e.updates, network))
-                    .collect::<Vec<_>>(),
-            );
-        }
-        let mut stats = CompileStats::default();
-        let mut count = |ops: usize| {
-            stats.programs += 1;
-            stats.ops += ops;
-        };
-        for gs in &guards {
-            for g in gs {
-                for t in &g.terms {
-                    count(t.ops());
-                }
-                for a in &g.atoms {
-                    count(a.rhs.ops());
+        let mut out = Self::default();
+        let mut variants: Vec<Vec<TemplateCode>> =
+            network.templates.iter().map(|_| Vec::new()).collect();
+        for inst in &network.instances {
+            let frame = inst.frame.binding();
+            let known = &mut variants[inst.template];
+            match known.iter().position(|code| code.fits(frame.params)) {
+                Some(i) => out.append(&known[i], frame, true, network),
+                None => {
+                    let template = &network.templates[inst.template].automaton;
+                    let code = TemplateCode::compile(template, frame, network);
+                    out.append(&code, frame, false, network);
+                    known.push(code);
                 }
             }
         }
-        for is in &invariants {
-            for i in is {
-                for (_, rhs) in &i.atoms {
-                    count(rhs.ops());
+        out
+    }
+
+    /// Appends one instance: `code` with its clocks mapped through `frame`
+    /// and, unless `code` was lowered against `frame`, its relocations
+    /// applied.
+    fn append(
+        &mut self,
+        code: &TemplateCode,
+        frame: Binding<'_>,
+        relocate: bool,
+        network: &Network,
+    ) {
+        let base = |len: usize| u32::try_from(len).expect("compiled network fits u32 offsets");
+        let (ops, terms, atoms) = (self.ops.len(), self.terms.len(), self.atoms.len());
+        let bounds = self.bounds.len();
+        self.edge_base.push(base(self.edges.len()));
+        self.location_base.push(base(self.locations.len()));
+        let c = &code.net;
+        self.ops.extend_from_slice(&c.ops);
+        self.terms.extend(c.terms.iter().map(|t| t.shift(ops)));
+        self.atoms.extend(c.atoms.iter().map(|a| CompiledClockAtom {
+            clock: frame.clock(a.clock),
+            op: a.op,
+            rhs: a.rhs.shift(ops),
+        }));
+        self.bounds.extend(
+            c.bounds
+                .iter()
+                .map(|&(clock, rhs)| (frame.clock(clock), rhs.shift(ops))),
+        );
+        self.edges.extend(c.edges.iter().map(|e| EdgeCode {
+            terms: e.terms.shift(terms),
+            atoms: e.atoms.shift(atoms),
+            updates: e.updates.shift(ops),
+        }));
+        self.locations
+            .extend(c.locations.iter().map(|l| l.shift(bounds)));
+        self.stats.programs += c.stats.programs;
+        self.stats.ops += c.stats.ops;
+        if relocate {
+            for r in &code.relocs {
+                let (ops, terms) = (&mut self.ops[ops..], &mut self.terms[terms..]);
+                match r.at {
+                    Field::Op(i) => r.src.write_op(&mut ops[i], &frame, network),
+                    Field::Lhs(i) | Field::Rhs(i) => {
+                        let PredTerm::Cmp { lhs, rhs, .. } = &mut terms[i] else {
+                            unreachable!("operand relocation of a program term")
+                        };
+                        let side = if matches!(r.at, Field::Lhs(_)) {
+                            lhs
+                        } else {
+                            rhs
+                        };
+                        match side {
+                            Operand::Const(v) => *v = r.src.value(&frame),
+                            Operand::Slot(s) => *s = r.src.slot(&frame),
+                        }
+                    }
+                    Field::Atom(i) => r.src.write_rhs(&mut self.atoms[atoms + i].rhs, &frame),
+                    Field::Bound(i) => r.src.write_rhs(&mut self.bounds[bounds + i].1, &frame),
                 }
             }
         }
-        for us in &updates {
-            for u in us {
-                count(u.len());
-            }
-        }
-        Self {
-            guards,
-            invariants,
-            updates,
-            stats,
-        }
+    }
+
+    fn edge(&self, automaton: AutomatonId, edge: EdgeId) -> &EdgeCode {
+        &self.edges[self.edge_base[automaton.index()] as usize + edge.index()]
     }
 
     /// The compiled guard of an edge.
     #[must_use]
-    pub fn guard(&self, automaton: AutomatonId, edge: EdgeId) -> &CompiledGuard {
-        &self.guards[automaton.index()][edge.index()]
+    pub fn guard(&self, automaton: AutomatonId, edge: EdgeId) -> CompiledGuard<'_> {
+        let e = self.edge(automaton, edge);
+        CompiledGuard {
+            ops: &self.ops,
+            terms: &self.terms[e.terms.range()],
+            atoms: &self.atoms[e.atoms.range()],
+        }
     }
 
     /// The compiled invariant of a location.
     #[must_use]
-    pub fn invariant(&self, automaton: AutomatonId, location: LocationId) -> &CompiledInvariant {
-        &self.invariants[automaton.index()][location.index()]
+    pub fn invariant(&self, automaton: AutomatonId, location: LocationId) -> CompiledInvariant<'_> {
+        let span =
+            self.locations[self.location_base[automaton.index()] as usize + location.index()];
+        CompiledInvariant {
+            ops: &self.ops,
+            atoms: &self.bounds[span.range()],
+        }
     }
 
     /// The compiled update program of an edge.
     #[must_use]
-    pub fn updates(&self, automaton: AutomatonId, edge: EdgeId) -> &Program {
-        &self.updates[automaton.index()][edge.index()]
+    pub fn updates(&self, automaton: AutomatonId, edge: EdgeId) -> Program<'_> {
+        Program {
+            code: &self.ops[self.edge(automaton, edge).updates.range()],
+        }
     }
 
     /// Instruction-count statistics of the compilation.

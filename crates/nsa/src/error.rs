@@ -63,6 +63,12 @@ pub enum BuildError {
         /// Explanation of the problem.
         reason: String,
     },
+    /// An instance binds a different number of parameters, clocks,
+    /// variables or channels than the first instance of its template.
+    FrameShape {
+        /// The mismatching instance.
+        automaton: AutomatonId,
+    },
     /// The network declares more items of one kind than ids can address
     /// (ids are `u32`-backed). A hostile or runaway generator degrades
     /// into this error instead of a process abort.
@@ -109,6 +115,10 @@ impl fmt::Display for BuildError {
             Self::DanglingChannel { channel, reason } => {
                 write!(f, "channel {channel:?} is miswired: {reason}")
             }
+            Self::FrameShape { automaton } => write!(
+                f,
+                "automaton {automaton} binds a different frame shape than its template's first instance"
+            ),
             Self::CapacityExceeded { kind, limit } => {
                 write!(f, "network declares more than {limit} {kind}")
             }

@@ -36,7 +36,45 @@ use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
 use crate::error::EvalError;
-use crate::ids::{ArrayId, ParamId, VarId};
+use crate::ids::{ArrayId, ChannelId, ClockId, ParamId, VarId};
+
+/// The view of one template instance the AST walkers need: parameter
+/// values and the network ids of the template's local clocks, variables
+/// and channels (local id `i` maps to entry `i`). An empty map leaves that
+/// kind of id unchanged, and a parameter outside `params` stays unbound.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Binding<'a> {
+    pub(crate) params: &'a [i64],
+    pub(crate) clocks: &'a [ClockId],
+    pub(crate) vars: &'a [VarId],
+    pub(crate) channels: &'a [ChannelId],
+}
+
+impl<'a> Binding<'a> {
+    /// Binds parameters only.
+    pub(crate) fn params(params: &'a [i64]) -> Self {
+        Self {
+            params,
+            ..Self::default()
+        }
+    }
+
+    pub(crate) fn param(&self, p: ParamId) -> Option<i64> {
+        self.params.get(p.index()).copied()
+    }
+
+    pub(crate) fn var(&self, v: VarId) -> VarId {
+        self.vars.get(v.index()).copied().unwrap_or(v)
+    }
+
+    pub(crate) fn clock(&self, c: ClockId) -> ClockId {
+        self.clocks.get(c.index()).copied().unwrap_or(c)
+    }
+
+    pub(crate) fn channel(&self, c: ChannelId) -> ChannelId {
+        self.channels.get(c.index()).copied().unwrap_or(c)
+    }
+}
 
 /// Largest admissible quantifier range; guards against runaway evaluation.
 pub const MAX_QUANTIFIER_RANGE: i64 = 1 << 20;
@@ -327,45 +365,50 @@ impl IntExpr {
     /// validate with [`IntExpr::max_param`]).
     #[must_use]
     pub fn bind_params(&self, params: &[i64]) -> Self {
+        self.rebind(&Binding::params(params))
+    }
+
+    /// Binds parameters and renames variables as `binding` says.
+    pub(crate) fn rebind(&self, b: &Binding<'_>) -> Self {
+        let bin = |x: &Self, y: &Self| (Box::new(x.rebind(b)), Box::new(y.rebind(b)));
         match self {
-            Self::Lit(_) | Self::Var(_) | Self::Bound(_) => self.clone(),
-            Self::Param(p) => params
-                .get(p.index())
-                .map_or_else(|| self.clone(), |v| Self::Lit(*v)),
-            Self::Elem(a, idx) => Self::Elem(*a, Box::new(idx.bind_params(params))),
-            Self::Add(a, b) => Self::Add(
-                Box::new(a.bind_params(params)),
-                Box::new(b.bind_params(params)),
-            ),
-            Self::Sub(a, b) => Self::Sub(
-                Box::new(a.bind_params(params)),
-                Box::new(b.bind_params(params)),
-            ),
-            Self::Mul(a, b) => Self::Mul(
-                Box::new(a.bind_params(params)),
-                Box::new(b.bind_params(params)),
-            ),
-            Self::Div(a, b) => Self::Div(
-                Box::new(a.bind_params(params)),
-                Box::new(b.bind_params(params)),
-            ),
-            Self::Rem(a, b) => Self::Rem(
-                Box::new(a.bind_params(params)),
-                Box::new(b.bind_params(params)),
-            ),
-            Self::Neg(a) => Self::Neg(Box::new(a.bind_params(params))),
-            Self::Min(a, b) => Self::Min(
-                Box::new(a.bind_params(params)),
-                Box::new(b.bind_params(params)),
-            ),
-            Self::Max(a, b) => Self::Max(
-                Box::new(a.bind_params(params)),
-                Box::new(b.bind_params(params)),
-            ),
+            Self::Lit(_) | Self::Bound(_) => self.clone(),
+            Self::Var(v) => Self::Var(b.var(*v)),
+            Self::Param(p) => b.param(*p).map_or_else(|| self.clone(), Self::Lit),
+            Self::Elem(a, idx) => Self::Elem(*a, Box::new(idx.rebind(b))),
+            Self::Add(x, y) => {
+                let (x, y) = bin(x, y);
+                Self::Add(x, y)
+            }
+            Self::Sub(x, y) => {
+                let (x, y) = bin(x, y);
+                Self::Sub(x, y)
+            }
+            Self::Mul(x, y) => {
+                let (x, y) = bin(x, y);
+                Self::Mul(x, y)
+            }
+            Self::Div(x, y) => {
+                let (x, y) = bin(x, y);
+                Self::Div(x, y)
+            }
+            Self::Rem(x, y) => {
+                let (x, y) = bin(x, y);
+                Self::Rem(x, y)
+            }
+            Self::Neg(x) => Self::Neg(Box::new(x.rebind(b))),
+            Self::Min(x, y) => {
+                let (x, y) = bin(x, y);
+                Self::Min(x, y)
+            }
+            Self::Max(x, y) => {
+                let (x, y) = bin(x, y);
+                Self::Max(x, y)
+            }
             Self::Ite(p, t, e) => Self::Ite(
-                Box::new(p.bind_params(params)),
-                Box::new(t.bind_params(params)),
-                Box::new(e.bind_params(params)),
+                Box::new(p.rebind(b)),
+                Box::new(t.rebind(b)),
+                Box::new(e.rebind(b)),
             ),
         }
     }
@@ -673,26 +716,32 @@ impl Pred {
     /// Substitutes template parameters, as [`IntExpr::bind_params`].
     #[must_use]
     pub fn bind_params(&self, params: &[i64]) -> Self {
+        self.rebind(&Binding::params(params))
+    }
+
+    /// Binds parameters and renames variables as `binding` says.
+    pub(crate) fn rebind(&self, b: &Binding<'_>) -> Self {
+        let range = |lo: &IntExpr, hi: &IntExpr, body: &Self| {
+            (
+                Box::new(lo.rebind(b)),
+                Box::new(hi.rebind(b)),
+                Box::new(body.rebind(b)),
+            )
+        };
         match self {
             Self::Lit(_) => self.clone(),
-            Self::Cmp(op, a, b) => Self::Cmp(
-                *op,
-                Box::new(a.bind_params(params)),
-                Box::new(b.bind_params(params)),
-            ),
-            Self::Not(p) => Self::Not(Box::new(p.bind_params(params))),
-            Self::And(ps) => Self::And(ps.iter().map(|p| p.bind_params(params)).collect()),
-            Self::Or(ps) => Self::Or(ps.iter().map(|p| p.bind_params(params)).collect()),
-            Self::ForAll { lo, hi, body } => Self::ForAll {
-                lo: Box::new(lo.bind_params(params)),
-                hi: Box::new(hi.bind_params(params)),
-                body: Box::new(body.bind_params(params)),
-            },
-            Self::Exists { lo, hi, body } => Self::Exists {
-                lo: Box::new(lo.bind_params(params)),
-                hi: Box::new(hi.bind_params(params)),
-                body: Box::new(body.bind_params(params)),
-            },
+            Self::Cmp(op, x, y) => Self::Cmp(*op, Box::new(x.rebind(b)), Box::new(y.rebind(b))),
+            Self::Not(p) => Self::Not(Box::new(p.rebind(b))),
+            Self::And(ps) => Self::And(ps.iter().map(|p| p.rebind(b)).collect()),
+            Self::Or(ps) => Self::Or(ps.iter().map(|p| p.rebind(b)).collect()),
+            Self::ForAll { lo, hi, body } => {
+                let (lo, hi, body) = range(lo, hi, body);
+                Self::ForAll { lo, hi, body }
+            }
+            Self::Exists { lo, hi, body } => {
+                let (lo, hi, body) = range(lo, hi, body);
+                Self::Exists { lo, hi, body }
+            }
         }
     }
 

@@ -213,7 +213,8 @@ impl Iterator for MergeEdges<'_> {
 pub struct FastCache {
     /// Whether the network satisfies the fast-path preconditions.
     eligible: bool,
-    /// `info[automaton][location]`.
+    /// `info[template][location]`; channels and variables in it are the
+    /// template's local ids.
     info: Vec<Vec<LocInfo>>,
 }
 
@@ -260,99 +261,104 @@ fn referenced_clocks_expr(guard: &Guard, inv: &Invariant, out: &mut Vec<ClockId>
 
 impl FastCache {
     /// Analyzes a network for fast-path eligibility and builds the
-    /// per-location classification.
+    /// per-location classification, once per template.
     #[must_use]
     pub fn new(network: &Network) -> Self {
         // Eligibility (a): receive-edge guards must be clock-free.
-        let mut eligible = true;
-        'outer: for a in network.automata() {
-            for e in &a.edges {
-                if matches!(e.sync, Sync::Recv(_)) && !e.guard.clock_atoms.is_empty() {
-                    eligible = false;
-                    break 'outer;
-                }
-            }
-        }
+        let templates = || network.templates.iter().map(|t| &t.automaton);
+        let mut eligible = templates().all(|a| {
+            a.edges
+                .iter()
+                .all(|e| !matches!(e.sync, Sync::Recv(_)) || e.guard.clock_atoms.is_empty())
+        });
 
         // Eligibility (b): no edge updates a clock referenced by another
         // automaton.
         if eligible {
-            let mut clock_readers: Vec<Vec<AutomatonId>> = vec![Vec::new(); network.clocks().len()];
-            for (ai, a) in network.automata().iter().enumerate() {
-                let aid =
-                    AutomatonId::from_raw(u32::try_from(ai).expect("automaton count fits u32"));
-                let mut refs = Vec::new();
+            let mut reads: Vec<Vec<ClockId>> = Vec::new();
+            let mut writes: Vec<Vec<ClockId>> = Vec::new();
+            for a in templates() {
+                let mut r = Vec::new();
                 for l in &a.locations {
-                    referenced_clocks_expr(&Guard::always(), &l.invariant, &mut refs);
+                    referenced_clocks_expr(&Guard::always(), &l.invariant, &mut r);
                 }
+                let mut w = Vec::new();
                 for e in &a.edges {
-                    referenced_clocks_expr(&e.guard, &Invariant::none(), &mut refs);
+                    referenced_clocks_expr(&e.guard, &Invariant::none(), &mut r);
+                    updated_clocks(&e.updates, &mut w);
                 }
-                for c in refs {
-                    if !clock_readers[c.index()].contains(&aid) {
-                        clock_readers[c.index()].push(aid);
+                reads.push(r);
+                writes.push(w);
+            }
+            let mut clock_readers: Vec<Vec<AutomatonId>> = vec![Vec::new(); network.clocks().len()];
+            for (aid, inst) in network.automaton_ids().zip(&network.instances) {
+                let frame = inst.frame.binding();
+                for &c in &reads[inst.template] {
+                    let readers = &mut clock_readers[frame.clock(c).index()];
+                    if !readers.contains(&aid) {
+                        readers.push(aid);
                     }
                 }
             }
-            'outer2: for (ai, a) in network.automata().iter().enumerate() {
-                let aid =
-                    AutomatonId::from_raw(u32::try_from(ai).expect("automaton count fits u32"));
-                for e in &a.edges {
-                    let mut touched = Vec::new();
-                    updated_clocks(&e.updates, &mut touched);
-                    for c in touched {
-                        if clock_readers[c.index()].iter().any(|r| *r != aid) {
-                            eligible = false;
-                            break 'outer2;
-                        }
+            'outer: for (aid, inst) in network.automaton_ids().zip(&network.instances) {
+                let frame = inst.frame.binding();
+                for &c in &writes[inst.template] {
+                    if clock_readers[frame.clock(c).index()]
+                        .iter()
+                        .any(|r| *r != aid)
+                    {
+                        eligible = false;
+                        break 'outer;
                     }
                 }
             }
         }
 
-        let mut info = Vec::with_capacity(network.automata().len());
-        for (ai, a) in network.automata().iter().enumerate() {
-            let aid = AutomatonId::from_raw(u32::try_from(ai).expect("automaton count fits u32"));
-            let mut per_loc = Vec::with_capacity(a.locations.len());
-            for (li, l) in a.locations.iter().enumerate() {
-                let lid = crate::ids::LocationId::from_raw(
-                    u32::try_from(li).expect("location count fits u32"),
-                );
-                let mut initiators = Vec::new();
-                let mut recv_edges = Vec::new();
-                let mut guards_cacheable = true;
-                for &eid in network.outgoing_edges(aid, lid) {
-                    let e = a.edge(eid);
-                    if let Sync::Recv(ch) = e.sync {
-                        recv_edges.push((ch, eid));
-                        continue;
-                    }
-                    if !guard_state_independent(&e.guard) {
-                        guards_cacheable = false;
-                    }
-                    initiators.push(eid);
-                }
-                let internal_only = !l.committed
-                    && initiators
-                        .iter()
-                        .all(|&eid| matches!(a.edge(eid).sync, Sync::Internal));
-                let eq_index = if guards_cacheable {
-                    None
-                } else {
-                    build_eq_index(a, &initiators)
-                };
-                per_loc.push(LocInfo {
-                    initiators,
-                    recv_edges,
-                    guards_cacheable,
-                    inv_cacheable: invariant_state_independent(&l.invariant),
-                    committed: l.committed,
-                    internal_only,
-                    eq_index,
-                });
-            }
-            info.push(per_loc);
-        }
+        let info = network
+            .templates
+            .iter()
+            .map(|t| {
+                let a = &t.automaton;
+                a.locations
+                    .iter()
+                    .zip(&t.outgoing)
+                    .map(|(l, outgoing)| {
+                        let mut initiators = Vec::new();
+                        let mut recv_edges = Vec::new();
+                        let mut guards_cacheable = true;
+                        for &eid in outgoing {
+                            let e = a.edge(eid);
+                            if let Sync::Recv(ch) = e.sync {
+                                recv_edges.push((ch, eid));
+                                continue;
+                            }
+                            if !guard_state_independent(&e.guard) {
+                                guards_cacheable = false;
+                            }
+                            initiators.push(eid);
+                        }
+                        let internal_only = !l.committed
+                            && initiators
+                                .iter()
+                                .all(|&eid| matches!(a.edge(eid).sync, Sync::Internal));
+                        let eq_index = if guards_cacheable {
+                            None
+                        } else {
+                            build_eq_index(a, &initiators)
+                        };
+                        LocInfo {
+                            initiators,
+                            recv_edges,
+                            guards_cacheable,
+                            inv_cacheable: invariant_state_independent(&l.invariant),
+                            committed: l.committed,
+                            internal_only,
+                            eq_index,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
 
         Self { eligible, info }
     }
@@ -448,7 +454,7 @@ impl<'n> FastRun<'n> {
         state: &State,
         engine: EvalEngine,
     ) -> Result<Self, SimError> {
-        let n = network.automata().len();
+        let n = network.automaton_count();
         let mut run = Self {
             network,
             compiled: (engine == EvalEngine::Bytecode).then(|| network.compiled()),
@@ -474,8 +480,7 @@ impl<'n> FastRun<'n> {
             memo_all_internal: vec![false; n],
             scan_buf: Vec::new(),
         };
-        for ai in 0..n {
-            let aid = AutomatonId::from_raw(u32::try_from(ai).expect("automaton count fits u32"));
+        for aid in network.automaton_ids() {
             run.refresh(aid, state)?;
             let info = run.loc_info(aid, state);
             if info.committed {
@@ -486,7 +491,11 @@ impl<'n> FastRun<'n> {
     }
 
     fn loc_info(&self, a: AutomatonId, state: &State) -> &'n LocInfo {
-        &self.cache.info[a.index()][state.location_of(a).index()]
+        self.info_at(a, state.location_of(a))
+    }
+
+    fn info_at(&self, a: AutomatonId, loc: LocationId) -> &'n LocInfo {
+        &self.cache.info[self.network.instances[a.index()].template][loc.index()]
     }
 
     /// One guard evaluation through the hoisted compiled network (falling
@@ -520,14 +529,15 @@ impl<'n> FastRun<'n> {
         if self.registered[a.index()] == Some(loc) {
             return;
         }
-        let cache = self.cache;
+        let network = self.network;
+        let frame = network.instances[a.index()].frame.binding();
         if let Some(old) = self.registered[a.index()] {
-            for &(ch, eid) in &cache.info[a.index()][old.index()].recv_edges {
-                self.recv_ready[ch.index()].remove(&(a.raw(), eid.raw()));
+            for &(ch, eid) in &self.info_at(a, old).recv_edges {
+                self.recv_ready[frame.channel(ch).index()].remove(&(a.raw(), eid.raw()));
             }
         }
-        for &(ch, eid) in &cache.info[a.index()][loc.index()].recv_edges {
-            self.recv_ready[ch.index()].insert((a.raw(), eid.raw()));
+        for &(ch, eid) in &self.info_at(a, loc).recv_edges {
+            self.recv_ready[frame.channel(ch).index()].insert((a.raw(), eid.raw()));
         }
         self.registered[a.index()] = Some(loc);
     }
@@ -563,7 +573,7 @@ impl<'n> FastRun<'n> {
     fn refresh(&mut self, a: AutomatonId, state: &State) -> Result<(), SimError> {
         let loc = state.location_of(a);
         self.register_receivers(a, loc);
-        let info = &self.cache.info[a.index()][loc.index()];
+        let info = self.info_at(a, loc);
         let initiators_empty = info.initiators.is_empty();
         let guards_cacheable = info.guards_cacheable;
         let inv_cacheable = info.inv_cacheable;
@@ -584,7 +594,6 @@ impl<'n> FastRun<'n> {
                 self.wake[ai] = i64::MAX;
             } else {
                 let mut wake = i64::MAX;
-                let info = &self.cache.info[ai][loc.index()];
                 for &eid in &info.initiators {
                     if let Some(w) = bytecode::guard_window(self.network, self.engine, a, eid, state)
                         .map_err(SimError::Eval)?
@@ -727,7 +736,7 @@ impl<'n> FastRun<'n> {
         state: &State,
     ) -> Result<Option<Transition>, SimError> {
         let info = self.loc_info(aid, state);
-        let automaton = self.network.automaton(aid);
+        let template = self.network.template_of(aid);
         let ai = aid.index();
         let batched = info.guards_cacheable;
         if batched && self.memo_stamp[ai] != self.instant {
@@ -758,7 +767,7 @@ impl<'n> FastRun<'n> {
             }
             self.memo_all_internal[ai] = enabled
                 .iter()
-                .all(|&eid| matches!(automaton.edge(eid).sync, Sync::Internal));
+                .all(|&eid| matches!(template.edge(eid).sync, Sync::Internal));
             self.memo_enabled[ai] = enabled;
             self.memo_stamp[ai] = self.instant;
         }
@@ -774,9 +783,10 @@ impl<'n> FastRun<'n> {
         let edges = if batched {
             MergeEdges::new(&self.memo_enabled[ai], &[])
         } else if let Some(ix) = &info.eq_index {
+            let slot = self.network.instances[ai].frame.binding().var(ix.slot);
             let bucket = ix
                 .buckets
-                .get(&state.vars[ix.slot.index()])
+                .get(&state.vars[slot.index()])
                 .map_or(&[][..], Vec::as_slice);
             MergeEdges::new(bucket, &ix.rest)
         } else {
@@ -786,7 +796,7 @@ impl<'n> FastRun<'n> {
             if !batched && !self.guard_holds_at(aid, eid, state)? {
                 continue;
             }
-            let transition = match automaton.edge(eid).sync {
+            let transition = match self.network.edge_sync(aid, eid) {
                 Sync::Internal => Some(Transition::Internal {
                     participant: (aid, eid),
                 }),
@@ -964,13 +974,10 @@ impl<'n> FastRun<'n> {
 
     /// The id of some committed automaton (diagnostics).
     pub(crate) fn committed_automaton(&self, state: &State) -> AutomatonId {
-        for ai in 0..self.network.automata().len() {
-            let aid = AutomatonId::from_raw(u32::try_from(ai).expect("automaton count fits u32"));
-            if self.loc_info(aid, state).committed {
-                return aid;
-            }
-        }
-        AutomatonId::from_raw(0)
+        self.network
+            .automaton_ids()
+            .find(|&aid| self.loc_info(aid, state).committed)
+            .unwrap_or(AutomatonId::from_raw(0))
     }
 }
 
@@ -1035,11 +1042,8 @@ mod tests {
         let l0 = a.location("l0");
         let l1 = a.location("l1");
         a.edge(
-            Edge::new(l0, l1).with_guard(Guard::always().and_clock(ClockAtom::new(
-                c,
-                CmpOp::Ge,
-                5,
-            ))),
+            Edge::new(l0, l1)
+                .with_guard(Guard::always().and_clock(ClockAtom::new(c, CmpOp::Ge, 5))),
         );
         nb.automaton(a.finish(l0));
         let mut b = AutomatonBuilder::new("meddler");

@@ -17,7 +17,7 @@
 use std::fmt;
 
 use crate::error::EvalError;
-use crate::expr::{CmpOp, IntExpr, Pred, VarEnv};
+use crate::expr::{Binding, CmpOp, IntExpr, Pred, VarEnv};
 use crate::ids::ClockId;
 
 /// Read-only view of clock valuations.
@@ -302,15 +302,20 @@ impl Guard {
     /// Substitutes template parameters in every component.
     #[must_use]
     pub fn bind_params(&self, params: &[i64]) -> Self {
+        self.rebind(&Binding::params(params))
+    }
+
+    /// Binds parameters and renames variables and clocks.
+    pub(crate) fn rebind(&self, b: &Binding<'_>) -> Self {
         Self {
-            preds: self.preds.iter().map(|p| p.bind_params(params)).collect(),
+            preds: self.preds.iter().map(|p| p.rebind(b)).collect(),
             clock_atoms: self
                 .clock_atoms
                 .iter()
                 .map(|a| ClockAtom {
-                    clock: a.clock,
+                    clock: b.clock(a.clock),
                     op: a.op,
-                    rhs: a.rhs.bind_params(params),
+                    rhs: a.rhs.rebind(b),
                 })
                 .collect(),
         }
@@ -453,13 +458,18 @@ impl Invariant {
     /// Substitutes template parameters.
     #[must_use]
     pub fn bind_params(&self, params: &[i64]) -> Self {
+        self.rebind(&Binding::params(params))
+    }
+
+    /// Binds parameters and renames variables and clocks.
+    pub(crate) fn rebind(&self, b: &Binding<'_>) -> Self {
         Self {
             atoms: self
                 .atoms
                 .iter()
                 .map(|a| InvariantAtom {
-                    clock: a.clock,
-                    rhs: a.rhs.bind_params(params),
+                    clock: b.clock(a.clock),
+                    rhs: a.rhs.rebind(b),
                 })
                 .collect(),
         }

@@ -72,6 +72,11 @@ define_id!(
     "A"
 );
 define_id!(
+    /// Identifier of an automaton template inside a network.
+    TemplateId,
+    "T"
+);
+define_id!(
     /// Identifier of a location inside one automaton.
     LocationId,
     "l"

@@ -81,13 +81,15 @@ pub mod trace;
 pub mod update;
 pub mod uppaal;
 
-pub use automaton::{Automaton, AutomatonBuilder, Edge, Location, Sync};
+pub use automaton::{Automaton, AutomatonBuilder, Edge, Frame, Location, Sync};
 pub use bytecode::{CompileStats, CompiledNetwork, EvalEngine};
 pub use diagnose::{BlockReason, Diagnosis, DiagnosisKind, ExplainedError};
 pub use error::{BuildError, EvalError, SimError, SnapshotError};
 pub use expr::{CmpOp, IntExpr, Pred};
 pub use guard::{ClockAtom, Guard, Invariant};
-pub use ids::{ArrayId, AutomatonId, ChannelId, ClockId, EdgeId, LocationId, ParamId, VarId};
+pub use ids::{
+    ArrayId, AutomatonId, ChannelId, ClockId, EdgeId, LocationId, ParamId, TemplateId, VarId,
+};
 pub use network::{ChannelKind, Network, NetworkBuilder};
 pub use sim::{SimOutcome, SimSession, SimStats, Simulator, StopReason, TieBreak};
 pub use snapshot::{Snapshot, SNAPSHOT_VERSION};

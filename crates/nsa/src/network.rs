@@ -6,14 +6,14 @@
 //! where shared variables (`is_ready`, `prio`, …) and channels (`exec`,
 //! `preempt`, …) form the interfaces between component automata.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
-use crate::automaton::Automaton;
+use crate::automaton::{Automaton, Frame, Sync};
 use crate::bytecode::CompiledNetwork;
 use crate::error::BuildError;
 use crate::expr::{IntExpr, Pred};
-use crate::ids::{ArrayId, AutomatonId, ChannelId, ClockId, EdgeId, LocationId, VarId};
+use crate::ids::{ArrayId, AutomatonId, ChannelId, ClockId, EdgeId, LocationId, TemplateId, VarId};
 use crate::update::{LValue, Update};
 
 /// Kind of a synchronization channel.
@@ -73,6 +73,13 @@ pub struct ChannelDecl {
 
 /// A validated network of stopwatch automata.
 ///
+/// Every automaton is an *instance*: a [`Frame`] binding one of the
+/// network's templates (see [`NetworkBuilder::template`]). Structure that
+/// all instances of a template share — locations, outgoing edges, the
+/// compiled programs before relocation — is stored and processed once per
+/// template; the expanded per-instance automata that
+/// [`automata`](Self::automata) returns are built on first use.
+///
 /// Construct through [`NetworkBuilder`]; the builder's
 /// [`build`](NetworkBuilder::build) performs all structural validation, so a
 /// `Network` value is always well-formed.
@@ -82,29 +89,48 @@ pub struct Network {
     pub(crate) vars: Vec<VarDecl>,
     pub(crate) arrays: Vec<ArrayDecl>,
     pub(crate) channels: Vec<ChannelDecl>,
-    pub(crate) automata: Vec<Automaton>,
+    pub(crate) templates: Vec<Template>,
+    /// One per automaton, indexed by [`AutomatonId`].
+    pub(crate) instances: Vec<Instance>,
     /// Offset of each array's cells in the flattened state vector
     /// (scalars first, then array cells in declaration order).
     pub(crate) array_offsets: Vec<usize>,
-    /// Per automaton, per location: outgoing edge ids (ascending).
-    pub(crate) outgoing: Vec<Vec<Vec<EdgeId>>>,
     /// Per channel: every receiving edge in the network, in canonical
     /// (automaton, edge) order.
     pub(crate) receivers: Vec<Vec<(AutomatonId, EdgeId)>>,
+    /// Lazily expanded instance automata (see [`Network::automata`]).
+    pub(crate) automata: OnceLock<Vec<Automaton>>,
     /// Lazily compiled bytecode form of every guard, invariant and update
     /// (see [`crate::bytecode`]); built at most once per network value.
     pub(crate) compiled: OnceLock<CompiledNetwork>,
 }
 
-/// Equality is over the declared model only; whether the bytecode cache
-/// has been populated is an evaluation detail.
+/// A template: an automaton whose clocks, variables and channels are
+/// local ids and whose per-instance constants are parameters.
+#[derive(Debug, Clone)]
+pub(crate) struct Template {
+    pub(crate) automaton: Automaton,
+    /// Per location: outgoing edge ids (ascending).
+    pub(crate) outgoing: Vec<Vec<EdgeId>>,
+}
+
+/// One automaton of a network: its template and the frame binding it.
+#[derive(Debug, Clone)]
+pub(crate) struct Instance {
+    pub(crate) template: usize,
+    pub(crate) frame: Frame,
+}
+
+/// Equality is over the declared model only (the expanded automata);
+/// how they are factored into templates, and whether the lazy caches are
+/// populated, are evaluation details.
 impl PartialEq for Network {
     fn eq(&self, other: &Self) -> bool {
         self.clocks == other.clocks
             && self.vars == other.vars
             && self.arrays == other.arrays
             && self.channels == other.channels
-            && self.automata == other.automata
+            && self.automata() == other.automata()
     }
 }
 
@@ -135,29 +161,112 @@ impl Network {
         &self.channels
     }
 
-    /// The automata of the network, indexed by [`AutomatonId`].
-    #[must_use]
+    /// The automata of the network, indexed by [`AutomatonId`]: each
+    /// instance's template with its ids renamed and its parameters bound.
+    /// Expanded on first use and cached for the lifetime of this value.
     pub fn automata(&self) -> &[Automaton] {
-        &self.automata
+        self.automata.get_or_init(|| {
+            self.instances
+                .iter()
+                .map(|i| {
+                    let t = &self.templates[i.template].automaton;
+                    t.rebind(&i.frame.binding(), i.frame.name.clone())
+                })
+                .collect()
+        })
     }
 
-    /// Returns an automaton by id.
+    /// Whether [`automata`](Self::automata) has already expanded the
+    /// instances (observability: the simulator's bytecode path never
+    /// needs them).
+    #[must_use]
+    pub fn is_materialized(&self) -> bool {
+        self.automata.get().is_some()
+    }
+
+    /// Returns an automaton by id (expanding the instances on first use).
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range.
     #[must_use]
     pub fn automaton(&self, id: AutomatonId) -> &Automaton {
-        &self.automata[id.index()]
+        &self.automata()[id.index()]
+    }
+
+    /// Number of automata.
+    #[must_use]
+    pub fn automaton_count(&self) -> usize {
+        self.instances.len()
+    }
+
+    /// Every automaton id, ascending.
+    pub fn automaton_ids(&self) -> impl Iterator<Item = AutomatonId> {
+        // `NetworkBuilder::instance` caps the count at the `u32` id space.
+        (0..u32::try_from(self.instances.len()).expect("automaton count fits u32"))
+            .map(AutomatonId::from_raw)
+    }
+
+    /// Name of an automaton.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    #[must_use]
+    pub fn automaton_name(&self, id: AutomatonId) -> &str {
+        &self.instances[id.index()].frame.name
     }
 
     /// Looks up an automaton id by name.
     #[must_use]
     pub fn automaton_by_name(&self, name: &str) -> Option<AutomatonId> {
-        self.automata
+        self.instances
             .iter()
-            .position(|a| a.name == name)
+            .position(|i| i.frame.name == name)
             .and_then(|i| u32::try_from(i).ok().map(AutomatonId::from_raw))
+    }
+
+    fn template(&self, id: AutomatonId) -> &Template {
+        &self.templates[self.instances[id.index()].template]
+    }
+
+    /// The template of an automaton.
+    pub(crate) fn template_of(&self, id: AutomatonId) -> &Automaton {
+        &self.template(id).automaton
+    }
+
+    /// The initial location of an automaton.
+    #[must_use]
+    pub fn initial_location(&self, id: AutomatonId) -> LocationId {
+        self.template_of(id).initial
+    }
+
+    /// Number of locations of an automaton.
+    #[must_use]
+    pub fn location_count(&self, id: AutomatonId) -> usize {
+        self.template_of(id).locations.len()
+    }
+
+    /// Whether a location of an automaton is committed.
+    #[must_use]
+    pub fn is_committed(&self, id: AutomatonId, location: LocationId) -> bool {
+        self.template_of(id).location(location).committed
+    }
+
+    /// The target location of an edge.
+    #[must_use]
+    pub fn edge_target(&self, id: AutomatonId, edge: EdgeId) -> LocationId {
+        self.template_of(id).edge(edge).to
+    }
+
+    /// The synchronization action of an edge, on network channels.
+    #[must_use]
+    pub fn edge_sync(&self, id: AutomatonId, edge: EdgeId) -> Sync {
+        let frame = &self.instances[id.index()].frame;
+        self.template_of(id)
+            .edge(edge)
+            .sync
+            .rebind(&frame.binding())
     }
 
     /// Looks up a channel id by name.
@@ -209,7 +318,7 @@ impl Network {
     /// Panics if either id is out of range.
     #[must_use]
     pub fn outgoing_edges(&self, automaton: AutomatonId, location: LocationId) -> &[EdgeId] {
-        &self.outgoing[automaton.index()][location.index()]
+        &self.template(automaton).outgoing[location.index()]
     }
 
     /// Every receiving edge on `channel`, in canonical (automaton, edge)
@@ -289,7 +398,8 @@ pub struct NetworkBuilder {
     vars: Vec<VarDecl>,
     arrays: Vec<ArrayDecl>,
     channels: Vec<ChannelDecl>,
-    automata: Vec<Automaton>,
+    templates: Vec<Automaton>,
+    instances: Vec<Instance>,
     /// Maximum number of items of each kind the builder accepts.
     capacity_limit: u64,
     /// First capacity overflow observed; declaring methods stay infallible
@@ -308,7 +418,8 @@ impl Default for NetworkBuilder {
             vars: Vec::new(),
             arrays: Vec::new(),
             channels: Vec::new(),
-            automata: Vec::new(),
+            templates: Vec::new(),
+            instances: Vec::new(),
             capacity_limit: ID_CAPACITY,
             capacity_error: None,
         }
@@ -422,10 +533,44 @@ impl NetworkBuilder {
         id
     }
 
-    /// Adds an automaton and returns its id.
+    /// Adds an automaton and returns its id. The automaton becomes its
+    /// own one-instance template, with the ids it names being network ids.
     pub fn automaton(&mut self, automaton: Automaton) -> AutomatonId {
-        let id = AutomatonId::from_raw(self.next_raw(self.automata.len(), "automata"));
-        self.automata.push(automaton);
+        let frame = Frame {
+            name: automaton.name.clone(),
+            ..Frame::default()
+        };
+        self.template(automaton);
+        self.push_instance(self.templates.len() - 1, frame)
+    }
+
+    /// Declares a template: an automaton whose clock, variable and channel
+    /// ids are local (resolved per instance through its [`Frame`]) and
+    /// whose per-instance constants are [`crate::expr::IntExpr::Param`]s.
+    /// Validation and bytecode compilation run once per template, and
+    /// each instance's programs are the template's, relocated.
+    pub fn template(&mut self, skeleton: Automaton) -> TemplateId {
+        let id = TemplateId::from_raw(self.next_raw(self.templates.len(), "automata"));
+        self.templates.push(skeleton);
+        id
+    }
+
+    /// Adds an instance of a template and returns its automaton id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `template` was not declared by this builder.
+    pub fn instance(&mut self, template: TemplateId, frame: Frame) -> AutomatonId {
+        assert!(
+            template.index() < self.templates.len(),
+            "unknown template {template}"
+        );
+        self.push_instance(template.index(), frame)
+    }
+
+    fn push_instance(&mut self, template: usize, frame: Frame) -> AutomatonId {
+        let id = AutomatonId::from_raw(self.next_raw(self.instances.len(), "automata"));
+        self.instances.push(Instance { template, frame });
         id
     }
 
@@ -439,6 +584,9 @@ impl NetworkBuilder {
     ///   location/clock/variable/array/channel that does not exist;
     /// * any variable domain is empty or an initial value is out of domain;
     /// * any expression still contains unbound template parameters;
+    /// * two instances of one template bind different numbers of
+    ///   parameters, clocks, variables or channels
+    ///   ([`BuildError::FrameShape`]);
     /// * more items of one kind were declared than ids can address
     ///   ([`BuildError::CapacityExceeded`]).
     pub fn build(self) -> Result<Network, BuildError> {
@@ -449,40 +597,38 @@ impl NetworkBuilder {
             kind: "edges",
             limit: self.capacity_limit,
         };
-        for a in &self.automata {
-            if u64::try_from(a.edges.len()).map_or(true, |n| n > self.capacity_limit) {
-                return Err(edge_cap);
-            }
-        }
         let mut array_offsets = Vec::with_capacity(self.arrays.len());
         let mut offset = self.vars.len();
         for a in &self.arrays {
             array_offsets.push(offset);
             offset += a.init.len();
         }
-        let mut outgoing: Vec<Vec<Vec<EdgeId>>> = Vec::with_capacity(self.automata.len());
-        for a in &self.automata {
-            let mut per_loc: Vec<Vec<EdgeId>> = vec![Vec::new(); a.locations.len()];
+        let mut templates = Vec::with_capacity(self.templates.len());
+        for a in self.templates {
+            if u64::try_from(a.edges.len()).map_or(true, |n| n > self.capacity_limit) {
+                return Err(edge_cap);
+            }
+            let mut outgoing: Vec<Vec<EdgeId>> = vec![Vec::new(); a.locations.len()];
             for (ei, e) in a.edges.iter().enumerate() {
-                if let Some(v) = per_loc.get_mut(e.from.index()) {
+                if let Some(v) = outgoing.get_mut(e.from.index()) {
                     v.push(EdgeId::from_raw(
                         u32::try_from(ei).map_err(|_| edge_cap.clone())?,
                     ));
                 }
             }
-            outgoing.push(per_loc);
+            templates.push(Template {
+                automaton: a,
+                outgoing,
+            });
         }
-        let automaton_cap = BuildError::CapacityExceeded {
-            kind: "automata",
-            limit: self.capacity_limit,
-        };
         let mut receivers: Vec<Vec<(AutomatonId, EdgeId)>> = vec![Vec::new(); self.channels.len()];
-        for (ai, a) in self.automata.iter().enumerate() {
-            let aid =
-                AutomatonId::from_raw(u32::try_from(ai).map_err(|_| automaton_cap.clone())?);
-            for (ei, e) in a.edges.iter().enumerate() {
-                if let crate::automaton::Sync::Recv(ch) = e.sync {
-                    if let Some(v) = receivers.get_mut(ch.index()) {
+        for (ai, inst) in self.instances.iter().enumerate() {
+            // `instance` already capped the automaton count below `u32::MAX`.
+            let aid = AutomatonId::from_raw(u32::try_from(ai).unwrap_or(u32::MAX));
+            let binding = inst.frame.binding();
+            for (ei, e) in templates[inst.template].automaton.edges.iter().enumerate() {
+                if let Sync::Recv(ch) = e.sync {
+                    if let Some(v) = receivers.get_mut(binding.channel(ch).index()) {
                         v.push((
                             aid,
                             EdgeId::from_raw(u32::try_from(ei).map_err(|_| edge_cap.clone())?),
@@ -496,14 +642,38 @@ impl NetworkBuilder {
             vars: self.vars,
             arrays: self.arrays,
             channels: self.channels,
-            automata: self.automata,
+            templates,
+            instances: self.instances,
             array_offsets,
-            outgoing,
             receivers,
+            automata: OnceLock::new(),
             compiled: OnceLock::new(),
         };
         validate(&network)?;
         Ok(network)
+    }
+}
+
+/// How many ids of each kind (and parameters) a template may use, as
+/// bound by one instance's frame: the frame's table length, or the
+/// network's declaration count where the table is empty (network ids).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Limits {
+    clocks: usize,
+    vars: usize,
+    channels: usize,
+    params: usize,
+}
+
+impl Limits {
+    fn of(frame: &Frame, n: &Network) -> Self {
+        let or = |table: usize, declared: usize| if table == 0 { declared } else { table };
+        Self {
+            clocks: or(frame.clocks.len(), n.clocks.len()),
+            vars: or(frame.vars.len(), n.vars.len()),
+            channels: or(frame.channels.len(), n.channels.len()),
+            params: frame.params.len(),
+        }
     }
 }
 
@@ -540,87 +710,119 @@ fn validate(n: &Network) -> Result<(), BuildError> {
         }
     }
 
-    // Automata structure.
-    let mut names = HashMap::new();
-    for (ai, a) in n.automata.iter().enumerate() {
+    // Instances: names and frames per instance, template structure once
+    // per template (against the first instance's limits, which every
+    // later instance must share).
+    let mut names = HashSet::with_capacity(n.instances.len());
+    let mut checked: Vec<Option<Limits>> = vec![None; n.templates.len()];
+    for (ai, inst) in n.instances.iter().enumerate() {
         let aid =
             AutomatonId::from_raw(u32::try_from(ai).map_err(|_| BuildError::CapacityExceeded {
                 kind: "automata",
                 limit: ID_CAPACITY,
             })?);
+        let a = &n.templates[inst.template].automaton;
         if a.locations.is_empty() {
             return Err(BuildError::EmptyAutomaton(aid));
         }
-        if names.insert(a.name.clone(), aid).is_some() {
-            return Err(BuildError::DuplicateAutomatonName(a.name.clone()));
+        if !names.insert(inst.frame.name.as_str()) {
+            return Err(BuildError::DuplicateAutomatonName(inst.frame.name.clone()));
         }
-        if a.initial.index() >= a.locations.len() {
-            return Err(BuildError::UnknownLocation {
-                automaton: aid,
-                location: a.initial,
-            });
+        for &c in &inst.frame.clocks {
+            check_clock(n.clocks.len(), c)?;
         }
-        for l in &a.locations {
-            for atom in &l.invariant.atoms {
-                check_clock(n, atom.clock)?;
-                check_int_expr(n, &atom.rhs, &format!("invariant of {}", a.name))?;
-            }
-            if let Some(p) = l.invariant.max_param() {
-                return Err(BuildError::UnboundParam {
-                    param: p,
-                    context: format!("invariant in automaton {}", a.name),
-                });
+        for &v in &inst.frame.vars {
+            check_var(n.vars.len(), v)?;
+        }
+        for &ch in &inst.frame.channels {
+            if ch.index() >= n.channels.len() {
+                return Err(BuildError::UnknownChannel(ch.raw()));
             }
         }
-        for e in &a.edges {
-            if e.from.index() >= a.locations.len() {
-                return Err(BuildError::UnknownLocation {
-                    automaton: aid,
-                    location: e.from,
-                });
-            }
-            if e.to.index() >= a.locations.len() {
-                return Err(BuildError::UnknownLocation {
-                    automaton: aid,
-                    location: e.to,
-                });
-            }
-            if let Some(ch) = e.sync.channel() {
-                if ch.index() >= n.channels.len() {
-                    return Err(BuildError::UnknownChannel(ch.raw()));
-                }
-            }
-            let ctx = format!("edge {} -> {} of {}", e.from, e.to, a.name);
-            for p in &e.guard.preds {
-                check_pred(n, p, &ctx)?;
-            }
-            for atom in &e.guard.clock_atoms {
-                check_clock(n, atom.clock)?;
-                check_int_expr(n, &atom.rhs, &ctx)?;
-            }
-            for u in &e.updates {
-                check_update(n, u, &ctx)?;
-            }
-            if let Some(p) = e.max_param() {
-                return Err(BuildError::UnboundParam {
-                    param: p,
-                    context: ctx,
-                });
+        let limits = Limits::of(&inst.frame, n);
+        match checked[inst.template] {
+            Some(first) if first == limits => {}
+            Some(_) => return Err(BuildError::FrameShape { automaton: aid }),
+            None => {
+                validate_template(n, a, limits, aid, &inst.frame.name)?;
+                checked[inst.template] = Some(limits);
             }
         }
     }
     Ok(())
 }
 
-fn check_clock(n: &Network, c: ClockId) -> Result<(), BuildError> {
-    if c.index() >= n.clocks.len() {
+/// Structural checks of one template against the ids and parameters its
+/// instances bind. Error contexts name the first instance, `name`.
+fn validate_template(
+    n: &Network,
+    a: &Automaton,
+    lim: Limits,
+    aid: AutomatonId,
+    name: &str,
+) -> Result<(), BuildError> {
+    if a.initial.index() >= a.locations.len() {
+        return Err(BuildError::UnknownLocation {
+            automaton: aid,
+            location: a.initial,
+        });
+    }
+    let unbound = |p: Option<u32>| p.filter(|&p| p as usize >= lim.params);
+    for l in &a.locations {
+        for atom in &l.invariant.atoms {
+            check_clock(lim.clocks, atom.clock)?;
+            check_int_expr(n, lim, &atom.rhs)?;
+        }
+        if let Some(p) = unbound(l.invariant.max_param()) {
+            return Err(BuildError::UnboundParam {
+                param: p,
+                context: format!("invariant in automaton {name}"),
+            });
+        }
+    }
+    for e in &a.edges {
+        for location in [e.from, e.to] {
+            if location.index() >= a.locations.len() {
+                return Err(BuildError::UnknownLocation {
+                    automaton: aid,
+                    location,
+                });
+            }
+        }
+        if let Some(ch) = e.sync.channel() {
+            if ch.index() >= lim.channels {
+                return Err(BuildError::UnknownChannel(ch.raw()));
+            }
+        }
+        for p in &e.guard.preds {
+            check_pred(n, lim, p)?;
+        }
+        for atom in &e.guard.clock_atoms {
+            check_clock(lim.clocks, atom.clock)?;
+            check_int_expr(n, lim, &atom.rhs)?;
+        }
+        for u in &e.updates {
+            check_update(n, lim, u)?;
+        }
+        if let Some(p) = unbound(e.max_param()) {
+            return Err(BuildError::UnboundParam {
+                param: p,
+                context: format!("edge {} -> {} of {name}", e.from, e.to),
+            });
+        }
+    }
+    Ok(())
+}
+
+fn check_clock(count: usize, c: ClockId) -> Result<(), BuildError> {
+    if c.index() >= count {
         return Err(BuildError::UnknownClock(c));
     }
     Ok(())
 }
 
-fn check_var(n: &Network, v: VarId) -> Result<(), BuildError> {
-    if v.index() >= n.vars.len() {
+fn check_var(count: usize, v: VarId) -> Result<(), BuildError> {
+    if v.index() >= count {
         return Err(BuildError::UnknownVar(v));
     }
     Ok(())
@@ -633,15 +835,15 @@ fn check_array(n: &Network, a: ArrayId) -> Result<(), BuildError> {
     Ok(())
 }
 
-fn check_int_expr(n: &Network, e: &IntExpr, ctx: &str) -> Result<(), BuildError> {
+fn check_int_expr(n: &Network, lim: Limits, e: &IntExpr) -> Result<(), BuildError> {
     match e {
         IntExpr::Lit(_) | IntExpr::Param(_) | IntExpr::Bound(_) => Ok(()),
-        IntExpr::Var(v) => check_var(n, *v),
+        IntExpr::Var(v) => check_var(lim.vars, *v),
         IntExpr::Elem(a, idx) => {
             check_array(n, *a)?;
-            check_int_expr(n, idx, ctx)
+            check_int_expr(n, lim, idx)
         }
-        IntExpr::Neg(a) => check_int_expr(n, a, ctx),
+        IntExpr::Neg(a) => check_int_expr(n, lim, a),
         IntExpr::Add(a, b)
         | IntExpr::Sub(a, b)
         | IntExpr::Mul(a, b)
@@ -649,60 +851,62 @@ fn check_int_expr(n: &Network, e: &IntExpr, ctx: &str) -> Result<(), BuildError>
         | IntExpr::Rem(a, b)
         | IntExpr::Min(a, b)
         | IntExpr::Max(a, b) => {
-            check_int_expr(n, a, ctx)?;
-            check_int_expr(n, b, ctx)
+            check_int_expr(n, lim, a)?;
+            check_int_expr(n, lim, b)
         }
         IntExpr::Ite(p, t, e2) => {
-            check_pred(n, p, ctx)?;
-            check_int_expr(n, t, ctx)?;
-            check_int_expr(n, e2, ctx)
+            check_pred(n, lim, p)?;
+            check_int_expr(n, lim, t)?;
+            check_int_expr(n, lim, e2)
         }
     }
 }
 
-fn check_pred(n: &Network, p: &Pred, ctx: &str) -> Result<(), BuildError> {
+fn check_pred(n: &Network, lim: Limits, p: &Pred) -> Result<(), BuildError> {
     match p {
         Pred::Lit(_) => Ok(()),
         Pred::Cmp(_, a, b) => {
-            check_int_expr(n, a, ctx)?;
-            check_int_expr(n, b, ctx)
+            check_int_expr(n, lim, a)?;
+            check_int_expr(n, lim, b)
         }
-        Pred::Not(inner) => check_pred(n, inner, ctx),
+        Pred::Not(inner) => check_pred(n, lim, inner),
         Pred::And(ps) | Pred::Or(ps) => {
             for q in ps {
-                check_pred(n, q, ctx)?;
+                check_pred(n, lim, q)?;
             }
             Ok(())
         }
         Pred::ForAll { lo, hi, body } | Pred::Exists { lo, hi, body } => {
-            check_int_expr(n, lo, ctx)?;
-            check_int_expr(n, hi, ctx)?;
-            check_pred(n, body, ctx)
+            check_int_expr(n, lim, lo)?;
+            check_int_expr(n, lim, hi)?;
+            check_pred(n, lim, body)
         }
     }
 }
 
-fn check_update(n: &Network, u: &Update, ctx: &str) -> Result<(), BuildError> {
+fn check_update(n: &Network, lim: Limits, u: &Update) -> Result<(), BuildError> {
     match u {
         Update::Assign { target, value } => {
             match target {
-                LValue::Var(v) => check_var(n, *v)?,
+                LValue::Var(v) => check_var(lim.vars, *v)?,
                 LValue::Elem(a, idx) => {
                     check_array(n, *a)?;
-                    check_int_expr(n, idx, ctx)?;
+                    check_int_expr(n, lim, idx)?;
                 }
             }
-            check_int_expr(n, value, ctx)
+            check_int_expr(n, lim, value)
         }
-        Update::ResetClock(c) | Update::StopClock(c) | Update::StartClock(c) => check_clock(n, *c),
+        Update::ResetClock(c) | Update::StopClock(c) | Update::StartClock(c) => {
+            check_clock(lim.clocks, *c)
+        }
         Update::If {
             cond,
             then,
             otherwise,
         } => {
-            check_pred(n, cond, ctx)?;
+            check_pred(n, lim, cond)?;
             for u in then.iter().chain(otherwise) {
-                check_update(n, u, ctx)?;
+                check_update(n, lim, u)?;
             }
             Ok(())
         }
@@ -900,5 +1104,63 @@ mod tests {
         b.edge(Edge::new(l0, l0).with_update(Update::ResetClock(ClockId::from_raw(3))));
         nb.automaton(b.finish(l0));
         assert!(matches!(nb.build(), Err(BuildError::UnknownClock(_))));
+    }
+
+    /// A receiver template: local channel 0, local clock 0, parameter 0.
+    fn receiver_template(nb: &mut NetworkBuilder) -> TemplateId {
+        let mut b = AutomatonBuilder::new("t");
+        let l0 = b.location("l0");
+        b.edge(
+            Edge::new(l0, l0)
+                .with_guard(Guard::when(IntExpr::param(ParamId::from_raw(0)).gt(0)))
+                .with_sync(Sync::Recv(ChannelId::from_raw(0)))
+                .with_update(Update::ResetClock(ClockId::from_raw(0))),
+        );
+        nb.template(b.finish(l0))
+    }
+
+    fn frame(name: &str, clocks: Vec<ClockId>, channel: ChannelId, param: i64) -> Frame {
+        Frame {
+            name: name.into(),
+            params: vec![param],
+            clocks,
+            vars: Vec::new(),
+            channels: vec![channel],
+        }
+    }
+
+    #[test]
+    fn instances_bind_ids_and_parameters_through_their_frames() {
+        let mut nb = NetworkBuilder::new();
+        let (c0, c1) = (nb.clock("c0"), nb.clock("c1"));
+        let (ch0, ch1) = (nb.broadcast_channel("go0"), nb.broadcast_channel("go1"));
+        let t = receiver_template(&mut nb);
+        let a = nb.instance(t, frame("a", vec![c1], ch1, 5));
+        let b = nb.instance(t, frame("b", vec![c0], ch0, 7));
+        let n = nb.build().unwrap();
+        let e0 = EdgeId::from_raw(0);
+        assert_eq!(n.receivers_on(ch1), &[(a, e0)]);
+        assert_eq!(n.edge_sync(b, e0), Sync::Recv(ch0));
+        assert_eq!(n.automaton_by_name("b"), Some(b));
+        assert!(!n.is_materialized());
+        let expanded = n.automaton(a);
+        assert_eq!(expanded.name, "a");
+        assert_eq!(expanded.edges[0].updates, vec![Update::ResetClock(c1)]);
+        assert_eq!(expanded.edges[0].max_param(), None);
+        assert!(n.is_materialized());
+    }
+
+    #[test]
+    fn instances_of_one_template_share_a_frame_shape() {
+        let mut nb = NetworkBuilder::new();
+        let (c0, c1) = (nb.clock("c0"), nb.clock("c1"));
+        let ch = nb.broadcast_channel("go");
+        let t = receiver_template(&mut nb);
+        nb.instance(t, frame("a", vec![c0], ch, 1));
+        let b = nb.instance(t, frame("b", vec![c0, c1], ch, 1));
+        assert_eq!(
+            nb.build().unwrap_err(),
+            BuildError::FrameShape { automaton: b }
+        );
     }
 }

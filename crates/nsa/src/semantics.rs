@@ -92,17 +92,13 @@ impl Transition {
 #[must_use]
 pub fn any_committed(network: &Network, state: &State) -> bool {
     network
-        .automata()
-        .iter()
+        .automaton_ids()
         .zip(&state.locations)
-        .any(|(a, &l)| a.location(l).committed)
+        .any(|(a, &l)| network.is_committed(a, l))
 }
 
 fn committed_at(network: &Network, state: &State, a: AutomatonId) -> bool {
-    network
-        .automaton(a)
-        .location(state.location_of(a))
-        .committed
+    network.is_committed(a, state.location_of(a))
 }
 
 /// A transition respects committedness if either no automaton is committed,
@@ -273,8 +269,7 @@ pub fn apply_with(
     engine: EvalEngine,
 ) -> Result<(), SimError> {
     for (aid, eid) in transition.participants() {
-        let edge = network.automaton(aid).edge(eid);
-        state.locations[aid.index()] = edge.to;
+        state.locations[aid.index()] = network.edge_target(aid, eid);
         bytecode::run_edge_updates(network, engine, aid, eid, state)?;
     }
     // Check invariants of all target locations in the post-state.

@@ -713,13 +713,10 @@ impl<'n> SimSession<'n> {
 }
 
 fn committed_automaton(network: &Network, state: &State) -> AutomatonId {
-    for (i, a) in network.automata().iter().enumerate() {
-        let aid = AutomatonId::from_raw(u32::try_from(i).expect("automaton count fits u32"));
-        if a.location(state.location_of(aid)).committed {
-            return aid;
-        }
-    }
-    AutomatonId::from_raw(0)
+    network
+        .automaton_ids()
+        .find(|&aid| network.is_committed(aid, state.location_of(aid)))
+        .unwrap_or(AutomatonId::from_raw(0))
 }
 
 fn first_bounded_automaton(network: &Network, state: &State) -> AutomatonId {

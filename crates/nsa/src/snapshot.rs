@@ -143,22 +143,21 @@ impl Snapshot {
     /// [`SnapshotError::LocationOutOfRange`] when the snapshot was taken of
     /// a structurally different network.
     pub fn validate(&self, network: &Network) -> Result<(), SnapshotError> {
-        let automata = network.automata();
-        if self.state.locations.len() != automata.len() {
+        let automata = network.automaton_count();
+        if self.state.locations.len() != automata {
             return Err(SnapshotError::NetworkMismatch {
                 field: "locations",
-                expected: automata.len(),
+                expected: automata,
                 found: self.state.locations.len(),
             });
         }
-        for (i, (automaton, location)) in
-            automata.iter().zip(&self.state.locations).enumerate()
-        {
-            if location.index() >= automaton.locations.len() {
+        for (i, location) in self.state.locations.iter().enumerate() {
+            let automaton = crate::ids::AutomatonId::from_raw(
+                u32::try_from(i).expect("automaton count fits u32"),
+            );
+            if location.index() >= network.location_count(automaton) {
                 return Err(SnapshotError::LocationOutOfRange {
-                    automaton: crate::ids::AutomatonId::from_raw(
-                        u32::try_from(i).expect("automaton count fits u32"),
-                    ),
+                    automaton,
                     location: *location,
                 });
             }

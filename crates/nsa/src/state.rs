@@ -65,7 +65,10 @@ impl State {
     /// values, time zero.
     #[must_use]
     pub fn initial(network: &Network) -> Self {
-        let locations = network.automata().iter().map(|a| a.initial).collect();
+        let locations = network
+            .automaton_ids()
+            .map(|a| network.initial_location(a))
+            .collect();
         let n = network.clocks().len();
         let mut stopped = vec![0u64; n.div_ceil(64)];
         for (i, c) in network.clocks().iter().enumerate() {

@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use crate::expr::{IntExpr, Pred};
+use crate::expr::{Binding, IntExpr, Pred};
 use crate::ids::{ArrayId, ClockId, VarId};
 
 /// Target of an assignment: a scalar variable or an array element.
@@ -93,25 +93,30 @@ impl Update {
     /// Substitutes template parameters in every contained expression.
     #[must_use]
     pub fn bind_params(&self, params: &[i64]) -> Self {
+        self.rebind(&Binding::params(params))
+    }
+
+    /// Binds parameters and renames variables and clocks.
+    pub(crate) fn rebind(&self, b: &Binding<'_>) -> Self {
         match self {
             Self::Assign { target, value } => Self::Assign {
                 target: match target {
-                    LValue::Var(v) => LValue::Var(*v),
-                    LValue::Elem(a, idx) => LValue::Elem(*a, Box::new(idx.bind_params(params))),
+                    LValue::Var(v) => LValue::Var(b.var(*v)),
+                    LValue::Elem(a, idx) => LValue::Elem(*a, Box::new(idx.rebind(b))),
                 },
-                value: value.bind_params(params),
+                value: value.rebind(b),
             },
-            Self::ResetClock(c) => Self::ResetClock(*c),
-            Self::StopClock(c) => Self::StopClock(*c),
-            Self::StartClock(c) => Self::StartClock(*c),
+            Self::ResetClock(c) => Self::ResetClock(b.clock(*c)),
+            Self::StopClock(c) => Self::StopClock(b.clock(*c)),
+            Self::StartClock(c) => Self::StartClock(b.clock(*c)),
             Self::If {
                 cond,
                 then,
                 otherwise,
             } => Self::If {
-                cond: cond.bind_params(params),
-                then: then.iter().map(|u| u.bind_params(params)).collect(),
-                otherwise: otherwise.iter().map(|u| u.bind_params(params)).collect(),
+                cond: cond.rebind(b),
+                then: then.iter().map(|u| u.rebind(b)).collect(),
+                otherwise: otherwise.iter().map(|u| u.rebind(b)).collect(),
             },
         }
     }
