@@ -240,13 +240,14 @@ impl SystemModel {
         // Shared arrays (the general model's shared variables).
         let priorities: Vec<i64> = config.tasks().map(|(_, t)| t.priority).collect();
         let max_prio = priorities.iter().copied().max().unwrap_or(0);
+        // Job k releases at `k · P + O` until the horizon, so a
+        // short-period task keeps releasing through the `max_offset`
+        // extension; plus one slot of slack.
         let max_releases = config
             .tasks()
-            .map(|(_, t)| hyperperiod / t.period)
+            .map(|(_, t)| (horizon - 1 - t.offset) / t.period + 2)
             .max()
-            .unwrap_or(0)
-            * span
-            + 2;
+            .unwrap_or(2);
         let is_ready = nb.array("is_ready", vec![0; task_count], 0, 1);
         let is_failed = nb.array("is_failed", vec![0; task_count], 0, 1);
         let prio = nb.array("prio", priorities, 0, max_prio);

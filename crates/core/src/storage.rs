@@ -1439,6 +1439,8 @@ mod tests {
         let stats = store.disk_stats();
         assert_eq!(stats.disk_hits, 5);
         assert_eq!(stats.promotions, 5);
+        assert_eq!(stats.torn_drops, 0, "a clean shutdown loses nothing");
+        assert_eq!(stats.errors, 0, "no absorbed I/O errors");
         // Promoted: the second lookup is a pure memory hit.
         assert!(store.lookup(&reqs[0]).is_some());
         assert_eq!(store.disk_stats().disk_hits, 5, "no extra disk read");

@@ -8,6 +8,11 @@
 use swa_core::{Analyzer, EvalEngine, SystemModel};
 use swa_ima::Configuration;
 use swa_nsa::sim::{SimOutcome, Simulator, TieBreak};
+use swa_nsa::state::EnvView;
+use swa_nsa::{
+    ArrayId, AutomatonBuilder, AutomatonId, Edge, EdgeId, Network, NetworkBuilder, SimError,
+    State, Update,
+};
 use swa_workload::{config_with_jobs, industrial_config, table1_config, IndustrialSpec, Rng64};
 
 /// Runs both engines through the full pipeline and asserts identical
@@ -122,5 +127,83 @@ fn engines_and_fast_path_agree_on_randomized_workloads() {
         if i % 5 == 0 {
             assert_engines_agree(&config, &label);
         }
+    }
+}
+
+/// A domain-respecting "busy" state: every scalar and array cell clamped
+/// to 1. Job-ready and data-ready flags come up, so the scheduler-dispatch
+/// quantifiers iterate instead of short-circuiting on the first conjunct,
+/// as they do mid-simulation.
+fn busy_state(network: &Network) -> State {
+    let mut state = State::initial(network);
+    for (slot, decl) in network.vars().iter().enumerate() {
+        state.vars[slot] = 1i64.clamp(decl.min, decl.max);
+    }
+    for (ai, decl) in network.arrays().iter().enumerate() {
+        let id = ArrayId::from_raw(u32::try_from(ai).expect("fits"));
+        let base = network.array_offset(id);
+        for k in 0..network.array_len(id) {
+            state.vars[base + k] = 1i64.clamp(decl.min, decl.max);
+        }
+    }
+    state
+}
+
+/// Evaluates every edge guard of the network in `state` with both engines
+/// and asserts the same truth value, or the same error; returns how many
+/// guards evaluated without error.
+fn assert_guards_agree(network: &Network, state: &State, label: &str) -> usize {
+    let compiled = network.compiled();
+    let view = EnvView { network, state };
+    let mut evaluated = 0;
+    for (ai, a) in network.automata().iter().enumerate() {
+        let aid = AutomatonId::from_raw(u32::try_from(ai).expect("fits"));
+        for (ei, e) in a.edges.iter().enumerate() {
+            let eid = EdgeId::from_raw(u32::try_from(ei).expect("fits"));
+            let ast = e.guard.holds(&view, &view);
+            let bc = compiled.guard(aid, eid).holds(state);
+            assert_eq!(ast, bc, "{label}: guard of automaton {ai} edge {ei} diverges");
+            evaluated += usize::from(ast.is_ok());
+        }
+    }
+    evaluated
+}
+
+#[test]
+fn engines_agree_on_every_edge_guard() {
+    let model = SystemModel::build(&config_with_jobs(300, 1)).expect("valid generated config");
+    let network = model.network();
+    let guards: usize = network.automata().iter().map(|a| a.edges.len()).sum();
+    for (label, state) in [
+        ("initial", State::initial(network)),
+        ("busy", busy_state(network)),
+    ] {
+        let evaluated = assert_guards_agree(network, &state, label);
+        assert!(
+            evaluated * 2 > guards,
+            "{label}: only {evaluated} of {guards} guards evaluated"
+        );
+    }
+}
+
+#[test]
+fn engines_report_the_same_array_domain_violation() {
+    let mut nb = NetworkBuilder::new();
+    let arr = nb.array("arr", vec![0; 3], 0, 12);
+    let mut a = AutomatonBuilder::new("overflow");
+    let l0 = a.location("l0");
+    let l1 = a.location("l1");
+    a.edge(Edge::new(l0, l1).with_update(Update::set_elem(arr, 2, 13)));
+    nb.automaton(a.finish(l0));
+    let network = nb.build().expect("valid network");
+    let expected = SimError::ArrayDomainViolation {
+        array: arr.raw(),
+        index: 2,
+        value: 13,
+        domain: (0, 12),
+    };
+    for engine in [EvalEngine::Ast, EvalEngine::Bytecode] {
+        let err = Simulator::new(&network).horizon(10).engine(engine).run().unwrap_err();
+        assert_eq!(err, expected, "{engine:?}");
     }
 }

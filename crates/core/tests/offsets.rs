@@ -157,3 +157,21 @@ fn offset_models_verify_and_export() {
     let xml = swa_nsa::uppaal::network_to_uppaal(model.network()).unwrap();
     assert!(xml.contains("<nta>"));
 }
+
+#[test]
+fn offset_extension_of_the_horizon_stays_inside_the_release_domain() {
+    // The horizon runs to `L + max_offset + 1 = 151`, so `fast` releases
+    // 16 times, not the `L / P + 1 = 11` of a zero-offset model.
+    let config = one_core_config(
+        vec![
+            Task::new("fast", 2, vec![1], 10),
+            Task::new("slow", 1, vec![5], 100).with_offset(50),
+        ],
+        100,
+    );
+    let report = analyze_configuration(&config).unwrap();
+    assert!(report.schedulable(), "{}", report.analysis.summary());
+    let slow = report.analysis.jobs.iter().find(|j| j.task == tr(1)).unwrap();
+    assert_eq!(slow.release, 50);
+    assert_eq!(slow.intervals, vec![(51, 56)]);
+}

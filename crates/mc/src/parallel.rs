@@ -290,7 +290,7 @@ mod tests {
         let config = table1_config(6);
         let model = SystemModel::build(&config).unwrap();
         let seq = check_schedulable_mc(&model).unwrap();
-        for threads in [1, 2, 4] {
+        for threads in [1, 2, 4, 8] {
             let par = check_schedulable_mc_parallel(&model, threads).unwrap();
             assert_eq!(par.schedulable, seq.schedulable, "{threads} threads");
             // Same reachable set (exploration order differs, the set does

@@ -29,7 +29,7 @@
 //! (left-to-right, except `Div`/`Rem` which check the divisor *before*
 //! evaluating the dividend), short-circuit order of `And`/`Or`, the
 //! [`MAX_QUANTIFIER_RANGE`] check before the first loop iteration, and the
-//! precedence of `IndexOutOfBounds` over `DomainViolation` in array
+//! precedence of `IndexOutOfBounds` over `ArrayDomainViolation` in array
 //! assignments. The differential test-suite asserts trace equality between
 //! the two engines on every fixture and on randomized workloads.
 
@@ -1121,8 +1121,9 @@ fn run<E: Env>(code: &[Op], env: &mut E, vm: &mut Vm) -> Result<(), SimError> {
                     }));
                 };
                 if value < min || value > max {
-                    return Err(SimError::DomainViolation {
-                        var: VarId::from_raw(u32::MAX),
+                    return Err(SimError::ArrayDomainViolation {
+                        array,
+                        index: i,
                         value,
                         domain: (min, max),
                     });

@@ -195,6 +195,18 @@ pub enum SimError {
         /// The declared inclusive domain.
         domain: (i64, i64),
     },
+    /// An assignment drove an array cell outside the array's declared
+    /// domain.
+    ArrayDomainViolation {
+        /// The assigned array.
+        array: u32,
+        /// The assigned cell.
+        index: usize,
+        /// The offending value.
+        value: i64,
+        /// The declared inclusive domain.
+        domain: (i64, i64),
+    },
     /// More than [`crate::sim::Simulator::max_steps_per_instant`] action
     /// transitions fired without time advancing — the model is Zeno.
     ZenoViolation {
@@ -246,6 +258,16 @@ impl fmt::Display for SimError {
             Self::DomainViolation { var, value, domain } => write!(
                 f,
                 "assignment of {value} to {var} violates domain [{}, {}]",
+                domain.0, domain.1
+            ),
+            Self::ArrayDomainViolation {
+                array,
+                index,
+                value,
+                domain,
+            } => write!(
+                f,
+                "assignment of {value} to a{array}[{index}] violates domain [{}, {}]",
                 domain.0, domain.1
             ),
             Self::ZenoViolation { time, limit } => write!(

@@ -240,9 +240,9 @@ impl State {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Eval`] if an expression fails to evaluate and
-    /// [`SimError::DomainViolation`] if an assignment leaves the declared
-    /// domain.
+    /// Returns [`SimError::Eval`] if an expression fails to evaluate, and
+    /// [`SimError::DomainViolation`] or [`SimError::ArrayDomainViolation`]
+    /// if an assignment leaves the declared domain.
     pub fn apply_update(&mut self, network: &Network, update: &Update) -> Result<(), SimError> {
         match update {
             Update::Assign { target, value } => {
@@ -283,8 +283,9 @@ impl State {
                         };
                         let decl = &network.arrays()[a.index()];
                         if value < decl.min || value > decl.max {
-                            return Err(SimError::DomainViolation {
-                                var: VarId::from_raw(u32::MAX),
+                            return Err(SimError::ArrayDomainViolation {
+                                array: a.raw(),
+                                index: i,
                                 value,
                                 domain: (decl.min, decl.max),
                             });
@@ -542,9 +543,17 @@ mod tests {
             SimError::Eval(EvalError::IndexOutOfBounds { .. })
         ));
         let err = s
-            .apply_update(&n, &Update::set_elem(a, 0, 101))
+            .apply_update(&n, &Update::set_elem(a, 2, 101))
             .unwrap_err();
-        assert!(matches!(err, SimError::DomainViolation { .. }));
+        assert_eq!(
+            err,
+            SimError::ArrayDomainViolation {
+                array: 0,
+                index: 2,
+                value: 101,
+                domain: (0, 100),
+            }
+        );
     }
 
     #[test]

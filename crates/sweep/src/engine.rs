@@ -517,6 +517,28 @@ mod tests {
         }
     }
 
+    /// Two independent one-core modules, so compositional analysis
+    /// decomposes them.
+    fn two_module_config() -> Configuration {
+        Configuration {
+            core_types: vec![CoreType::new("ct")],
+            modules: vec![
+                Module::homogeneous("M1", 1, CoreTypeId::from_raw(0)),
+                Module::homogeneous("M2", 1, CoreTypeId::from_raw(0)),
+            ],
+            partitions: vec![
+                Partition::new("P1", SchedulerKind::Fpps, vec![Task::new("t", 1, vec![10], 50)]),
+                Partition::new("P2", SchedulerKind::Fpps, vec![Task::new("u", 1, vec![15], 50)]),
+            ],
+            binding: vec![
+                CoreRef::new(ModuleId::from_raw(0), 0),
+                CoreRef::new(ModuleId::from_raw(1), 0),
+            ],
+            windows: vec![vec![Window::new(0, 50)], vec![Window::new(0, 50)]],
+            messages: vec![],
+        }
+    }
+
     /// Two same-period tasks connected by a message (the chain fixture).
     fn chain_config() -> Configuration {
         Configuration {
@@ -588,22 +610,38 @@ mod tests {
 
     #[test]
     fn verdict_cache_serves_a_fresh_engine() {
+        let sweep = |engine: &mut SweepEngine| {
+            crate::run_sweep(engine, Axis::WcetScale, true, |_| {}, || false).unwrap()
+        };
+        let config = two_module_config();
+        let cold = sweep(&mut SweepEngine::new(config.clone(), SweepOptions::default()).unwrap());
+
         let cache: Arc<dyn VerdictCache> = Arc::new(ShardedVerdictCache::new(1 << 22));
+        let checkpoints: Arc<dyn CheckpointStore> = Arc::new(ShardedCheckpointStore::new(1 << 22));
+        let shared = SweepOptions {
+            compositional: true,
+            ..SweepOptions::default()
+        };
         let recorder = Arc::new(MetricsRecorder::new());
-        let mut first = SweepEngine::new(light_config(), SweepOptions::default())
+        let mut first = SweepEngine::new(config.clone(), shared.clone())
             .unwrap()
-            .cache(cache.clone());
-        first.breakdown(Axis::WcetScale, |_| {}, || false).unwrap();
+            .cache(cache.clone())
+            .checkpoints(checkpoints.clone());
+        sweep(&mut first);
 
         // A brand-new engine (empty memo) over the same base: the shared
         // verdict cache answers without simulating.
-        let mut second = SweepEngine::new(light_config(), SweepOptions::default())
+        let mut second = SweepEngine::new(config, shared)
             .unwrap()
             .cache(cache)
+            .checkpoints(checkpoints)
             .recorder(recorder.clone());
-        second.breakdown(Axis::WcetScale, |_| {}, || false).unwrap();
+        let warm = sweep(&mut second);
         assert_eq!(recorder.counter_value("sweep.simulated"), 0);
         assert!(recorder.counter_value("sweep.cache_hits") > 0);
+        // The report carries only parameter-space facts, so the stores
+        // change nothing in it.
+        assert_eq!(warm.render_json(), cold.render_json());
     }
 
     #[test]
