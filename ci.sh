@@ -20,7 +20,7 @@ cargo test -q --release --offline -p swa-core --test simulator_perf -- --ignored
 echo "==> snapshot differential suite (split == one-shot, both engines, release)"
 cargo test -q --release --offline -p swa-core --test snapshot_differential
 
-echo "==> compositional differential suite (composed == whole, both engines, release)"
+echo "==> compositional differential suite (composed == whole; AST == bytecode traces, release)"
 cargo test -q --release --offline -p swa-core --test compositional_differential
 
 echo "==> forensics smoke (deadlock diagnosis names the blocking edge)"
@@ -202,6 +202,12 @@ wait "$serve_pid" || {
     exit 1
 }
 echo "sweep streaming gate: $line_count lines, final verdict matches the CLI byte-for-byte"
+
+# The benchsuite is its own package, outside `--workspace`: compile its
+# tests against the current product APIs without running the
+# load-sensitive traced smoke.
+echo "==> benchsuite tests compile (no run)"
+cargo test --release --offline --manifest-path benchsuite/Cargo.toml --no-run
 
 # Correctness only, no timing gate: for each workload the suite checks
 # every operation's output (verdicts, signatures, step counts, found

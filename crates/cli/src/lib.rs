@@ -81,9 +81,6 @@ COMMANDS:
     analyze     run the model and report the schedulability verdict
                   --trace <file>      also write the system trace as XML
                   --gantt             print an ASCII Gantt chart
-                  --engine <name>     guard/update evaluator: bytecode
-                                      (default) or ast (the reference
-                                      walker; same verdict, slower)
                   --explain           if interpretation fails, print a
                                       structured diagnosis of the stuck
                                       state (blocked edges, failing guard
@@ -118,7 +115,6 @@ COMMANDS:
                                       report (byte-equal to POST /sweep's
                                       final line) instead of the table
                   --hyperperiods <n>  analysis span per probe (default 1)
-                  --engine <name>     bytecode (default) or ast
                   --compositional     per-module probe analysis and caching
                   --ladder <mode>     analytic probe pre-filter: off
                                       (default), fast (T0 utilization +
@@ -187,8 +183,7 @@ COMMANDS:
                                       (default 3, including the first)
     request     talk to a running server (no local analysis)
                   swa request <addr> <config.xml> [--hyperperiods <n>]
-                      [--engine <name>] [--deadline-ms <n>] [--explain]
-                      [--no-cache]
+                      [--deadline-ms <n>] [--explain] [--no-cache]
                   swa request <addr> <config.xml> --sweep [--axis <spec>]
                       [--tolerance <t>] [--max-probes <n>] [--samples <n>]
                       [--chains] [--chain-bound <n>] [--per-task]
@@ -306,12 +301,25 @@ fn parse_ladder(options: &[String]) -> Result<swa_core::LadderMode, String> {
     }
 }
 
-fn parse_engine(options: &[String]) -> Result<swa_core::EvalEngine, String> {
-    match flag_value(options, "--engine") {
-        None => Ok(swa_core::EvalEngine::default()),
-        Some(name) => swa_core::EvalEngine::parse(name)
-            .ok_or_else(|| format!("--engine expects \"ast\" or \"bytecode\", got {name:?}")),
-    }
+/// The storage flags `search`, `sweep` and `serve` share, parsed in one
+/// place; each command passes its own byte-budget defaults. `sweep` has
+/// no `--state-dir` and ignores it.
+struct StoreFlags<'a> {
+    cache_bytes: usize,
+    checkpoint_bytes: usize,
+    state_dir: Option<&'a str>,
+}
+
+fn parse_store_flags(
+    options: &[String],
+    cache_bytes: usize,
+    checkpoint_bytes: usize,
+) -> Result<StoreFlags<'_>, String> {
+    Ok(StoreFlags {
+        cache_bytes: parse_usize(options, "--cache-bytes", cache_bytes)?,
+        checkpoint_bytes: parse_usize(options, "--checkpoint-bytes", checkpoint_bytes)?,
+        state_dir: flag_value(options, "--state-dir"),
+    })
 }
 
 fn cmd_analyze(
@@ -319,15 +327,10 @@ fn cmd_analyze(
     topology: Option<&Topology>,
     options: &[String],
 ) -> CommandOutcome {
-    let engine = match parse_engine(options) {
-        Ok(v) => v,
-        Err(e) => return CommandOutcome::error(e),
-    };
     let metrics_out = flag_value(options, "--metrics-out");
     let recorder = metrics_out.map(|_| std::sync::Arc::new(swa_core::MetricsRecorder::new()));
     let mut analyzer = Analyzer::new(config)
         .topology_opt(topology)
-        .engine(engine)
         .explain(has_flag(options, "--explain"))
         .compositional(has_flag(options, "--compositional"));
     if let Some(r) = &recorder {
@@ -351,7 +354,7 @@ fn cmd_analyze(
     );
     let _ = writeln!(
         out,
-        "model: built in {:?}, compiled in {:?} ({} programs, {} ops), interpreted in {:?} ({} events, engine {engine})",
+        "model: built in {:?}, compiled in {:?} ({} programs, {} ops), interpreted in {:?} ({} events)",
         report.metrics.build,
         report.metrics.compile.time,
         report.metrics.compile.programs,
@@ -558,11 +561,11 @@ fn cmd_search(config: &Configuration, options: &[String]) -> CommandOutcome {
         Ok(v) => v,
         Err(e) => return CommandOutcome::error(e),
     };
-    let cache_bytes = match parse_usize(options, "--cache-bytes", 0) {
-        Ok(v) => v,
-        Err(e) => return CommandOutcome::error(e),
-    };
-    let checkpoint_bytes = match parse_usize(options, "--checkpoint-bytes", 0) {
+    let StoreFlags {
+        cache_bytes,
+        checkpoint_bytes,
+        state_dir,
+    } = match parse_store_flags(options, 0, 0) {
         Ok(v) => v,
         Err(e) => return CommandOutcome::error(e),
     };
@@ -572,7 +575,7 @@ fn cmd_search(config: &Configuration, options: &[String]) -> CommandOutcome {
         Option<std::sync::Arc<dyn VerdictCache>>,
         Option<std::sync::Arc<dyn CheckpointStore>>,
     );
-    let (cache, checkpoints): SearchStores = if let Some(dir) = flag_value(options, "--state-dir") {
+    let (cache, checkpoints): SearchStores = if let Some(dir) = state_dir {
         let budget = if cache_bytes > 0 { cache_bytes } else { 16 << 20 };
         match swa_core::open_state_dir(dir, budget, checkpoint_bytes, None) {
             Ok((verdicts, checkpoints)) => (
@@ -730,10 +733,6 @@ fn cmd_sweep(config: &Configuration, options: &[String]) -> CommandOutcome {
         },
         Err(e) => return CommandOutcome::error(e),
     }
-    sweep_options.engine = match parse_engine(options) {
-        Ok(v) => v,
-        Err(e) => return CommandOutcome::error(e),
-    };
     sweep_options.chains = has_flag(options, "--chains");
     if let Some(v) = flag_value(options, "--chain-bound") {
         match v.parse::<i64>() {
@@ -757,11 +756,11 @@ fn cmd_sweep(config: &Configuration, options: &[String]) -> CommandOutcome {
         Ok(axis) => axis,
         Err(e) => return CommandOutcome::error(format!("--axis: {e}")),
     };
-    let cache_bytes = match parse_usize(options, "--cache-bytes", 16 << 20) {
-        Ok(v) => v,
-        Err(e) => return CommandOutcome::error(e),
-    };
-    let checkpoint_bytes = match parse_usize(options, "--checkpoint-bytes", 16 << 20) {
+    let StoreFlags {
+        cache_bytes,
+        checkpoint_bytes,
+        ..
+    } = match parse_store_flags(options, 16 << 20, 16 << 20) {
         Ok(v) => v,
         Err(e) => return CommandOutcome::error(e),
     };
@@ -849,18 +848,20 @@ fn cmd_serve(options: &[String]) -> CommandOutcome {
         Ok(v) => serve_options.queue_depth = v,
         Err(e) => return CommandOutcome::error(e),
     }
-    match parse_usize(options, "--cache-bytes", serve_options.cache_bytes) {
-        Ok(v) => serve_options.cache_bytes = v,
+    let stores = match parse_store_flags(
+        options,
+        serve_options.cache_bytes,
+        serve_options.checkpoint_bytes,
+    ) {
+        Ok(v) => v,
         Err(e) => return CommandOutcome::error(e),
-    }
-    match parse_usize(options, "--checkpoint-bytes", serve_options.checkpoint_bytes) {
-        Ok(v) => serve_options.checkpoint_bytes = v,
-        Err(e) => return CommandOutcome::error(e),
-    }
-    serve_options.compositional = has_flag(options, "--compositional");
-    if let Some(dir) = flag_value(options, "--state-dir") {
+    };
+    serve_options.cache_bytes = stores.cache_bytes;
+    serve_options.checkpoint_bytes = stores.checkpoint_bytes;
+    if let Some(dir) = stores.state_dir {
         serve_options.state_dir = Some(std::path::PathBuf::from(dir));
     }
+    serve_options.compositional = has_flag(options, "--compositional");
     match parse_usize(options, "--io-timeout-ms", 5000) {
         Ok(ms) => serve_options.io_timeout = std::time::Duration::from_millis(ms as u64),
         Err(e) => return CommandOutcome::error(e),
@@ -1092,13 +1093,6 @@ fn cmd_request(args: &[String]) -> CommandOutcome {
     }
     let mut body = format!("{{\"config_xml\":\"{}\"", swa_core::obs::json_escape(&xml));
     let _ = write!(body, ",\"hyperperiods\":{hyperperiods}");
-    if let Some(engine) = flag_value(args, "--engine") {
-        let _ = write!(
-            body,
-            ",\"engine\":\"{}\"",
-            swa_core::obs::json_escape(engine)
-        );
-    }
     if let Some(deadline) = flag_value(args, "--deadline-ms") {
         match deadline.parse::<u64>() {
             Ok(ms) => {
@@ -1201,9 +1195,6 @@ fn request_sweep(addrs: &[String], xml: &str, args: &[String]) -> CommandOutcome
                 }
             }
         }
-    }
-    if let Some(engine) = flag_value(args, "--engine") {
-        let _ = write!(body, ",\"engine\":\"{}\"", swa_core::obs::json_escape(engine));
     }
     if has_flag(args, "--chains") || flag_value(args, "--chain-bound").is_some() {
         body.push_str(",\"chains\":true");
@@ -1333,25 +1324,6 @@ mod tests {
         let bad = run_on("analyze", &config(false), &[]);
         assert_eq!(bad.exit_code, 2);
         assert!(bad.stdout.contains("schedulable: false"));
-    }
-
-    #[test]
-    fn analyze_engine_flag_selects_evaluator() {
-        let ast = run_on("analyze", &config(true), &opts(&["--engine", "ast"]));
-        assert_eq!(ast.exit_code, 0, "{}", ast.stdout);
-        assert!(ast.stdout.contains("engine ast"), "{}", ast.stdout);
-
-        let bc = run_on("analyze", &config(true), &opts(&["--engine", "bytecode"]));
-        assert_eq!(bc.exit_code, 0, "{}", bc.stdout);
-        assert!(bc.stdout.contains("engine bytecode"), "{}", bc.stdout);
-
-        // Both engines must agree on the verdict summary.
-        let tail = |s: &str| s[s.find("schedulable:").unwrap()..].to_string();
-        assert_eq!(tail(&ast.stdout), tail(&bc.stdout));
-
-        let bad = run_on("analyze", &config(true), &opts(&["--engine", "jit"]));
-        assert_eq!(bad.exit_code, 1);
-        assert!(bad.stdout.contains("--engine"), "{}", bad.stdout);
     }
 
     #[test]
@@ -1599,6 +1571,22 @@ mod tests {
             run_on("sweep", &config(true), &opts(&["--chain-bound", "-3"])).exit_code,
             1
         );
+    }
+
+    #[test]
+    fn store_flags_report_the_same_error_on_every_command() {
+        let bad = opts(&["--checkpoint-bytes", "x"]);
+        let expected = "--checkpoint-bytes expects an integer, got \"x\"";
+        let mut serve_args = opts(&["serve"]);
+        serve_args.extend(bad.iter().cloned());
+        for out in [
+            run_on("search", &config(true), &bad),
+            run_on("sweep", &config(true), &bad),
+            run(&serve_args),
+        ] {
+            assert_eq!(out.exit_code, 1, "{}", out.stdout);
+            assert_eq!(out.stdout, expected);
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use swa_ima::{Configuration, Topology};
-use swa_nsa::{EvalEngine, SimOutcome, Snapshot, TieBreak};
+use swa_nsa::{SimOutcome, Snapshot, TieBreak};
 
 use crate::analysis::analyze_spanning;
 use crate::batch::{run_batch, BatchMode, BatchOutcome};
@@ -94,7 +94,6 @@ pub struct Analyzer<'a> {
     pub(crate) topology: Option<&'a Topology>,
     pub(crate) tie_break: TieBreak,
     pub(crate) hyperperiods: u32,
-    pub(crate) engine: EvalEngine,
     pub(crate) recorder: Option<Arc<dyn Recorder>>,
     pub(crate) explain: bool,
     pub(crate) checkpoints: Option<Arc<dyn CheckpointStore>>,
@@ -109,7 +108,6 @@ impl fmt::Debug for Analyzer<'_> {
             .field("bound", &self.config.is_some())
             .field("tie_break", &self.tie_break)
             .field("hyperperiods", &self.hyperperiods)
-            .field("engine", &self.engine)
             .field("recorder", &self.recorder.is_some())
             .field("explain", &self.explain)
             .field("checkpoints", &self.checkpoints.is_some())
@@ -142,7 +140,6 @@ impl<'a> Analyzer<'a> {
             topology: None,
             tie_break: TieBreak::Canonical,
             hyperperiods: 1,
-            engine: EvalEngine::default(),
             recorder: None,
             explain: false,
             checkpoints: None,
@@ -204,15 +201,6 @@ impl<'a> Analyzer<'a> {
     #[must_use]
     pub fn explain(mut self, explain: bool) -> Self {
         self.explain = explain;
-        self
-    }
-
-    /// Selects the guard/update evaluation engine for the simulation
-    /// (compiled bytecode by default; the AST walker is kept for
-    /// differential testing and as a reference semantics).
-    #[must_use]
-    pub fn engine(mut self, engine: EvalEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -482,22 +470,15 @@ impl<'a> Analyzer<'a> {
 
         // Force the lazy bytecode compilation outside the simulate phase so
         // the metrics separate one-time lowering cost from interpretation.
-        let compile = if self.engine == EvalEngine::Bytecode {
-            let tc = Instant::now();
-            let stats = model.network().compiled().stats();
-            CompileMetrics {
-                time: tc.elapsed(),
-                programs: stats.programs,
-                ops: stats.ops,
-            }
-        } else {
-            CompileMetrics::default()
+        let tc = Instant::now();
+        let stats = model.network().compiled().stats();
+        let compile = CompileMetrics {
+            time: tc.elapsed(),
+            programs: stats.programs,
+            ops: stats.ops,
         };
 
-        let sim = model
-            .simulator()
-            .tie_break(self.tie_break.clone())
-            .engine(self.engine);
+        let sim = model.simulator().tie_break(self.tie_break.clone());
         let wants_events = self.recorder.as_ref().is_some_and(|r| r.wants_events());
 
         // Checkpoint warm-start: keyed by the configuration's canonical
@@ -668,6 +649,8 @@ mod tests {
         CoreRef, CoreType, CoreTypeId, Module, ModuleId, Partition, SchedulerKind, Task, Window,
     };
 
+    use swa_nsa::EvalEngine;
+
     use super::*;
     use crate::obs::{JsonlSink, MetricsRecorder};
 
@@ -737,19 +720,20 @@ mod tests {
     #[test]
     fn the_bytecode_path_never_expands_the_templates() {
         let config = config();
-        for (engine, expanded) in [(EvalEngine::Bytecode, 0), (EvalEngine::Ast, 1)] {
-            let recorder = Arc::new(MetricsRecorder::new());
-            Analyzer::new(&config)
-                .engine(engine)
-                .recorder(recorder.clone())
-                .run()
-                .unwrap();
-            assert_eq!(
-                recorder.counter_value("instance.expanded"),
-                expanded,
-                "{engine}"
-            );
-        }
+        let recorder = Arc::new(MetricsRecorder::new());
+        Analyzer::new(&config)
+            .recorder(recorder.clone())
+            .run()
+            .unwrap();
+        assert_eq!(recorder.counter_value("instance.expanded"), 0);
+
+        // The counter is not vacuous: the AST walker reads the expanded
+        // automata, so running it on a model materializes the network.
+        let model = SystemModel::build(&config).unwrap();
+        model.simulator().run().unwrap();
+        assert!(!model.network().is_materialized());
+        model.simulator().engine(EvalEngine::Ast).run().unwrap();
+        assert!(model.network().is_materialized());
     }
 
     #[test]
@@ -881,35 +865,31 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_at_exactly_the_horizon_is_a_full_hit_under_both_engines() {
+    fn checkpoint_at_exactly_the_horizon_is_a_full_hit() {
         // Time-ladder boundary regression: a checkpoint stored at exactly
         // `max_time` must be served as a *full* hit (no simulation), not a
-        // warm start, under both evaluation engines.
-        for engine in [EvalEngine::Ast, EvalEngine::Bytecode] {
-            let config = config();
-            let store = Arc::new(crate::ShardedCheckpointStore::new(1 << 20));
-            let seeded = Analyzer::new(&config)
-                .engine(engine)
-                .checkpoints(store.clone())
-                .horizon(2)
-                .run()
-                .unwrap();
-            assert_eq!(store.stats().insertions, 1, "{engine:?}");
+        // warm start.
+        let config = config();
+        let store = Arc::new(crate::ShardedCheckpointStore::new(1 << 20));
+        let seeded = Analyzer::new(&config)
+            .checkpoints(store.clone())
+            .horizon(2)
+            .run()
+            .unwrap();
+        assert_eq!(store.stats().insertions, 1);
 
-            // Same horizon again: the stored checkpoint sits exactly at
-            // `max_time`, and the boundary is inclusive.
-            let replay = Analyzer::new(&config)
-                .engine(engine)
-                .checkpoints(store.clone())
-                .horizon(2)
-                .run()
-                .unwrap();
-            let stats = store.stats();
-            assert_eq!(stats.full_hits, 1, "{engine:?}: exact-time hit is full");
-            assert_eq!(stats.insertions, 1, "{engine:?}: a full hit re-inserts nothing");
-            assert_eq!(replay.trace, seeded.trace, "{engine:?}");
-            assert_eq!(replay.analysis, seeded.analysis, "{engine:?}");
-        }
+        // Same horizon again: the stored checkpoint sits exactly at
+        // `max_time`, and the boundary is inclusive.
+        let replay = Analyzer::new(&config)
+            .checkpoints(store.clone())
+            .horizon(2)
+            .run()
+            .unwrap();
+        let stats = store.stats();
+        assert_eq!(stats.full_hits, 1, "exact-time hit is full");
+        assert_eq!(stats.insertions, 1, "a full hit re-inserts nothing");
+        assert_eq!(replay.trace, seeded.trace);
+        assert_eq!(replay.analysis, seeded.analysis);
     }
 
     #[test]

@@ -101,5 +101,4 @@ pub use pipeline::{
 pub use storage::{
     open_state_dir, StorageOptions, StorageStats, TieredCheckpointStore, TieredVerdictCache,
 };
-pub use swa_nsa::EvalEngine;
 pub use sysevents::{extract_system_trace, SysEvent, SysEventKind, SystemTrace};

@@ -342,7 +342,7 @@ pub fn json_escape(s: &str) -> String {
 // ---------------------------------------------------------------------------
 
 /// Cost of lowering the instance's guards, invariants and updates to
-/// bytecode (zero when the AST engine is selected — nothing is compiled).
+/// bytecode.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompileMetrics {
     /// Wall-clock time spent compiling.

@@ -1,47 +1,27 @@
 //! Differential suite for the compiled-bytecode engine and the event-wheel
 //! fast path: on every deterministic fixture family and 100 randomized
 //! workloads, the AST walker and the bytecode interpreter must produce the
-//! same analysis, and the indexed fast loop must produce the same trace as
-//! the generic interpreter (forced via an identity-permutation tie-break,
-//! which is semantically canonical but disables the fast path).
+//! same trace, the indexed fast loop must produce the same trace as the
+//! generic interpreter (forced via an identity-permutation tie-break,
+//! which is semantically canonical but disables the fast path), and the
+//! product pipeline must produce the analysis of that trace.
 
-use swa_core::{Analyzer, EvalEngine, SystemModel};
+use swa_core::{analyze, extract_system_trace, Analyzer, SystemModel};
 use swa_ima::Configuration;
 use swa_nsa::sim::{SimOutcome, Simulator, TieBreak};
 use swa_nsa::state::EnvView;
 use swa_nsa::{
-    ArrayId, AutomatonBuilder, AutomatonId, Edge, EdgeId, Network, NetworkBuilder, SimError,
-    State, Update,
+    ArrayId, AutomatonBuilder, AutomatonId, Edge, EdgeId, EvalEngine, Network, NetworkBuilder,
+    SimError, State, Update,
 };
 use swa_workload::{config_with_jobs, industrial_config, table1_config, IndustrialSpec, Rng64};
 
-/// Runs both engines through the full pipeline and asserts identical
-/// verdicts and per-job signatures.
-fn assert_engines_agree(config: &Configuration, label: &str) {
-    let ast = Analyzer::new(config)
-        .engine(EvalEngine::Ast)
-        .run()
-        .unwrap_or_else(|e| panic!("{label}: ast pipeline failed: {e}"));
-    let bc = Analyzer::new(config)
-        .engine(EvalEngine::Bytecode)
-        .run()
-        .unwrap_or_else(|e| panic!("{label}: bytecode pipeline failed: {e}"));
-    assert_eq!(
-        ast.schedulable(),
-        bc.schedulable(),
-        "{label}: engines disagree on schedulability"
-    );
-    assert_eq!(
-        ast.analysis.signature(),
-        bc.analysis.signature(),
-        "{label}: engines disagree on the job signature"
-    );
-}
-
 /// Simulates the model's network three ways — fast path with bytecode,
 /// generic interpreter with bytecode, fast path with the AST walker — and
-/// asserts trace-level equality.
-fn assert_traces_agree(config: &Configuration, label: &str) {
+/// asserts trace-level equality. With `pipeline`, also asserts that
+/// `Analyzer::run` (always bytecode) reports the analysis of the AST
+/// walker's trace.
+fn assert_traces_agree(config: &Configuration, label: &str, pipeline: bool) {
     let model = SystemModel::build(config).unwrap_or_else(|e| panic!("{label}: build failed: {e}"));
     let network = model.network();
     let horizon = model.horizon();
@@ -64,19 +44,36 @@ fn assert_traces_agree(config: &Configuration, label: &str) {
     assert_eq!(fast_bc, generic_bc, "{label}: fast path diverges from generic interpreter");
     assert_eq!(fast_bc, fast_ast, "{label}: bytecode diverges from AST walker");
     assert!(fast_bc.steps > 0, "{label}: degenerate run exercised nothing");
+
+    if pipeline {
+        let report = Analyzer::new(config)
+            .run()
+            .unwrap_or_else(|e| panic!("{label}: pipeline failed: {e}"));
+        let ast_trace = extract_system_trace(&model, config, &fast_ast.trace);
+        assert_eq!(
+            report.trace, ast_trace,
+            "{label}: pipeline trace diverges from AST walker"
+        );
+        assert_eq!(
+            report.analysis,
+            analyze(config, &ast_trace),
+            "{label}: pipeline analysis diverges from AST walker"
+        );
+    }
 }
 
 #[test]
 fn engines_agree_on_deterministic_fixtures() {
-    assert_engines_agree(&table1_config(12), "table1(12)");
-    assert_engines_agree(&config_with_jobs(300, 1), "industrial(300 jobs)");
-    assert_engines_agree(
+    assert_traces_agree(&table1_config(12), "table1(12)", true);
+    assert_traces_agree(&config_with_jobs(300, 1), "industrial(300 jobs)", true);
+    assert_traces_agree(
         &industrial_config(&IndustrialSpec::default()),
         "industrial(default)",
+        true,
     );
     // A message-heavy overloaded variant: unschedulable verdicts must agree
     // too, not only the happy path.
-    assert_engines_agree(
+    assert_traces_agree(
         &industrial_config(&IndustrialSpec {
             modules: 1,
             cores_per_module: 1,
@@ -88,6 +85,7 @@ fn engines_agree_on_deterministic_fixtures() {
             ..IndustrialSpec::default()
         }),
         "industrial(overloaded)",
+        true,
     );
 }
 
@@ -121,12 +119,9 @@ fn engines_and_fast_path_agree_on_randomized_workloads() {
         let spec = random_spec(&mut rng, i);
         let config = industrial_config(&spec);
         let label = format!("random workload #{i} ({spec:?})");
-        assert_traces_agree(&config, &label);
-        // The full pipeline is heavier; spot-check it on every fifth
-        // workload (the trace equality above already covers the engines).
-        if i % 5 == 0 {
-            assert_engines_agree(&config, &label);
-        }
+        // The full pipeline is heavier; check it on every fifth workload
+        // (the trace equality already covers the engines on all of them).
+        assert_traces_agree(&config, &label, i % 5 == 0);
     }
 }
 

@@ -45,6 +45,11 @@ use crate::state::State;
 use crate::update::{LValue, Update};
 
 /// Which expression evaluator the interpreters use.
+///
+/// Chosen per run with [`Simulator::engine`](crate::Simulator::engine)
+/// and nowhere above this crate: every product path runs the bytecode,
+/// and the AST walker is the reference the differential suites compare
+/// it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EvalEngine {
     /// Walk the `IntExpr`/`Pred` AST recursively (the reference engine).
@@ -52,18 +57,6 @@ pub enum EvalEngine {
     /// Run flat pre-compiled programs (the default).
     #[default]
     Bytecode,
-}
-
-impl EvalEngine {
-    /// Parses an engine name as accepted by the CLI (`ast` | `bytecode`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "ast" => Some(Self::Ast),
-            "bytecode" => Some(Self::Bytecode),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for EvalEngine {
@@ -2392,7 +2385,8 @@ impl CompiledNetwork {
 // Each helper evaluates one model component through the selected engine;
 // the AST arm is the reference implementation, the bytecode arm the
 // compiled one. Both interpreters route every evaluation through these, so
-// `--engine ast` really does exercise the AST walker end to end.
+// `Simulator::engine(EvalEngine::Ast)` really does exercise the AST walker
+// end to end.
 // ---------------------------------------------------------------------------
 
 /// Evaluates an edge guard.

@@ -132,7 +132,7 @@ pub fn enabled_transitions(network: &Network, state: &State) -> Result<Vec<Trans
 /// # Errors
 ///
 /// Propagates expression evaluation errors from guards.
-pub fn enabled_transitions_with(
+pub(crate) fn enabled_transitions_with(
     network: &Network,
     state: &State,
     engine: EvalEngine,
@@ -262,7 +262,7 @@ pub fn apply(
 /// # Errors
 ///
 /// As [`apply`].
-pub fn apply_with(
+pub(crate) fn apply_with(
     network: &Network,
     state: &mut State,
     transition: &Transition,
@@ -316,7 +316,7 @@ pub fn delay_bounds(network: &Network, state: &State) -> Result<DelayBounds, Eva
 /// # Errors
 ///
 /// Propagates expression evaluation errors.
-pub fn delay_bounds_with(
+pub(crate) fn delay_bounds_with(
     network: &Network,
     state: &State,
     engine: EvalEngine,

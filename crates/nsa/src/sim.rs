@@ -167,7 +167,8 @@ impl<'n> Simulator<'n> {
     }
 
     /// Selects the guard/update evaluation engine (compiled bytecode by
-    /// default; the AST walker is kept for differential testing).
+    /// default). The AST walker is the reference semantics: this is the
+    /// one place it can be selected, for the differential suites.
     #[must_use]
     pub fn engine(mut self, engine: EvalEngine) -> Self {
         self.engine = engine;

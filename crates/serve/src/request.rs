@@ -8,15 +8,18 @@
 //! {
 //!   "config_xml": "<configuration>…</configuration>",
 //!   "hyperperiods": 1,
-//!   "engine": "bytecode",
 //!   "explain": false,
 //!   "deadline_ms": 5000,
 //!   "no_cache": false
 //! }
 //! ```
 //!
-//! Every field except `config_xml` is optional. Malformed JSON or unknown
-//! field values map to 400; XML that parses but fails configuration
+//! Every field except `config_xml` is optional, and unknown fields are
+//! ignored. That includes the deprecated `"engine"` field: guards and
+//! updates always run as compiled bytecode, and by the determinism
+//! theorem the evaluator never changed a verdict, so a body that still
+//! names an engine gets the same answer (and the same cache entry) as
+//! one that does not. Malformed JSON or bad field values map to 400; XML that parses but fails configuration
 //! validation maps to 422 (the request is well-formed, the *model* is
 //! not). Note that cache keys are computed from the **parsed**
 //! configuration, never the XML text, so whitespace or attribute-order
@@ -25,7 +28,7 @@
 use std::fmt;
 
 use swa_core::obs::json_escape;
-use swa_core::{CacheKey, CachedVerdict, EvalEngine};
+use swa_core::{CacheKey, CachedVerdict};
 use swa_ima::Configuration;
 use swa_sweep::{Axis, SweepOptions};
 
@@ -38,8 +41,6 @@ pub struct AnalyzeRequest {
     pub config: Configuration,
     /// Analysis horizon in hyperperiods (clamped to ≥ 1 downstream).
     pub hyperperiods: u32,
-    /// Guard/update evaluation engine.
-    pub engine: EvalEngine,
     /// Attach failure forensics to error responses.
     pub explain: bool,
     /// Per-request deadline in milliseconds (`None` = no deadline).
@@ -93,7 +94,6 @@ pub fn parse_analyze(body: &[u8]) -> Result<AnalyzeRequest, RequestError> {
     // so a bad field answers 400 even when the XML is bad too.
     Ok(AnalyzeRequest {
         hyperperiods: hyperperiods(&doc)?,
-        engine: engine(&doc)?,
         explain: flag(&doc, "explain")?,
         no_cache: flag(&doc, "no_cache")?,
         deadline_ms: deadline_ms(&doc)?,
@@ -118,10 +118,12 @@ pub fn parse_analyze(body: &[u8]) -> Result<AnalyzeRequest, RequestError> {
 ///   "chain_bound": null,
 ///   "per_task": false,
 ///   "hyperperiods": 1,
-///   "engine": "bytecode",
 ///   "deadline_ms": 5000
 /// }
 /// ```
+///
+/// Unknown fields are ignored, among them the deprecated `"engine"`
+/// (see the module docs).
 #[derive(Debug, Clone)]
 pub struct SweepRequest {
     /// The base configuration the sweep scales.
@@ -171,7 +173,6 @@ pub fn parse_sweep(body: &[u8]) -> Result<SweepRequest, RequestError> {
             .map_err(|_| RequestError::Bad("\"samples\" out of range".into()))?;
     }
     options.hyperperiods = hyperperiods(&doc)?;
-    options.engine = engine(&doc)?;
     options.chains = flag(&doc, "chains")?;
     options.chain_bound = match doc.get("chain_bound") {
         None | Some(Json::Null) => None,
@@ -255,20 +256,6 @@ fn hyperperiods(doc: &Json) -> Result<u32, RequestError> {
     }
 }
 
-fn engine(doc: &Json) -> Result<EvalEngine, RequestError> {
-    match doc.get("engine") {
-        None => Ok(EvalEngine::default()),
-        Some(v) => {
-            let name = v
-                .as_str()
-                .ok_or_else(|| RequestError::Bad("\"engine\" must be a string".into()))?;
-            EvalEngine::parse(name).ok_or_else(|| {
-                RequestError::Bad(format!("unknown engine {name:?} (expected \"ast\" or \"bytecode\")"))
-            })
-        }
-    }
-}
-
 fn deadline_ms(doc: &Json) -> Result<Option<u64>, RequestError> {
     match doc.get("deadline_ms") {
         None | Some(Json::Null) => Ok(None),
@@ -349,7 +336,6 @@ mod tests {
     fn parses_a_minimal_request_with_defaults() {
         let req = parse_analyze(envelope("").as_bytes()).unwrap();
         assert_eq!(req.hyperperiods, 1);
-        assert_eq!(req.engine, EvalEngine::default());
         assert!(!req.explain);
         assert!(!req.no_cache);
         assert_eq!(req.deadline_ms, None);
@@ -359,12 +345,11 @@ mod tests {
     #[test]
     fn parses_all_options() {
         let req = parse_analyze(
-            envelope(",\"hyperperiods\":3,\"engine\":\"ast\",\"explain\":true,\"deadline_ms\":250,\"no_cache\":true")
+            envelope(",\"hyperperiods\":3,\"explain\":true,\"deadline_ms\":250,\"no_cache\":true")
                 .as_bytes(),
         )
         .unwrap();
         assert_eq!(req.hyperperiods, 3);
-        assert_eq!(req.engine, EvalEngine::Ast);
         assert!(req.explain);
         assert!(req.no_cache);
         assert_eq!(req.deadline_ms, Some(250));
@@ -377,13 +362,29 @@ mod tests {
             "[1]",
             "{}",
             r#"{"config_xml": 7}"#,
-            &envelope(",\"engine\":\"turbo\""),
             &envelope(",\"hyperperiods\":-1"),
             &envelope(",\"deadline_ms\":\"soon\""),
             &envelope(",\"explain\":\"yes\""),
         ] {
             let err = parse_analyze(body.as_bytes()).unwrap_err();
             assert_eq!(err.status(), 400, "{body:.60}");
+        }
+    }
+
+    #[test]
+    fn a_deprecated_engine_field_is_ignored() {
+        let analyze =
+            |extra: &str| format!("{:?}", parse_analyze(envelope(extra).as_bytes()).unwrap());
+        let sweep = |extra: &str| format!("{:?}", parse_sweep(envelope(extra).as_bytes()).unwrap());
+        let (plain_analyze, plain_sweep) = (analyze(""), sweep(""));
+        for value in ["\"ast\"", "\"bytecode\"", "\"turbo\"", "7"] {
+            let extra = format!(",\"engine\":{value}");
+            assert_eq!(
+                analyze(&extra),
+                plain_analyze,
+                "/analyze with engine {value}"
+            );
+            assert_eq!(sweep(&extra), plain_sweep, "/sweep with engine {value}");
         }
     }
 
@@ -425,7 +426,7 @@ mod tests {
             envelope(
                 ",\"axis\":\"wcet:P/t\",\"tolerance\":0.05,\"max_probes\":32,\"samples\":8,\
                  \"chains\":true,\"chain_bound\":120,\"per_task\":true,\"hyperperiods\":2,\
-                 \"engine\":\"ast\",\"deadline_ms\":250,\"ladder\":\"fast\"",
+                 \"deadline_ms\":250,\"ladder\":\"fast\"",
             )
             .as_bytes(),
         )
@@ -437,7 +438,6 @@ mod tests {
         assert!(req.options.chains);
         assert_eq!(req.options.chain_bound, Some(120));
         assert_eq!(req.options.hyperperiods, 2);
-        assert_eq!(req.options.engine, EvalEngine::Ast);
         assert!(req.per_task);
         assert_eq!(req.deadline_ms, Some(250));
         assert_eq!(req.options.ladder, swa_core::LadderMode::Fast);

@@ -290,7 +290,7 @@ struct Inner {
     checkpoints: Option<Arc<dyn CheckpointStore>>,
     /// The resolver every cached request goes through: the server's
     /// recorder, cache, checkpoints and compositional mode. Requests
-    /// clone it and add their own horizon, engine and `explain`.
+    /// clone it and add their own horizon and `explain`.
     analyzer: Analyzer<'static>,
     /// Per-module reuse for every sweep (the analyzer carries the same
     /// mode for `/analyze`).
@@ -728,7 +728,6 @@ fn analyze(inner: &Arc<Inner>, body: &[u8]) -> (u16, String) {
     } else {
         inner.analyzer.clone()
     }
-    .engine(parsed.engine)
     .horizon(parsed.hyperperiods)
     .explain(parsed.explain);
 

@@ -226,6 +226,34 @@ fn no_cache_bypasses_the_cache() {
     server.shutdown();
 }
 
+/// The deprecated `"engine"` field is ignored like any unknown field: a
+/// request that differs only by it hits the same cache entry and gets a
+/// byte-identical answer.
+#[test]
+fn a_deprecated_engine_field_changes_nothing() {
+    let server = start_server();
+    let addr = server.local_addr();
+    let plain = envelope(&small_config(10), "");
+    let first = client::post(addr, "/analyze", &plain).unwrap();
+    assert_eq!(first.status, 200, "body: {}", first.body);
+    let doc = Json::parse(&first.body).unwrap();
+    assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(false));
+
+    let cached = client::post(addr, "/analyze", &plain).unwrap();
+    let with_engine = client::post(
+        addr,
+        "/analyze",
+        &envelope(&small_config(10), ",\"engine\":\"ast\""),
+    )
+    .unwrap();
+    assert_eq!(with_engine.status, 200, "body: {}", with_engine.body);
+    let doc = Json::parse(&with_engine.body).unwrap();
+    assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(true));
+    assert_eq!(with_engine.body, cached.body);
+    assert_eq!(server.recorder().counter_value("serve.analyses"), 1);
+    server.shutdown();
+}
+
 #[test]
 fn longer_horizon_request_warm_starts_from_an_earlier_one() {
     let server = start_server();

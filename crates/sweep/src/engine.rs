@@ -25,7 +25,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use swa_core::{chain_latency, Analyzer, CheckpointStore, NoopRecorder, Recorder, VerdictCache};
-use swa_core::EvalEngine;
 use swa_ima::{Configuration, TaskRef};
 
 use crate::axis::Axis;
@@ -40,8 +39,6 @@ pub struct SweepOptions {
     pub search: SearchOptions,
     /// Analysis span in hyperperiods.
     pub hyperperiods: u32,
-    /// Guard/update evaluation engine.
-    pub engine: EvalEngine,
     /// Compositional per-module analysis (per-module cache/checkpoint
     /// reuse; per-task probes then re-simulate only the touched module).
     pub compositional: bool,
@@ -72,7 +69,6 @@ impl Default for SweepOptions {
         Self {
             search: SearchOptions::default(),
             hyperperiods: 1,
-            engine: EvalEngine::default(),
             compositional: false,
             chains: false,
             chain_bound: None,
@@ -148,8 +144,8 @@ impl TaskSensitivity {
 pub struct SweepEngine {
     base: Configuration,
     options: SweepOptions,
-    /// Every probe's resolver: the options' engine, horizon and
-    /// compositional mode plus the attached stores and recorder.
+    /// Every probe's resolver: the options' horizon and compositional
+    /// mode plus the attached stores and recorder.
     analyzer: Analyzer<'static>,
     recorder: Arc<dyn Recorder>,
     memo: HashMap<(Axis, u64), Probe>,
@@ -175,7 +171,6 @@ impl SweepEngine {
         let chains = derive_chains(&base);
         let recorder: Arc<dyn Recorder> = Arc::new(NoopRecorder);
         let analyzer = Analyzer::configure()
-            .engine(options.engine)
             .horizon(options.hyperperiods)
             .compositional(options.compositional)
             .recorder(recorder.clone());

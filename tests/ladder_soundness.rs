@@ -9,14 +9,19 @@
 //! utilizations, with and without inter-partition messages, and with
 //! some partitions mutated to EDF so the applicability guards are
 //! exercised — and checks every ladder decision against the simulator
-//! under **both** evaluation engines and **both** whole-system and
-//! compositional analysis.
+//! under **both** whole-system and compositional analysis. The corpus
+//! also pins the evaluator: on every configuration, decided or not, the
+//! AST walker and the bytecode engine must produce the same NSA run of
+//! the whole model and of every module's sub-model.
 //!
 //! A violation panics with the offending configuration serialized as
 //! XML so it can be re-blessed as a fixture for regression.
 
-use swa_core::{Analyzer, EvalEngine, LadderMode, NoopRecorder, VerdictLadder};
+use swa_core::{
+    decompose, Analyzer, Decomposition, LadderMode, NoopRecorder, SystemModel, VerdictLadder,
+};
 use swa_ima::{Configuration, SchedulerKind};
+use swa_nsa::EvalEngine;
 use swa_workload::{industrial_config, IndustrialSpec};
 use swa_xmlio::configuration_to_xml;
 
@@ -52,23 +57,48 @@ fn corpus_config(utilization: f64, seed: u64) -> Configuration {
 }
 
 /// Exact ground truth: the simulator's verdict must be identical across
-/// engines and across whole-system vs compositional analysis, so any of
-/// the four runs is authoritative — but we check all four, because a
-/// ladder bug that only disagrees with one engine is still a bug.
+/// whole-system and compositional analysis, so either run is
+/// authoritative — but we check both, because a ladder bug that only
+/// disagrees with one of them is still a bug.
 fn simulated_verdicts(config: &Configuration) -> Vec<(String, bool)> {
-    let mut verdicts = Vec::with_capacity(4);
-    for engine in [EvalEngine::Ast, EvalEngine::Bytecode] {
-        for compositional in [false, true] {
+    [false, true]
+        .into_iter()
+        .map(|compositional| {
             let schedulable = Analyzer::new(config)
-                .engine(engine)
                 .compositional(compositional)
                 .run()
                 .expect("corpus config analyzes")
                 .schedulable();
-            verdicts.push((format!("{engine:?}/compositional={compositional}"), schedulable));
-        }
+            (format!("compositional={compositional}"), schedulable)
+        })
+        .collect()
+}
+
+/// The evaluator cannot matter: the AST walker's run of the whole model,
+/// and of each module's sub-model when the configuration decomposes,
+/// equals the bytecode run (trace, final state, steps, stop reason), so
+/// every whole or compositional verdict derived from them does too.
+fn assert_engines_agree(config: &Configuration, utilization: f64, seed: u64) {
+    let mut models = vec![config.clone()];
+    if let Decomposition::Modules(parts) = decompose(config) {
+        models.extend(parts.into_iter().map(|part| part.sub));
     }
-    verdicts
+    for model in &models {
+        let model = SystemModel::build(model).expect("corpus config builds");
+        let run = |engine| {
+            model
+                .simulator()
+                .engine(engine)
+                .run()
+                .expect("corpus config simulates")
+        };
+        assert_eq!(
+            run(EvalEngine::Ast),
+            run(EvalEngine::Bytecode),
+            "AST walker and bytecode diverge at utilization {utilization} seed {seed}:\n{}",
+            configuration_to_xml(config),
+        );
+    }
 }
 
 #[test]
@@ -85,6 +115,7 @@ fn ladder_decisions_are_sound_across_engines_and_composition() {
         for seed in 0..SEEDS_PER_LEVEL {
             let config = corpus_config(utilization, seed);
             total += 1;
+            assert_engines_agree(&config, utilization, seed);
 
             let Some(decision) = ladder.evaluate(&config, &recorder) else {
                 undecided += 1;
@@ -92,8 +123,8 @@ fn ladder_decisions_are_sound_across_engines_and_composition() {
             };
 
             // A tier produced a verdict: it must be confirmed by every
-            // simulator variant. (The engine/composition cross-check is
-            // part of the corpus on decided configs for free.)
+            // simulator variant. (The composition cross-check is part of
+            // the corpus on decided configs for free.)
             let claims_schedulable = decision.verdict.is_schedulable();
             if claims_schedulable {
                 sufficient_schedulable += 1;
