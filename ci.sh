@@ -168,6 +168,12 @@ grep -q "disk_hits=1" "$serve_dir/serve2.log" || {
     cat "$serve_dir/serve2.log"
     exit 1
 }
+# A lookup answered from disk is one cache hit, not a memory miss.
+grep -q "cache: hits=1 misses=0" "$serve_dir/serve2.log" || {
+    echo "restart smoke FAILED: the disk-served lookup was not counted as one cache hit"
+    cat "$serve_dir/serve2.log"
+    exit 1
+}
 
 echo "==> sweep streaming smoke (POST /sweep final line == swa sweep --json)"
 ./target/release/swa serve --addr 127.0.0.1:0 --workers 2 \

@@ -569,32 +569,22 @@ fn cmd_search(config: &Configuration, options: &[String]) -> CommandOutcome {
         Ok(v) => v,
         Err(e) => return CommandOutcome::error(e),
     };
-    // `--state-dir` swaps the in-memory stores for durable tiered ones,
-    // so verdicts (and checkpoints) survive across search invocations.
-    type SearchStores = (
-        Option<std::sync::Arc<dyn VerdictCache>>,
-        Option<std::sync::Arc<dyn CheckpointStore>>,
-    );
-    let (cache, checkpoints): SearchStores = if let Some(dir) = state_dir {
+    // `--state-dir` gives the stores a disk tier, so verdicts (and
+    // checkpoints) survive across search invocations.
+    let (cache, checkpoints) = if let Some(dir) = state_dir {
         let budget = if cache_bytes > 0 { cache_bytes } else { 16 << 20 };
         match swa_core::open_state_dir(dir, budget, checkpoint_bytes, None) {
-            Ok((verdicts, checkpoints)) => (
-                Some(verdicts as std::sync::Arc<dyn VerdictCache>),
-                checkpoints.map(|s| s as std::sync::Arc<dyn CheckpointStore>),
-            ),
+            Ok((verdicts, checkpoints)) => (Some(verdicts), checkpoints),
             Err(e) => {
                 return CommandOutcome::error(format!("cannot open --state-dir {dir}: {e}"))
             }
         }
     } else {
         (
-            (cache_bytes > 0).then(|| {
-                std::sync::Arc::new(swa_core::ShardedVerdictCache::new(cache_bytes))
-                    as std::sync::Arc<dyn VerdictCache>
-            }),
+            (cache_bytes > 0)
+                .then(|| std::sync::Arc::new(swa_core::ShardedVerdictCache::new(cache_bytes))),
             (checkpoint_bytes > 0).then(|| {
                 std::sync::Arc::new(swa_core::ShardedCheckpointStore::new(checkpoint_bytes))
-                    as std::sync::Arc<dyn CheckpointStore>
             }),
         )
     };

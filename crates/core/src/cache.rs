@@ -22,15 +22,25 @@
 //! * **observable**: hits/misses/insertions/evictions are counted
 //!   internally ([`CacheStats`]) and, when a [`Recorder`] is attached,
 //!   emitted as `cache.*` counters next to every other metric the
-//!   workspace produces.
+//!   workspace produces — through one counter path, so the two agree;
+//! * **optionally durable**: a cache opened through
+//!   [`open_state_dir`](crate::storage::open_state_dir) keeps a disk tier
+//!   (see [`crate::storage`]) under its memory tier. A memory miss falls
+//!   through to disk, a disk hit is promoted into memory, and the lookup
+//!   is counted once, after both tiers have answered.
+//!
+//! The shards, the LRU tick book and the counter path are shared with the
+//! checkpoint store ([`crate::checkpoint`]).
 //!
 //! Only *successful* analyses are cached. Errors (invalid configurations,
 //! simulation failures) are never stored: they are cheap to reproduce and
 //! their diagnoses depend on request options the key normalizes away.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use swa_ima::PartitionId;
 
@@ -38,6 +48,8 @@ use crate::canon::{CacheKey, CanonicalRequest};
 use crate::ladder::DecidedBy;
 use crate::obs::Recorder;
 use crate::pipeline::AnalysisReport;
+use crate::storage::{decode_verdict, encode_verdict, DiskTier, StorageOptions, VerdictIndex};
+use crate::store::{Lru, Shards, Tally, DEFAULT_SHARDS, ENTRY_OVERHEAD};
 
 /// The cacheable summary of one successful analysis: everything a repeated
 /// request (or the search loop's repair rule) needs, without the trace.
@@ -193,7 +205,7 @@ struct Entry {
     /// Full canonical bytes, compared on lookup so collisions are inert.
     canon: Box<[u8]>,
     verdict: Arc<CachedVerdict>,
-    /// The LRU tick of the entry's last touch (its key in `Shard::lru`).
+    /// The LRU tick of the entry's last touch.
     tick: u64,
     /// Bytes charged against the shard budget.
     cost: usize,
@@ -203,30 +215,19 @@ struct Entry {
 #[derive(Default)]
 struct Shard {
     map: HashMap<CacheKey, Entry>,
-    /// tick → key, ordered oldest-first; lookup/insert re-ticks entries,
-    /// eviction pops the smallest tick. O(log n) per operation.
-    lru: BTreeMap<u64, CacheKey>,
-    next_tick: u64,
+    lru: Lru<CacheKey>,
     bytes: usize,
 }
 
 impl Shard {
-    fn touch(&mut self, key: CacheKey) -> u64 {
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        self.lru.insert(tick, key);
-        tick
-    }
-
     /// Evicts oldest entries until the shard fits its budget; returns how
     /// many entries were evicted.
     fn evict_to(&mut self, budget: usize) -> u64 {
         let mut evicted = 0;
         while self.bytes > budget {
-            let Some((&tick, &key)) = self.lru.iter().next() else {
+            let Some(key) = self.lru.pop_oldest() else {
                 break;
             };
-            self.lru.remove(&tick);
             if let Some(entry) = self.map.remove(&key) {
                 self.bytes -= entry.cost;
                 evicted += 1;
@@ -236,20 +237,13 @@ impl Shard {
     }
 }
 
-/// Fixed bookkeeping cost per entry (map/LRU nodes, key, ticks), on top of
-/// the canonical bytes and the verdict footprint.
-const ENTRY_OVERHEAD: usize = 128;
-
-/// The default shard count: enough to keep a worker-pool's lock
-/// contention negligible without fragmenting small budgets.
-pub const DEFAULT_SHARDS: usize = 16;
-
-/// A sharded, byte-budgeted, LRU [`VerdictCache`].
+/// A sharded, byte-budgeted, LRU [`VerdictCache`], optionally durable:
+/// opened through [`open_state_dir`](crate::storage::open_state_dir) it
+/// keeps a disk tier under the memory tier.
 pub struct ShardedVerdictCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard byte budget (total budget / shard count).
-    shard_budget: usize,
-    recorder: Option<Arc<dyn Recorder>>,
+    shards: Shards<Shard>,
+    disk: Option<DiskTier<VerdictIndex>>,
+    tally: Tally,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -259,30 +253,26 @@ pub struct ShardedVerdictCache {
 impl std::fmt::Debug for ShardedVerdictCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedVerdictCache")
-            .field("shards", &self.shards.len())
-            .field("shard_budget", &self.shard_budget)
-            .field("recorder", &self.recorder.is_some())
+            .field("shards", &self.shards)
+            .field("durable", &self.disk.is_some())
+            .field("recorder", &self.tally.attached())
             .finish()
     }
 }
 
 impl ShardedVerdictCache {
-    /// A cache with the given total byte budget and [`DEFAULT_SHARDS`]
-    /// shards.
+    /// A memory-only cache with the given total byte budget.
     #[must_use]
     pub fn new(budget_bytes: usize) -> Self {
         Self::with_shards(budget_bytes, DEFAULT_SHARDS)
     }
 
-    /// A cache with an explicit shard count (≥ 1; 0 is clamped to 1). The
-    /// byte budget is split evenly across shards.
-    #[must_use]
-    pub fn with_shards(budget_bytes: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
+    /// A cache with an explicit shard count (≥ 1; 0 is clamped to 1).
+    pub(crate) fn with_shards(budget_bytes: usize, shards: usize) -> Self {
         Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_budget: budget_bytes / shards,
-            recorder: None,
+            shards: Shards::new(budget_bytes, shards),
+            disk: None,
+            tally: Tally::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
@@ -290,77 +280,66 @@ impl ShardedVerdictCache {
         }
     }
 
+    /// A durable cache: a memory tier of `budget_bytes` over the disk tier
+    /// under `dir`, counting into `recorder`.
+    pub(crate) fn open(
+        dir: &Path,
+        budget_bytes: usize,
+        options: StorageOptions,
+        recorder: Option<Arc<dyn Recorder>>,
+    ) -> io::Result<Self> {
+        let mut cache = Self::new(budget_bytes);
+        cache.tally = Tally::new(recorder);
+        cache.disk = Some(DiskTier::open(dir, options, cache.tally.clone())?);
+        Ok(cache)
+    }
+
+    /// The disk tier of a durable store.
+    #[cfg(test)]
+    pub(crate) fn disk(&self) -> &DiskTier<VerdictIndex> {
+        self.disk.as_ref().expect("durable store")
+    }
+
     /// Attaches an observability sink: every hit/miss/insertion/eviction
     /// is also emitted as a `cache.*` counter.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = Some(recorder);
+        self.tally = Tally::new(Some(recorder));
         self
     }
 
-    fn shard_of(&self, key: CacheKey) -> &Mutex<Shard> {
-        // The finalizer spreads entropy across the whole word; the low
-        // bits index the shard.
-        &self.shards[(key.lo as usize) % self.shards.len()]
+    fn lookup_memory(&self, request: &CanonicalRequest) -> Option<Arc<CachedVerdict>> {
+        let mut guard = self.shards.lock(request.key);
+        let shard = &mut *guard;
+        // A key match alone is not a hit: the canonical bytes must agree,
+        // so a hash collision can never serve a wrong verdict.
+        let entry = shard
+            .map
+            .get_mut(&request.key)
+            .filter(|entry| *entry.canon == *request.bytes)?;
+        entry.tick = shard.lru.retick(entry.tick, request.key);
+        Some(Arc::clone(&entry.verdict))
     }
 
-    fn count(&self, which: &AtomicU64, name: &str, delta: u64) {
-        which.fetch_add(delta, Ordering::Relaxed);
-        if delta > 0 {
-            if let Some(r) = &self.recorder {
-                r.counter(name, delta);
-            }
-        }
-    }
-}
-
-impl VerdictCache for ShardedVerdictCache {
-    fn lookup(&self, request: &CanonicalRequest) -> Option<Arc<CachedVerdict>> {
-        let mut shard = self.shard_of(request.key).lock().expect("unpoisoned");
-        let hit = match shard.map.get(&request.key) {
-            // A key match alone is not a hit: the canonical bytes must
-            // agree, so a hash collision can never serve a wrong verdict.
-            Some(entry) if *entry.canon == *request.bytes => Some(entry.verdict.clone()),
-            _ => None,
-        };
-        match hit {
-            Some(verdict) => {
-                let old_tick = shard.map[&request.key].tick;
-                shard.lru.remove(&old_tick);
-                let tick = shard.touch(request.key);
-                shard
-                    .map
-                    .get_mut(&request.key)
-                    .expect("entry present")
-                    .tick = tick;
-                drop(shard);
-                self.count(&self.hits, "cache.hits", 1);
-                Some(verdict)
-            }
-            None => {
-                drop(shard);
-                self.count(&self.misses, "cache.misses", 1);
-                None
-            }
-        }
-    }
-
-    fn insert(&self, request: &CanonicalRequest, verdict: Arc<CachedVerdict>) {
+    /// Stores a verdict in the memory tier only (an insert, or a disk hit
+    /// being promoted).
+    fn remember(&self, request: &CanonicalRequest, verdict: Arc<CachedVerdict>) {
         let cost = request.bytes.len() + verdict.approx_bytes() + ENTRY_OVERHEAD;
-        if cost > self.shard_budget {
+        if cost > self.shards.budget {
             // An entry larger than a whole shard could only thrash; treat
             // it as immediately evicted.
-            self.count(&self.evictions, "cache.evictions", 1);
+            self.tally.count(&self.evictions, "cache.evictions", 1);
             return;
         }
-        let mut shard = self.shard_of(request.key).lock().expect("unpoisoned");
+        let mut guard = self.shards.lock(request.key);
+        let shard = &mut *guard;
         // Replace any previous entry under this key (e.g. a collision
         // victim) before charging the new cost.
         if let Some(old) = shard.map.remove(&request.key) {
-            shard.lru.remove(&old.tick);
+            shard.lru.forget(old.tick);
             shard.bytes -= old.cost;
         }
-        let tick = shard.touch(request.key);
+        let tick = shard.lru.touch(request.key);
         shard.map.insert(
             request.key,
             Entry {
@@ -371,21 +350,49 @@ impl VerdictCache for ShardedVerdictCache {
             },
         );
         shard.bytes += cost;
-        let budget = self.shard_budget;
-        let evicted = shard.evict_to(budget);
-        drop(shard);
-        self.count(&self.insertions, "cache.insertions", 1);
-        self.count(&self.evictions, "cache.evictions", evicted);
+        let evicted = shard.evict_to(self.shards.budget);
+        drop(guard);
+        self.tally.count(&self.insertions, "cache.insertions", 1);
+        self.tally.count(&self.evictions, "cache.evictions", evicted);
+    }
+}
+
+impl VerdictCache for ShardedVerdictCache {
+    fn lookup(&self, request: &CanonicalRequest) -> Option<Arc<CachedVerdict>> {
+        let found = self.lookup_memory(request).or_else(|| {
+            let disk = self.disk.as_ref()?;
+            let found = disk.find(
+                request.key,
+                &request.bytes,
+                i64::MIN,
+                i64::MAX,
+                decode_verdict,
+            );
+            let Some(verdict) = found.map(Arc::new) else {
+                disk.missed();
+                return None;
+            };
+            self.remember(request, Arc::clone(&verdict));
+            Some(verdict)
+        });
+        match found {
+            Some(_) => self.tally.count(&self.hits, "cache.hits", 1),
+            None => self.tally.count(&self.misses, "cache.misses", 1),
+        }
+        found
+    }
+
+    fn insert(&self, request: &CanonicalRequest, verdict: Arc<CachedVerdict>) {
+        self.remember(request, Arc::clone(&verdict));
+        if let Some(disk) = &self.disk {
+            disk.append(Some(&encode_verdict(request.key, &request.bytes, &verdict)));
+        }
     }
 
     fn stats(&self) -> CacheStats {
-        let mut entries = 0;
-        let mut bytes = 0;
-        for shard in &self.shards {
-            let s = shard.lock().expect("unpoisoned");
-            entries += s.map.len();
-            bytes += s.bytes;
-        }
+        let (entries, bytes) = self.shards.each().fold((0, 0), |(entries, bytes), s| {
+            (entries + s.map.len(), bytes + s.bytes)
+        });
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

@@ -22,11 +22,21 @@
 //! across *near*-identical configurations would require proving trajectory
 //! equality under perturbation and is intentionally out of scope.
 //!
-//! Budgeting, sharding, collision handling and observability mirror the
-//! verdict cache: byte-budget LRU per shard, full canonical-byte
-//! comparison on every hit (a 128-bit collision costs a miss, never a
-//! wrong resume), and `checkpoint.*` counters through an attached
-//! [`Recorder`].
+//! Budgeting, sharding and counting run the same code as the verdict
+//! cache (a crate-private skeleton both stores share): byte-budget LRU
+//! per shard and `checkpoint.*` counters through an attached
+//! [`Recorder`]. Collision handling follows the same contract: full
+//! canonical-byte comparison on every hit, so a 128-bit collision costs a
+//! miss, never a wrong resume. What is this store's own is the entry
+//! layout (delta-encoded ladders) and eviction, which drops a delta
+//! chain's dependents with its base.
+//!
+//! Durability is a tier inside the store, as for the verdict cache: a
+//! store opened through [`open_state_dir`](crate::storage::open_state_dir)
+//! consults its disk ladder on a memory miss, and also when the disk may
+//! hold a later usable rung than memory. A disk rung is promoted into
+//! memory, and the lookup is counted once — as a hit, and as a full hit
+//! when the rung covers the requested horizon.
 //!
 //! Invalidation: a checkpoint is valid for exactly the configuration whose
 //! canonical bytes it was stored under — any configuration edit changes
@@ -36,15 +46,20 @@
 //! into a mismatched model.
 
 use std::collections::{BTreeMap, HashMap};
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use swa_nsa::{NsaTrace, Snapshot, StopReason, SyncEvent};
 
-use crate::cache::DEFAULT_SHARDS;
 use crate::canon::{CacheKey, CanonicalConfig};
 use crate::delta;
 use crate::obs::Recorder;
+use crate::storage::{
+    decode_checkpoint, encode_checkpoint, CheckpointIndex, DiskTier, StorageOptions,
+};
+use crate::store::{Lru, Shards, Tally, DEFAULT_SHARDS, ENTRY_OVERHEAD};
 
 /// One stored simulation prefix: the snapshot to resume from plus the NSA
 /// events that led to it.
@@ -175,7 +190,7 @@ enum Enc {
 /// One resident checkpoint entry.
 struct Entry {
     enc: Enc,
-    /// The LRU tick of the entry's last touch (its key in `Shard::lru`).
+    /// The LRU tick of the entry's last touch.
     tick: u64,
     /// Bytes charged against the shard budget.
     cost: usize,
@@ -301,20 +316,12 @@ fn encode_full(checkpoint: &Checkpoint) -> Option<(Enc, usize)> {
 #[derive(Default)]
 struct Shard {
     map: HashMap<CacheKey, Slot>,
-    /// tick → (config key, checkpoint time), ordered oldest-first.
-    lru: BTreeMap<u64, (CacheKey, i64)>,
-    next_tick: u64,
+    /// Entries are identified by (config key, checkpoint time).
+    lru: Lru<(CacheKey, i64)>,
     bytes: usize,
 }
 
 impl Shard {
-    fn touch(&mut self, key: CacheKey, time: i64) -> u64 {
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        self.lru.insert(tick, (key, time));
-        tick
-    }
-
     /// Removes a whole slot, uncharging every entry and the canon bytes;
     /// returns how many checkpoints were dropped.
     fn remove_slot(&mut self, key: CacheKey) -> u64 {
@@ -324,7 +331,7 @@ impl Shard {
         self.bytes -= slot.canon.len();
         let mut dropped = 0;
         for entry in slot.by_time.values() {
-            self.lru.remove(&entry.tick);
+            self.lru.forget(entry.tick);
             self.bytes -= entry.cost;
             dropped += 1;
         }
@@ -352,7 +359,7 @@ impl Shard {
         let mut dropped = 0;
         for t in doomed {
             if let Some(entry) = slot.by_time.remove(&t) {
-                self.lru.remove(&entry.tick);
+                self.lru.forget(entry.tick);
                 self.bytes -= entry.cost;
                 dropped += 1;
             }
@@ -371,28 +378,22 @@ impl Shard {
     fn evict_to(&mut self, budget: usize) -> u64 {
         let mut evicted = 0;
         while self.bytes > budget {
-            let Some((&tick, &(key, time))) = self.lru.iter().next() else {
+            let Some((key, time)) = self.lru.pop_oldest() else {
                 break;
             };
-            // Drop the tick first so a (never expected) stale LRU entry
-            // cannot spin this loop.
-            self.lru.remove(&tick);
             evicted += self.remove_cascading(key, time);
         }
         evicted
     }
 }
 
-/// Fixed bookkeeping cost per checkpoint (map/LRU nodes, key, ticks), on
-/// top of the snapshot and prefix footprint.
-const ENTRY_OVERHEAD: usize = 128;
-
-/// A sharded, byte-budgeted, LRU [`CheckpointStore`].
+/// A sharded, byte-budgeted, LRU [`CheckpointStore`], optionally durable:
+/// opened through [`open_state_dir`](crate::storage::open_state_dir) it
+/// keeps a disk tier under the memory tier.
 pub struct ShardedCheckpointStore {
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard byte budget (total budget / shard count).
-    shard_budget: usize,
-    recorder: Option<Arc<dyn Recorder>>,
+    shards: Shards<Shard>,
+    disk: Option<DiskTier<CheckpointIndex>>,
+    tally: Tally,
     hits: AtomicU64,
     full_hits: AtomicU64,
     misses: AtomicU64,
@@ -405,30 +406,26 @@ pub struct ShardedCheckpointStore {
 impl std::fmt::Debug for ShardedCheckpointStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedCheckpointStore")
-            .field("shards", &self.shards.len())
-            .field("shard_budget", &self.shard_budget)
-            .field("recorder", &self.recorder.is_some())
+            .field("shards", &self.shards)
+            .field("durable", &self.disk.is_some())
+            .field("recorder", &self.tally.attached())
             .finish()
     }
 }
 
 impl ShardedCheckpointStore {
-    /// A store with the given total byte budget and
-    /// [`DEFAULT_SHARDS`] shards.
+    /// A memory-only store with the given total byte budget.
     #[must_use]
     pub fn new(budget_bytes: usize) -> Self {
         Self::with_shards(budget_bytes, DEFAULT_SHARDS)
     }
 
-    /// A store with an explicit shard count (≥ 1; 0 is clamped to 1). The
-    /// byte budget is split evenly across shards.
-    #[must_use]
-    pub fn with_shards(budget_bytes: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
+    /// A store with an explicit shard count (≥ 1; 0 is clamped to 1).
+    pub(crate) fn with_shards(budget_bytes: usize, shards: usize) -> Self {
         Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_budget: budget_bytes / shards,
-            recorder: None,
+            shards: Shards::new(budget_bytes, shards),
+            disk: None,
+            tally: Tally::default(),
             hits: AtomicU64::new(0),
             full_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -439,74 +436,56 @@ impl ShardedCheckpointStore {
         }
     }
 
+    /// A durable store: a memory tier of `budget_bytes` over the disk tier
+    /// under `dir`, counting into `recorder`.
+    pub(crate) fn open(
+        dir: &Path,
+        budget_bytes: usize,
+        options: StorageOptions,
+        recorder: Option<Arc<dyn Recorder>>,
+    ) -> io::Result<Self> {
+        let mut store = Self::new(budget_bytes);
+        store.tally = Tally::new(recorder);
+        store.disk = Some(DiskTier::open(dir, options, store.tally.clone())?);
+        Ok(store)
+    }
+
+    /// The disk tier of a durable store.
+    #[cfg(test)]
+    pub(crate) fn disk(&self) -> &DiskTier<CheckpointIndex> {
+        self.disk.as_ref().expect("durable store")
+    }
+
     /// Attaches an observability sink: store activity is also emitted as
     /// `checkpoint.*` counters.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = Some(recorder);
+        self.tally = Tally::new(Some(recorder));
         self
     }
 
-    fn shard_of(&self, key: CacheKey) -> &Mutex<Shard> {
-        &self.shards[(key.lo as usize) % self.shards.len()]
+    fn lookup_memory(&self, config: &CanonicalConfig, max_time: i64) -> Option<Arc<Checkpoint>> {
+        let mut guard = self.shards.lock(config.key);
+        let shard = &mut *guard;
+        // A key match alone is not a hit: the canonical bytes must agree,
+        // so a hash collision can never resume a wrong prefix.
+        let slot = shard
+            .map
+            .get_mut(&config.key)
+            .filter(|slot| *slot.canon == *config.bytes)?;
+        let (&time, _) = slot.by_time.range(..=max_time).next_back()?;
+        let checkpoint = slot.reconstruct(time)?;
+        let entry = slot.by_time.get_mut(&time).expect("entry present");
+        entry.tick = shard.lru.retick(entry.tick, (config.key, time));
+        Some(checkpoint)
     }
 
-    fn count(&self, which: &AtomicU64, name: &str, delta: u64) {
-        which.fetch_add(delta, Ordering::Relaxed);
-        if delta > 0 {
-            if let Some(r) = &self.recorder {
-                r.counter(name, delta);
-            }
-        }
-    }
-}
-
-impl CheckpointStore for ShardedCheckpointStore {
-    fn lookup_latest(&self, config: &CanonicalConfig, max_time: i64) -> Option<Arc<Checkpoint>> {
-        let mut shard = self.shard_of(config.key).lock().expect("unpoisoned");
-        let found = match shard.map.get(&config.key) {
-            // A key match alone is not a hit: the canonical bytes must
-            // agree, so a hash collision can never resume a wrong prefix.
-            Some(slot) if *slot.canon == *config.bytes => slot
-                .by_time
-                .range(..=max_time)
-                .next_back()
-                .map(|(&time, _)| time)
-                .and_then(|time| Some((time, slot.reconstruct(time)?))),
-            _ => None,
-        };
-        match found {
-            Some((time, checkpoint)) => {
-                let old_tick = shard.map[&config.key].by_time[&time].tick;
-                shard.lru.remove(&old_tick);
-                let tick = shard.touch(config.key, time);
-                shard
-                    .map
-                    .get_mut(&config.key)
-                    .expect("slot present")
-                    .by_time
-                    .get_mut(&time)
-                    .expect("entry present")
-                    .tick = tick;
-                drop(shard);
-                self.count(&self.hits, "checkpoint.hits", 1);
-                if time >= max_time {
-                    self.count(&self.full_hits, "checkpoint.full_hits", 1);
-                }
-                Some(checkpoint)
-            }
-            None => {
-                drop(shard);
-                self.count(&self.misses, "checkpoint.misses", 1);
-                None
-            }
-        }
-    }
-
-    fn insert(&self, config: &CanonicalConfig, checkpoint: Arc<Checkpoint>) {
+    /// Stores a checkpoint in the memory tier only (an insert, or a disk
+    /// rung being promoted).
+    fn remember(&self, config: &CanonicalConfig, checkpoint: &Checkpoint) {
         let full_cost = checkpoint.approx_bytes() + ENTRY_OVERHEAD;
         let time = checkpoint.time();
-        let mut shard = self.shard_of(config.key).lock().expect("unpoisoned");
+        let mut shard = self.shards.lock(config.key);
         // A hash collision (same key, different canonical bytes) evicts
         // the old configuration's slot entirely: its checkpoints can never
         // be returned for the new bytes anyway.
@@ -530,7 +509,7 @@ impl CheckpointStore for ShardedCheckpointStore {
         let enc = shard.map.get(&config.key).and_then(|slot| {
             let (&base_time, base) = slot.by_time.range(..time).next_back()?;
             (base.chain() < MAX_DELTA_CHAIN)
-                .then(|| slot.encode_delta(base_time, &checkpoint))
+                .then(|| slot.encode_delta(base_time, checkpoint))
                 .flatten()
         });
         let (enc, cost, chain) = match enc {
@@ -547,22 +526,22 @@ impl CheckpointStore for ShardedCheckpointStore {
                 let cost = snap_delta.len() + events.len() + ENTRY_OVERHEAD;
                 (enc, cost, Some(u64::from(chain)))
             }
-            None => match encode_full(&checkpoint) {
+            None => match encode_full(checkpoint) {
                 Some((enc, cost)) => (enc, cost, None),
                 None => {
                     drop(shard);
-                    self.count(&self.evictions, "checkpoint.evictions", evicted + 1);
+                    self.tally.count(&self.evictions, "checkpoint.evictions", evicted + 1);
                     return;
                 }
             },
         };
         // Bytes avoided relative to resident full-fidelity storage.
         let saved = full_cost.saturating_sub(cost) as u64;
-        if cost + config.bytes.len() > self.shard_budget {
+        if cost + config.bytes.len() > self.shards.budget {
             // A checkpoint larger than a whole shard could only thrash;
             // treat it as immediately evicted.
             drop(shard);
-            self.count(&self.evictions, "checkpoint.evictions", evicted + 1);
+            self.tally.count(&self.evictions, "checkpoint.evictions", evicted + 1);
             return;
         }
         if !shard.map.contains_key(&config.key) {
@@ -575,7 +554,7 @@ impl CheckpointStore for ShardedCheckpointStore {
                 },
             );
         }
-        let tick = shard.touch(config.key, time);
+        let tick = shard.lru.touch((config.key, time));
         shard
             .map
             .get_mut(&config.key)
@@ -583,25 +562,69 @@ impl CheckpointStore for ShardedCheckpointStore {
             .by_time
             .insert(time, Entry { enc, tick, cost });
         shard.bytes += cost;
-        let budget = self.shard_budget;
-        evicted += shard.evict_to(budget);
+        evicted += shard.evict_to(self.shards.budget);
         drop(shard);
-        self.count(&self.insertions, "checkpoint.insertions", 1);
-        self.count(&self.evictions, "checkpoint.evictions", evicted);
-        self.count(&self.bytes_saved, "checkpoint.bytes_saved", saved);
+        self.tally.count(&self.insertions, "checkpoint.insertions", 1);
+        self.tally.count(&self.evictions, "checkpoint.evictions", evicted);
+        self.tally.count(&self.bytes_saved, "checkpoint.bytes_saved", saved);
         if let Some(chain) = chain {
-            self.count(&self.delta_chain_len, "checkpoint.delta_chain_len", chain);
+            self.tally.count(&self.delta_chain_len, "checkpoint.delta_chain_len", chain);
+        }
+    }
+}
+
+impl CheckpointStore for ShardedCheckpointStore {
+    fn lookup_latest(&self, config: &CanonicalConfig, max_time: i64) -> Option<Arc<Checkpoint>> {
+        let memory = self.lookup_memory(config, max_time);
+        let found = match &self.disk {
+            // The disk is consulted on a memory miss, and whenever its
+            // ladder may hold a later usable rung than memory did.
+            Some(disk) => {
+                let after = memory.as_ref().map_or(i64::MIN, |m| m.time());
+                match disk.find(
+                    config.key,
+                    &config.bytes,
+                    after,
+                    max_time,
+                    decode_checkpoint,
+                ) {
+                    Some(checkpoint) => {
+                        self.remember(config, &checkpoint);
+                        Some(Arc::new(checkpoint))
+                    }
+                    None if memory.is_none() => {
+                        disk.missed();
+                        None
+                    }
+                    None => memory,
+                }
+            }
+            None => memory,
+        };
+        match &found {
+            Some(checkpoint) => {
+                self.tally.count(&self.hits, "checkpoint.hits", 1);
+                if checkpoint.time() >= max_time {
+                    self.tally.count(&self.full_hits, "checkpoint.full_hits", 1);
+                }
+            }
+            None => self.tally.count(&self.misses, "checkpoint.misses", 1),
+        }
+        found
+    }
+
+    fn insert(&self, config: &CanonicalConfig, checkpoint: Arc<Checkpoint>) {
+        self.remember(config, &checkpoint);
+        if let Some(disk) = &self.disk {
+            disk.append(encode_checkpoint(config.key, &config.bytes, &checkpoint).as_deref());
         }
     }
 
     fn stats(&self) -> CheckpointStats {
-        let mut entries = 0;
-        let mut bytes = 0;
-        for shard in &self.shards {
-            let s = shard.lock().expect("unpoisoned");
-            entries += s.map.values().map(|slot| slot.by_time.len()).sum::<usize>();
-            bytes += s.bytes;
-        }
+        let (entries, bytes) = self.shards.each().fold((0, 0), |(entries, bytes), s| {
+            let resident: usize = s.map.values().map(|slot| slot.by_time.len()).sum();
+            (entries + resident, bytes + s.bytes)
+        });
         CheckpointStats {
             hits: self.hits.load(Ordering::Relaxed),
             full_hits: self.full_hits.load(Ordering::Relaxed),

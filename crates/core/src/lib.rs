@@ -70,6 +70,7 @@ pub mod ladder;
 pub mod obs;
 pub mod pipeline;
 pub mod storage;
+mod store;
 pub mod sysevents;
 pub mod templates;
 
@@ -98,7 +99,5 @@ pub use pipeline::{
     analyze_configuration, analyze_configuration_with, analyze_configuration_with_topology,
     AnalysisReport, CompileMetrics, RunMetrics,
 };
-pub use storage::{
-    open_state_dir, StorageOptions, StorageStats, TieredCheckpointStore, TieredVerdictCache,
-};
+pub use storage::open_state_dir;
 pub use sysevents::{extract_system_trace, SysEvent, SysEventKind, SystemTrace};

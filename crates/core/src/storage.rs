@@ -1,10 +1,13 @@
-//! Durable tiered storage for verdicts and checkpoints.
+//! The durable tier of the verdict and checkpoint stores.
 //!
-//! The in-memory stores ([`crate::cache`], [`crate::checkpoint`]) die with
+//! A memory-only store ([`crate::cache`], [`crate::checkpoint`]) dies with
 //! the process: restarting a long-running `swa serve` instance throws away
-//! its entire working set and re-simulates everything. This module adds a
-//! **disk tier** underneath them, so a verdict or checkpoint computed once
-//! survives restarts and is promoted back into memory on first touch.
+//! its entire working set and re-simulates everything. A store opened
+//! through [`open_state_dir`] keeps a **disk tier** under its memory tier,
+//! so a verdict or checkpoint computed once survives restarts and is
+//! promoted back into memory on first touch. Both stores share one disk
+//! tier implementation; only its index differs (verdicts map a key to a
+//! record, checkpoints map a key to a time ladder).
 //!
 //! Layout — one directory per store, holding append-only **segment
 //! files** (`seg-000000.log`, `seg-000001.log`, …):
@@ -21,19 +24,19 @@
 //!   torn tail (kill mid-append) therefore costs exactly the record being
 //!   written — everything before it survives, and a corrupt record is
 //!   never served.
-//! * **In-memory index**: opening replays every live record into a
-//!   key → location index (checkpoints: key → time ladder); lookups read
-//!   one record by offset, verify its checksum *and* its full canonical
-//!   bytes (collisions cost a miss, never a wrong verdict — same contract
-//!   as the memory tiers).
+//! * **In-memory index**: opening replays every live record into the
+//!   index; lookups read one record by offset, verify its checksum *and*
+//!   its full canonical bytes (collisions cost a miss, never a wrong
+//!   verdict — same contract as the memory tier).
 //! * **Supersede + compaction**: re-inserting a key appends a new record
 //!   and marks the old location dead. When dead bytes outgrow live bytes
 //!   a background thread rewrites the live records into fresh segments
 //!   and deletes the old files; a crash mid-compaction is safe because
 //!   new segments have higher ids and replay order lets them supersede.
-//! * **Memory-tier promotion**: a disk hit inserts the entry into the
-//!   sharded memory store, so repeated touches are served at memory
-//!   speed.
+//! * **Memory-tier promotion**: a disk hit is stored in the memory tier
+//!   (without being appended again), so repeated touches are served at
+//!   memory speed. The store counts the lookup once, after both tiers
+//!   have answered: a disk hit is a `cache.hits` / `checkpoint.hits`.
 //!
 //! Activity is observable through `storage.*` counters on an attached
 //! [`Recorder`]: `appends`, `bytes_appended`, `disk_hits`, `disk_misses`,
@@ -46,19 +49,20 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use swa_ima::PartitionId;
 use swa_nsa::{Snapshot, StopReason};
 
-use crate::cache::{CacheStats, CachedVerdict, ShardedVerdictCache, VerdictCache};
-use crate::canon::{CacheKey, CanonicalConfig, CanonicalRequest};
-use crate::checkpoint::{Checkpoint, CheckpointStats, CheckpointStore, ShardedCheckpointStore};
+use crate::cache::{CachedVerdict, ShardedVerdictCache};
+use crate::canon::CacheKey;
+use crate::checkpoint::{Checkpoint, ShardedCheckpointStore};
 use crate::delta;
 use crate::obs::Recorder;
+use crate::store::Tally;
 
 /// Segment file magic.
 const MAGIC: [u8; 4] = *b"SWAS";
@@ -87,18 +91,17 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Tuning knobs for a disk tier.
+/// Tuning of a disk tier. Production stores use the default; tests
+/// shrink the thresholds and drive compaction by hand.
 #[derive(Debug, Clone)]
-pub struct StorageOptions {
+pub(crate) struct StorageOptions {
     /// Roll to a new segment once the active one exceeds this size.
-    pub segment_bytes: u64,
+    pub(crate) segment_bytes: u64,
     /// Compact only once at least this many dead bytes accumulated (and
     /// dead outweighs live) — avoids churning tiny stores.
-    pub compact_min_dead: u64,
-    /// Run compaction on a background thread. Disable for deterministic
-    /// tests and drive [`compact_now`](TieredVerdictCache::compact_now)
-    /// manually.
-    pub background_compaction: bool,
+    pub(crate) compact_min_dead: u64,
+    /// Run compaction on a background thread.
+    pub(crate) background_compaction: bool,
 }
 
 impl Default for StorageOptions {
@@ -111,37 +114,24 @@ impl Default for StorageOptions {
     }
 }
 
-/// Counter snapshot of one disk tier's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StorageStats {
+/// Gauges of one disk tier (its activity counters are the `storage.*`
+/// counters on the recorder).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StorageStats {
     /// Segment files on disk.
-    pub segments: usize,
+    pub(crate) segments: usize,
     /// Records reachable through the index.
-    pub live_records: usize,
+    pub(crate) live_records: usize,
     /// Bytes of live records (framing included).
-    pub live_bytes: u64,
+    pub(crate) live_bytes: u64,
     /// Bytes of superseded records awaiting compaction.
-    pub dead_bytes: u64,
-    /// Torn or corrupt tails dropped across all opens.
-    pub torn_drops: u64,
-    /// Compaction passes completed.
-    pub compactions: u64,
-    /// Lookups served from disk (after a memory miss).
-    pub disk_hits: u64,
-    /// Memory misses the disk could not answer either.
-    pub disk_misses: u64,
-    /// Disk hits promoted into the memory tier.
-    pub promotions: u64,
-    /// Records appended.
-    pub appends: u64,
-    /// I/O or decode failures absorbed (the operation degraded to
-    /// memory-only instead of erroring).
-    pub errors: u64,
+    pub(crate) dead_bytes: u64,
 }
 
 /// Location of one record inside the segment log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Loc {
+pub(crate) struct Loc {
     seg: u64,
     offset: u64,
     len: u32,
@@ -155,7 +145,7 @@ impl Loc {
 }
 
 /// The append-only segment log: files, framing, accounting. Typed record
-/// contents and the index live in the wrappers below.
+/// contents and the index live in [`DiskTier`].
 struct Log {
     dir: PathBuf,
     kind: u8,
@@ -167,7 +157,6 @@ struct Log {
     live_bytes: u64,
     dead_bytes: u64,
     torn_drops: u64,
-    compactions: u64,
 }
 
 impl Log {
@@ -296,7 +285,6 @@ impl Log {
             live_bytes,
             dead_bytes: 0,
             torn_drops,
-            compactions: 0,
         })
     }
 
@@ -386,7 +374,6 @@ impl Log {
         }
         self.live_bytes = rewritten_live;
         self.dead_bytes = 0;
-        self.compactions += 1;
         Ok(())
     }
 }
@@ -457,7 +444,7 @@ fn stop_from_byte(b: u8) -> Option<StopReason> {
 }
 
 /// Verdict record: key, canonical request bytes, verdict fields.
-fn encode_verdict(key: CacheKey, canon: &[u8], v: &CachedVerdict) -> Vec<u8> {
+pub(crate) fn encode_verdict(key: CacheKey, canon: &[u8], v: &CachedVerdict) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + canon.len());
     put_u64(&mut out, key.hi);
     put_u64(&mut out, key.lo);
@@ -475,14 +462,12 @@ fn encode_verdict(key: CacheKey, canon: &[u8], v: &CachedVerdict) -> Vec<u8> {
     out
 }
 
-fn decode_verdict(payload: &[u8]) -> Option<(CacheKey, Vec<u8>, CachedVerdict)> {
-    let mut r = Rd { bytes: payload, at: 0 };
-    let key = CacheKey {
-        hi: r.u64()?,
-        lo: r.u64()?,
-    };
+/// Decodes a verdict record into its canonical request bytes and verdict.
+pub(crate) fn decode_verdict(payload: &[u8]) -> Option<(&[u8], CachedVerdict)> {
+    // Skip the leading key: the index already matched it.
+    let mut r = Rd { bytes: payload, at: 16 };
     let canon_len = r.u32()? as usize;
-    let canon = r.take(canon_len)?.to_vec();
+    let canon = r.take(canon_len)?;
     let schedulable = match r.u8()? {
         0 => false,
         1 => true,
@@ -504,7 +489,6 @@ fn decode_verdict(payload: &[u8]) -> Option<(CacheKey, Vec<u8>, CachedVerdict)> 
         return None;
     }
     Some((
-        key,
         canon,
         CachedVerdict {
             schedulable,
@@ -528,7 +512,7 @@ fn decode_record_key(payload: &[u8]) -> Option<CacheKey> {
 
 /// Checkpoint record: key, canonical config bytes, time, stop, serialized
 /// snapshot, varint-packed event prefix.
-fn encode_checkpoint(key: CacheKey, canon: &[u8], cp: &Checkpoint) -> Option<Vec<u8>> {
+pub(crate) fn encode_checkpoint(key: CacheKey, canon: &[u8], cp: &Checkpoint) -> Option<Vec<u8>> {
     let events = cp.prefix.events();
     let n_events = u32::try_from(events.len()).ok()?;
     let snap = cp.snapshot.to_bytes();
@@ -561,14 +545,13 @@ fn decode_checkpoint_head(payload: &[u8]) -> Option<(CacheKey, i64)> {
     Some((key, time))
 }
 
-fn decode_checkpoint(payload: &[u8]) -> Option<(CacheKey, Vec<u8>, Checkpoint)> {
-    let mut r = Rd { bytes: payload, at: 0 };
-    let key = CacheKey {
-        hi: r.u64()?,
-        lo: r.u64()?,
-    };
+/// Decodes a checkpoint record into its canonical config bytes and
+/// checkpoint.
+pub(crate) fn decode_checkpoint(payload: &[u8]) -> Option<(&[u8], Checkpoint)> {
+    // Skip the leading key: the index already matched it.
+    let mut r = Rd { bytes: payload, at: 16 };
     let canon_len = r.u32()? as usize;
-    let canon = r.take(canon_len)?.to_vec();
+    let canon = r.take(canon_len)?;
     let _time = r.i64()?;
     let stop = stop_from_byte(r.u8()?)?;
     let snap_len = r.u32()? as usize;
@@ -582,7 +565,6 @@ fn decode_checkpoint(payload: &[u8]) -> Option<(CacheKey, Vec<u8>, Checkpoint)> 
         return None;
     }
     Some((
-        key,
         canon,
         Checkpoint {
             snapshot,
@@ -593,38 +575,8 @@ fn decode_checkpoint(payload: &[u8]) -> Option<(CacheKey, Vec<u8>, Checkpoint)> 
 }
 
 // ---------------------------------------------------------------------------
-// Shared counter plumbing + background compactor
+// Background compactor
 // ---------------------------------------------------------------------------
-
-/// Atomic counters shared by the tiered store and its compactor thread.
-#[derive(Default)]
-struct Counters {
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    promotions: AtomicU64,
-    appends: AtomicU64,
-    errors: AtomicU64,
-}
-
-fn bump(
-    recorder: &Option<Arc<dyn Recorder>>,
-    counter: &AtomicU64,
-    name: &str,
-    delta: u64,
-) {
-    counter.fetch_add(delta, Ordering::Relaxed);
-    if delta > 0 {
-        if let Some(r) = recorder {
-            r.counter(name, delta);
-        }
-    }
-}
-
-/// What the background thread needs from a typed disk tier.
-trait Compactable: Send {
-    /// Compacts if worthwhile; `Ok(true)` when a pass ran.
-    fn compact_if_needed(&mut self) -> io::Result<bool>;
-}
 
 enum CompactorState {
     Idle,
@@ -645,11 +597,8 @@ struct Compactor {
 }
 
 impl Compactor {
-    fn spawn<D: Compactable + 'static>(
-        disk: Arc<Mutex<D>>,
-        recorder: Option<Arc<dyn Recorder>>,
-        errors: Arc<AtomicU64>,
-    ) -> Compactor {
+    /// Spawns a thread that runs `pass` once per [`signal`](Self::signal).
+    fn spawn(mut pass: impl FnMut() + Send + 'static) -> Compactor {
         let shared = Arc::new(CompactorShared {
             state: Mutex::new(CompactorState::Idle),
             cv: Condvar::new(),
@@ -670,22 +619,7 @@ impl Compactor {
                 }
                 *state = CompactorState::Idle;
                 drop(state);
-                let result = disk.lock().expect("unpoisoned").compact_if_needed();
-                match result {
-                    Ok(ran) => {
-                        if ran {
-                            if let Some(r) = &recorder {
-                                r.counter("storage.compactions", 1);
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                        if let Some(r) = &recorder {
-                            r.counter("storage.errors", 1);
-                        }
-                    }
-                }
+                pass();
             })
             .expect("spawn compactor thread");
         Compactor {
@@ -714,584 +648,233 @@ impl Drop for Compactor {
 }
 
 // ---------------------------------------------------------------------------
-// Verdict tier
+// Disk tier
 // ---------------------------------------------------------------------------
 
-/// The verdict disk tier: segment log plus a key → location index.
-struct VerdictDisk {
+/// What distinguishes the verdict and checkpoint disk tiers: the segment
+/// kind and how records are indexed.
+pub(crate) trait DiskIndex: Default + Send + 'static {
+    /// The segment kind tag.
+    const KIND: u8;
+
+    /// Indexes the record `payload` stored at `loc`; returns the location
+    /// it supersedes.
+    fn put(&mut self, payload: &[u8], loc: Loc) -> Option<Loc>;
+
+    /// The locations of `key`'s records taken in `(after, upto]`, newest
+    /// first.
+    fn newest(&self, key: CacheKey, after: i64, upto: i64) -> impl Iterator<Item = Loc> + '_;
+
+    /// Every live location, for compaction to rewrite in place.
+    fn locs_mut(&mut self) -> impl Iterator<Item = &mut Loc> + '_;
+}
+
+/// Verdicts: key → its latest record. Verdicts carry no time, so the
+/// `(after, upto]` window of [`DiskIndex::newest`] does not apply.
+pub(crate) type VerdictIndex = HashMap<CacheKey, Loc>;
+
+impl DiskIndex for VerdictIndex {
+    const KIND: u8 = KIND_VERDICT;
+
+    fn put(&mut self, payload: &[u8], loc: Loc) -> Option<Loc> {
+        // Index by key without decoding the whole record.
+        self.insert(decode_record_key(payload)?, loc)
+    }
+
+    fn newest(&self, key: CacheKey, _: i64, _: i64) -> impl Iterator<Item = Loc> + '_ {
+        self.get(&key).copied().into_iter()
+    }
+
+    fn locs_mut(&mut self) -> impl Iterator<Item = &mut Loc> + '_ {
+        self.values_mut()
+    }
+}
+
+/// Checkpoints: key → time ladder of records.
+pub(crate) type CheckpointIndex = HashMap<CacheKey, BTreeMap<i64, Loc>>;
+
+impl DiskIndex for CheckpointIndex {
+    const KIND: u8 = KIND_CHECKPOINT;
+
+    fn put(&mut self, payload: &[u8], loc: Loc) -> Option<Loc> {
+        let (key, time) = decode_checkpoint_head(payload)?;
+        self.entry(key).or_default().insert(time, loc)
+    }
+
+    fn newest(&self, key: CacheKey, after: i64, upto: i64) -> impl Iterator<Item = Loc> + '_ {
+        let window = (Bound::Excluded(after), Bound::Included(upto));
+        self.get(&key)
+            .filter(|_| after < upto)
+            .into_iter()
+            .flat_map(move |ladder| ladder.range(window).rev().map(|(_, &loc)| loc))
+    }
+
+    fn locs_mut(&mut self) -> impl Iterator<Item = &mut Loc> + '_ {
+        self.values_mut().flat_map(BTreeMap::values_mut)
+    }
+}
+
+/// The log and its index, behind the tier's lock.
+struct Disk<I> {
     log: Log,
-    index: HashMap<CacheKey, Loc>,
+    index: I,
 }
 
-impl VerdictDisk {
-    fn open(dir: &Path, options: StorageOptions) -> io::Result<(Self, u64)> {
-        let mut index: HashMap<CacheKey, Loc> = HashMap::new();
-        let mut superseded: Vec<Loc> = Vec::new();
-        let log = Log::open(dir, KIND_VERDICT, options, &mut |loc, payload| {
-            // Index by key without decoding the whole record; replay
-            // order makes later records supersede earlier ones.
-            if let Some(key) = decode_record_key(payload) {
-                if let Some(old) = index.insert(key, loc) {
-                    superseded.push(old);
-                }
-            }
-        })?;
-        let mut disk = VerdictDisk { log, index };
-        for loc in superseded {
-            disk.log.mark_dead(loc);
-        }
-        let torn = disk.log.torn_drops;
-        Ok((disk, torn))
-    }
-
-    /// Rewrites live records into fresh segments and deletes the old.
-    fn compact(&mut self) -> io::Result<()> {
-        let old = self.log.begin_rewrite()?;
-        let keys: Vec<CacheKey> = self.index.keys().copied().collect();
-        let mut live = 0u64;
-        for key in keys {
-            let loc = self.index[&key];
-            let payload = self.log.read(loc)?;
-            let new_loc = self.log.append(&payload)?;
-            live += new_loc.cost();
-            self.index.insert(key, new_loc);
-        }
-        self.log.finish_rewrite(&old, live)
-    }
-}
-
-impl Compactable for VerdictDisk {
+impl<I: DiskIndex> Disk<I> {
+    /// Rewrites every live record into fresh segments and deletes the old
+    /// ones, if dead bytes outweigh live ones; `Ok(true)` when a pass ran.
     fn compact_if_needed(&mut self) -> io::Result<bool> {
-        if self.log.needs_compaction() {
-            self.compact()?;
-            Ok(true)
-        } else {
-            Ok(false)
+        if !self.log.needs_compaction() {
+            return Ok(false);
+        }
+        let old = self.log.begin_rewrite()?;
+        let log = &mut self.log;
+        let mut live = 0u64;
+        for loc in self.index.locs_mut() {
+            let payload = log.read(*loc)?;
+            *loc = log.append(&payload)?;
+            live += loc.cost();
+        }
+        self.log.finish_rewrite(&old, live)?;
+        Ok(true)
+    }
+
+    /// One counted compaction pass (the background thread's body).
+    fn compact(disk: &Mutex<Self>, tally: &Tally) -> bool {
+        match disk.lock().expect("unpoisoned").compact_if_needed() {
+            Ok(ran) => {
+                tally.emit("storage.compactions", u64::from(ran));
+                ran
+            }
+            Err(_) => {
+                tally.emit("storage.errors", 1);
+                false
+            }
         }
     }
 }
 
-/// A [`VerdictCache`] with a sharded in-memory tier over a durable
-/// segment-log disk tier. See the module docs for the format and the
-/// promotion/compaction behavior.
-pub struct TieredVerdictCache {
-    mem: ShardedVerdictCache,
-    disk: Arc<Mutex<VerdictDisk>>,
-    recorder: Option<Arc<dyn Recorder>>,
-    counters: Counters,
-    errors_shared: Arc<AtomicU64>,
+/// The durable tier under one store: the segment log, the store's index
+/// over it, the background compactor and the `storage.*` counters.
+pub(crate) struct DiskTier<I> {
+    disk: Arc<Mutex<Disk<I>>>,
+    tally: Tally,
     compactor: Option<Compactor>,
 }
 
-impl std::fmt::Debug for TieredVerdictCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TieredVerdictCache")
-            .field("recorder", &self.recorder.is_some())
-            .field("background", &self.compactor.is_some())
-            .finish()
-    }
-}
-
-impl TieredVerdictCache {
-    /// Opens (or creates) the store under `dir` with a memory tier of
-    /// `memory_bytes` and default [`StorageOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory and segment-file I/O failures. Torn tails are
-    /// not errors — they are truncated and counted.
-    pub fn open(dir: impl AsRef<Path>, memory_bytes: usize) -> io::Result<Self> {
-        Self::open_with(dir, memory_bytes, StorageOptions::default(), None)
-    }
-
-    /// [`open`](Self::open) with explicit options and an optional
-    /// [`Recorder`] for `storage.*` / `cache.*` counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory and segment-file I/O failures.
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        memory_bytes: usize,
-        options: StorageOptions,
-        recorder: Option<Arc<dyn Recorder>>,
-    ) -> io::Result<Self> {
+impl<I: DiskIndex> DiskTier<I> {
+    /// Opens (or creates) the log under `dir`, replaying every valid
+    /// record into the index. Torn tails are not errors: they are
+    /// truncated and counted.
+    pub(crate) fn open(dir: &Path, options: StorageOptions, tally: Tally) -> io::Result<Self> {
         let background = options.background_compaction;
-        let (disk, torn) = VerdictDisk::open(dir.as_ref(), options)?;
-        if torn > 0 {
-            if let Some(r) = &recorder {
-                r.counter("storage.torn_drops", torn);
-            }
-        }
-        let mut mem = ShardedVerdictCache::new(memory_bytes);
-        if let Some(r) = &recorder {
-            mem = mem.with_recorder(Arc::clone(r));
-        }
-        let disk = Arc::new(Mutex::new(disk));
-        let errors_shared = Arc::new(AtomicU64::new(0));
-        let compactor = background.then(|| {
-            Compactor::spawn(Arc::clone(&disk), recorder.clone(), Arc::clone(&errors_shared))
-        });
-        Ok(Self {
-            mem,
-            disk,
-            recorder,
-            counters: Counters::default(),
-            errors_shared,
-            compactor,
-        })
-    }
-
-    /// Runs a compaction pass now if one is worthwhile, synchronously.
-    ///
-    /// # Errors
-    ///
-    /// Propagates segment-file I/O failures.
-    pub fn compact_now(&self) -> io::Result<bool> {
-        self.disk
-            .lock()
-            .expect("unpoisoned")
-            .compact_if_needed()
-    }
-
-    /// Counter snapshot of the disk tier.
-    pub fn disk_stats(&self) -> StorageStats {
-        let disk = self.disk.lock().expect("unpoisoned");
-        StorageStats {
-            segments: disk.log.segments.len(),
-            live_records: disk.index.len(),
-            live_bytes: disk.log.live_bytes,
-            dead_bytes: disk.log.dead_bytes,
-            torn_drops: disk.log.torn_drops,
-            compactions: disk.log.compactions,
-            disk_hits: self.counters.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.counters.disk_misses.load(Ordering::Relaxed),
-            promotions: self.counters.promotions.load(Ordering::Relaxed),
-            appends: self.counters.appends.load(Ordering::Relaxed),
-            errors: self.counters.errors.load(Ordering::Relaxed)
-                + self.errors_shared.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl VerdictCache for TieredVerdictCache {
-    fn lookup(&self, request: &CanonicalRequest) -> Option<Arc<CachedVerdict>> {
-        if let Some(hit) = self.mem.lookup(request) {
-            return Some(hit);
-        }
-        let disk = self.disk.lock().expect("unpoisoned");
-        let Some(&loc) = disk.index.get(&request.key) else {
-            drop(disk);
-            bump(
-                &self.recorder,
-                &self.counters.disk_misses,
-                "storage.disk_misses",
-                1,
-            );
-            return None;
-        };
-        let payload = match disk.log.read(loc) {
-            Ok(payload) => payload,
-            Err(_) => {
-                drop(disk);
-                bump(&self.recorder, &self.counters.errors, "storage.errors", 1);
-                return None;
-            }
-        };
-        drop(disk);
-        match decode_verdict(&payload) {
-            // Full canonical comparison: a key collision is a miss, never
-            // a wrong verdict — exactly the memory tier's contract.
-            Some((_, canon, verdict)) if canon == request.bytes => {
-                let verdict = Arc::new(verdict);
-                bump(
-                    &self.recorder,
-                    &self.counters.disk_hits,
-                    "storage.disk_hits",
-                    1,
-                );
-                self.mem.insert(request, Arc::clone(&verdict));
-                bump(
-                    &self.recorder,
-                    &self.counters.promotions,
-                    "storage.promotions",
-                    1,
-                );
-                Some(verdict)
-            }
-            Some(_) => {
-                bump(
-                    &self.recorder,
-                    &self.counters.disk_misses,
-                    "storage.disk_misses",
-                    1,
-                );
-                None
-            }
-            None => {
-                bump(&self.recorder, &self.counters.errors, "storage.errors", 1);
-                None
-            }
-        }
-    }
-
-    fn insert(&self, request: &CanonicalRequest, verdict: Arc<CachedVerdict>) {
-        self.mem.insert(request, Arc::clone(&verdict));
-        let payload = encode_verdict(request.key, &request.bytes, &verdict);
-        let mut disk = self.disk.lock().expect("unpoisoned");
-        match disk.log.append(&payload) {
-            Ok(loc) => {
-                if let Some(old) = disk.index.insert(request.key, loc) {
-                    disk.log.mark_dead(old);
-                }
-                let wants_compaction = disk.log.needs_compaction();
-                drop(disk);
-                bump(
-                    &self.recorder,
-                    &self.counters.appends,
-                    "storage.appends",
-                    1,
-                );
-                if let Some(r) = &self.recorder {
-                    r.counter("storage.bytes_appended", RECORD_HEADER + payload.len() as u64);
-                }
-                if wants_compaction {
-                    if let Some(c) = &self.compactor {
-                        c.signal();
-                    }
-                }
-            }
-            Err(_) => {
-                drop(disk);
-                bump(&self.recorder, &self.counters.errors, "storage.errors", 1);
-            }
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        // Memory-tier view, with disk hits folded in: a lookup served
-        // from the durable tier was counted as a memory miss on the way
-        // down, so it is reclassified as a hit here. Byte/entry gauges
-        // stay memory-tier; the disk side is `disk_stats` and the
-        // `storage.*` counters.
-        let mut stats = self.mem.stats();
-        let disk_hits = self.counters.disk_hits.load(Ordering::Relaxed);
-        stats.hits += disk_hits;
-        stats.misses = stats.misses.saturating_sub(disk_hits);
-        stats
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint tier
-// ---------------------------------------------------------------------------
-
-/// The checkpoint disk tier: segment log plus a key → time-ladder index.
-struct CheckpointDisk {
-    log: Log,
-    index: HashMap<CacheKey, BTreeMap<i64, Loc>>,
-}
-
-impl CheckpointDisk {
-    fn open(dir: &Path, options: StorageOptions) -> io::Result<(Self, u64)> {
-        let mut index: HashMap<CacheKey, BTreeMap<i64, Loc>> = HashMap::new();
-        let mut superseded: Vec<Loc> = Vec::new();
-        let log = Log::open(dir, KIND_CHECKPOINT, options, &mut |loc, payload| {
-            if let Some((key, time)) = decode_checkpoint_head(payload) {
-                if let Some(old) = index.entry(key).or_default().insert(time, loc) {
-                    superseded.push(old);
-                }
-            }
+        let mut index = I::default();
+        let mut superseded = Vec::new();
+        // Replay order makes later records supersede earlier ones.
+        let mut log = Log::open(dir, I::KIND, options, &mut |loc, payload| {
+            superseded.extend(index.put(payload, loc));
         })?;
-        let mut disk = CheckpointDisk { log, index };
         for loc in superseded {
-            disk.log.mark_dead(loc);
+            log.mark_dead(loc);
         }
-        let torn = disk.log.torn_drops;
-        Ok((disk, torn))
-    }
-
-    /// Latest indexed time at or before `max_time` for `key`.
-    fn best_time(&self, key: CacheKey, max_time: i64) -> Option<i64> {
-        self.index
-            .get(&key)?
-            .range(..=max_time)
-            .next_back()
-            .map(|(&t, _)| t)
-    }
-
-    fn live_records(&self) -> usize {
-        self.index.values().map(BTreeMap::len).sum()
-    }
-
-    fn compact(&mut self) -> io::Result<()> {
-        let old = self.log.begin_rewrite()?;
-        let entries: Vec<(CacheKey, i64)> = self
-            .index
-            .iter()
-            .flat_map(|(&k, ladder)| ladder.keys().map(move |&t| (k, t)))
-            .collect();
-        let mut live = 0u64;
-        for (key, time) in entries {
-            let loc = self.index[&key][&time];
-            let payload = self.log.read(loc)?;
-            let new_loc = self.log.append(&payload)?;
-            live += new_loc.cost();
-            self.index
-                .get_mut(&key)
-                .expect("slot present")
-                .insert(time, new_loc);
-        }
-        self.log.finish_rewrite(&old, live)
-    }
-}
-
-impl Compactable for CheckpointDisk {
-    fn compact_if_needed(&mut self) -> io::Result<bool> {
-        if self.log.needs_compaction() {
-            self.compact()?;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
-    }
-}
-
-/// A [`CheckpointStore`] with a sharded in-memory tier over a durable
-/// segment-log disk tier. One configuration owns a ladder of checkpoint
-/// records at increasing simulated times, and a lookup serves the best of
-/// both tiers (promoting a disk win into memory).
-pub struct TieredCheckpointStore {
-    mem: ShardedCheckpointStore,
-    disk: Arc<Mutex<CheckpointDisk>>,
-    recorder: Option<Arc<dyn Recorder>>,
-    counters: Counters,
-    errors_shared: Arc<AtomicU64>,
-    compactor: Option<Compactor>,
-}
-
-impl std::fmt::Debug for TieredCheckpointStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TieredCheckpointStore")
-            .field("recorder", &self.recorder.is_some())
-            .field("background", &self.compactor.is_some())
-            .finish()
-    }
-}
-
-impl TieredCheckpointStore {
-    /// Opens (or creates) the store under `dir` with a memory tier of
-    /// `memory_bytes` and default [`StorageOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory and segment-file I/O failures.
-    pub fn open(dir: impl AsRef<Path>, memory_bytes: usize) -> io::Result<Self> {
-        Self::open_with(dir, memory_bytes, StorageOptions::default(), None)
-    }
-
-    /// [`open`](Self::open) with explicit options and an optional
-    /// [`Recorder`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory and segment-file I/O failures.
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        memory_bytes: usize,
-        options: StorageOptions,
-        recorder: Option<Arc<dyn Recorder>>,
-    ) -> io::Result<Self> {
-        let background = options.background_compaction;
-        let (disk, torn) = CheckpointDisk::open(dir.as_ref(), options)?;
-        if torn > 0 {
-            if let Some(r) = &recorder {
-                r.counter("storage.torn_drops", torn);
-            }
-        }
-        let mut mem = ShardedCheckpointStore::new(memory_bytes);
-        if let Some(r) = &recorder {
-            mem = mem.with_recorder(Arc::clone(r));
-        }
-        let disk = Arc::new(Mutex::new(disk));
-        let errors_shared = Arc::new(AtomicU64::new(0));
+        tally.emit("storage.torn_drops", log.torn_drops);
+        let disk = Arc::new(Mutex::new(Disk { log, index }));
         let compactor = background.then(|| {
-            Compactor::spawn(Arc::clone(&disk), recorder.clone(), Arc::clone(&errors_shared))
-        });
-        Ok(Self {
-            mem,
-            disk,
-            recorder,
-            counters: Counters::default(),
-            errors_shared,
-            compactor,
-        })
-    }
-
-    /// Runs a compaction pass now if one is worthwhile, synchronously.
-    ///
-    /// # Errors
-    ///
-    /// Propagates segment-file I/O failures.
-    pub fn compact_now(&self) -> io::Result<bool> {
-        self.disk
-            .lock()
-            .expect("unpoisoned")
-            .compact_if_needed()
-    }
-
-    /// Counter snapshot of the disk tier.
-    pub fn disk_stats(&self) -> StorageStats {
-        let disk = self.disk.lock().expect("unpoisoned");
-        StorageStats {
-            segments: disk.log.segments.len(),
-            live_records: disk.live_records(),
-            live_bytes: disk.log.live_bytes,
-            dead_bytes: disk.log.dead_bytes,
-            torn_drops: disk.log.torn_drops,
-            compactions: disk.log.compactions,
-            disk_hits: self.counters.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.counters.disk_misses.load(Ordering::Relaxed),
-            promotions: self.counters.promotions.load(Ordering::Relaxed),
-            appends: self.counters.appends.load(Ordering::Relaxed),
-            errors: self.counters.errors.load(Ordering::Relaxed)
-                + self.errors_shared.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl CheckpointStore for TieredCheckpointStore {
-    fn lookup_latest(&self, config: &CanonicalConfig, max_time: i64) -> Option<Arc<Checkpoint>> {
-        let mem_hit = self.mem.lookup_latest(config, max_time);
-        let disk = self.disk.lock().expect("unpoisoned");
-        let disk_time = disk.best_time(config.key, max_time);
-        // The disk only needs to be consulted when it can beat memory.
-        let beats_mem = match (&mem_hit, disk_time) {
-            (_, None) => false,
-            (Some(mem), Some(t)) => t > mem.time(),
-            (None, Some(_)) => true,
-        };
-        if !beats_mem {
-            if mem_hit.is_none() {
-                drop(disk);
-                bump(
-                    &self.recorder,
-                    &self.counters.disk_misses,
-                    "storage.disk_misses",
-                    1,
-                );
-            }
-            return mem_hit;
-        }
-        // Walk the disk ladder downward until a record verifies; stale or
-        // collided records cost misses, never a wrong resume.
-        let candidates: Vec<Loc> = disk
-            .index
-            .get(&config.key)
-            .map(|ladder| {
-                ladder
-                    .range(..=max_time)
-                    .rev()
-                    .map(|(_, &loc)| loc)
-                    .collect()
+            let (disk, tally) = (Arc::clone(&disk), tally.clone());
+            Compactor::spawn(move || {
+                Disk::compact(&disk, &tally);
             })
-            .unwrap_or_default();
-        for loc in candidates {
-            let Ok(payload) = disk.log.read(loc) else {
-                bump(&self.recorder, &self.counters.errors, "storage.errors", 1);
-                continue;
-            };
-            match decode_checkpoint(&payload) {
-                Some((_, canon, cp)) if canon == config.bytes => {
-                    if mem_hit.as_ref().is_some_and(|m| m.time() >= cp.time()) {
-                        break; // remaining disk rungs are older than memory
-                    }
-                    drop(disk);
-                    let cp = Arc::new(cp);
-                    bump(
-                        &self.recorder,
-                        &self.counters.disk_hits,
-                        "storage.disk_hits",
-                        1,
-                    );
-                    self.mem.insert(config, Arc::clone(&cp));
-                    bump(
-                        &self.recorder,
-                        &self.counters.promotions,
-                        "storage.promotions",
-                        1,
-                    );
-                    return Some(cp);
-                }
-                Some(_) => continue,
-                None => {
-                    bump(&self.recorder, &self.counters.errors, "storage.errors", 1);
-                    continue;
-                }
-            }
-        }
-        drop(disk);
-        if mem_hit.is_none() {
-            bump(
-                &self.recorder,
-                &self.counters.disk_misses,
-                "storage.disk_misses",
-                1,
-            );
-        }
-        mem_hit
+        });
+        Ok(Self {
+            disk,
+            tally,
+            compactor,
+        })
     }
 
-    fn insert(&self, config: &CanonicalConfig, checkpoint: Arc<Checkpoint>) {
-        self.mem.insert(config, Arc::clone(&checkpoint));
-        let Some(payload) = encode_checkpoint(config.key, &config.bytes, &checkpoint) else {
-            bump(&self.recorder, &self.counters.errors, "storage.errors", 1);
+    /// Appends one record (`None`: the entry could not be encoded, which
+    /// counts as an error) and supersedes the key's previous record.
+    pub(crate) fn append(&self, payload: Option<&[u8]>) {
+        let mut disk = self.disk.lock().expect("unpoisoned");
+        let Some((payload, Ok(loc))) = payload.map(|p| (p, disk.log.append(p))) else {
+            drop(disk);
+            self.tally.emit("storage.errors", 1);
             return;
         };
-        let time = checkpoint.time();
-        let mut disk = self.disk.lock().expect("unpoisoned");
-        match disk.log.append(&payload) {
-            Ok(loc) => {
-                if let Some(old) = disk.index.entry(config.key).or_default().insert(time, loc)
-                {
-                    disk.log.mark_dead(old);
-                }
-                let wants_compaction = disk.log.needs_compaction();
-                drop(disk);
-                bump(
-                    &self.recorder,
-                    &self.counters.appends,
-                    "storage.appends",
-                    1,
-                );
-                if let Some(r) = &self.recorder {
-                    r.counter("storage.bytes_appended", RECORD_HEADER + payload.len() as u64);
-                }
-                if wants_compaction {
-                    if let Some(c) = &self.compactor {
-                        c.signal();
-                    }
-                }
-            }
-            Err(_) => {
-                drop(disk);
-                bump(&self.recorder, &self.counters.errors, "storage.errors", 1);
+        if let Some(old) = disk.index.put(payload, loc) {
+            disk.log.mark_dead(old);
+        }
+        let wants_compaction = disk.log.needs_compaction();
+        drop(disk);
+        self.tally.emit("storage.appends", 1);
+        self.tally.emit("storage.bytes_appended", loc.cost());
+        if wants_compaction {
+            if let Some(c) = &self.compactor {
+                c.signal();
             }
         }
     }
 
-    fn stats(&self) -> CheckpointStats {
-        // Same reclassification as the verdict tier: resumes served from
-        // disk were memory misses on the way down.
-        let mut stats = self.mem.stats();
-        let disk_hits = self.counters.disk_hits.load(Ordering::Relaxed);
-        stats.hits += disk_hits;
-        stats.misses = stats.misses.saturating_sub(disk_hits);
-        stats
+    /// The newest of `key`'s records taken in `(after, upto]` whose
+    /// canonical bytes equal `canon`. Unreadable or undecodable records
+    /// count as errors and collided ones as skipped, so neither is ever
+    /// served. The caller promotes what this returns into memory.
+    pub(crate) fn find<T>(
+        &self,
+        key: CacheKey,
+        canon: &[u8],
+        after: i64,
+        upto: i64,
+        decode: impl Fn(&[u8]) -> Option<(&[u8], T)>,
+    ) -> Option<T> {
+        let disk = self.disk.lock().expect("unpoisoned");
+        let mut found = None;
+        for loc in disk.index.newest(key, after, upto) {
+            let Ok(payload) = disk.log.read(loc) else {
+                self.tally.emit("storage.errors", 1);
+                continue;
+            };
+            match decode(&payload) {
+                Some((stored, value)) if stored == canon => {
+                    found = Some(value);
+                    break;
+                }
+                Some(_) => {}
+                None => self.tally.emit("storage.errors", 1),
+            }
+        }
+        drop(disk);
+        if found.is_some() {
+            self.tally.emit("storage.disk_hits", 1);
+            self.tally.emit("storage.promotions", 1);
+        }
+        found
+    }
+
+    /// Counts a lookup neither tier could answer.
+    pub(crate) fn missed(&self) {
+        self.tally.emit("storage.disk_misses", 1);
+    }
+
+    /// Runs a compaction pass now if one is worthwhile, synchronously.
+    #[cfg(test)]
+    pub(crate) fn compact_now(&self) -> bool {
+        Disk::compact(&self.disk, &self.tally)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> StorageStats {
+        let mut disk = self.disk.lock().expect("unpoisoned");
+        StorageStats {
+            segments: disk.log.segments.len(),
+            live_records: disk.index.locs_mut().count(),
+            live_bytes: disk.log.live_bytes,
+            dead_bytes: disk.log.dead_bytes,
+        }
     }
 }
 
-/// Opens both tiered stores under one state directory (`<dir>/verdicts`,
+/// Opens both durable stores under one state directory (`<dir>/verdicts`,
 /// `<dir>/checkpoints`). A zero `checkpoint_bytes` budget disables the
 /// checkpoint store, mirroring the in-memory configuration knobs.
 ///
@@ -1303,17 +886,20 @@ pub fn open_state_dir(
     cache_bytes: usize,
     checkpoint_bytes: usize,
     recorder: Option<Arc<dyn Recorder>>,
-) -> io::Result<(Arc<TieredVerdictCache>, Option<Arc<TieredCheckpointStore>>)> {
+) -> io::Result<(
+    Arc<ShardedVerdictCache>,
+    Option<Arc<ShardedCheckpointStore>>,
+)> {
     let dir = dir.as_ref();
-    let verdicts = Arc::new(TieredVerdictCache::open_with(
-        dir.join("verdicts"),
+    let verdicts = ShardedVerdictCache::open(
+        &dir.join("verdicts"),
         cache_bytes,
         StorageOptions::default(),
         recorder.clone(),
-    )?);
+    )?;
     let checkpoints = if checkpoint_bytes > 0 {
-        Some(Arc::new(TieredCheckpointStore::open_with(
-            dir.join("checkpoints"),
+        Some(Arc::new(ShardedCheckpointStore::open(
+            &dir.join("checkpoints"),
             checkpoint_bytes,
             StorageOptions::default(),
             recorder,
@@ -1321,13 +907,15 @@ pub fn open_state_dir(
     } else {
         None
     };
-    Ok((verdicts, checkpoints))
+    Ok((Arc::new(verdicts), checkpoints))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canon::{canonical_config, canonicalize};
+    use crate::cache::VerdictCache;
+    use crate::canon::{canonical_config, canonicalize, CanonicalConfig, CanonicalRequest};
+    use crate::checkpoint::CheckpointStore;
     use crate::obs::MetricsRecorder;
     use swa_ima::{
         Configuration, CoreRef, CoreType, CoreTypeId, Module, ModuleId, Partition, SchedulerKind,
@@ -1418,52 +1006,89 @@ mod tests {
         }
     }
 
+    /// A durable verdict cache under `dir` with a fresh recorder.
+    fn verdicts(
+        dir: &Path,
+        options: StorageOptions,
+    ) -> (ShardedVerdictCache, Arc<MetricsRecorder>) {
+        let recorder = Arc::new(MetricsRecorder::new());
+        let sink = Some(recorder.clone() as Arc<dyn Recorder>);
+        (
+            ShardedVerdictCache::open(dir, 1 << 20, options, sink).unwrap(),
+            recorder,
+        )
+    }
+
+    /// A durable checkpoint store under `dir` with a fresh recorder.
+    fn checkpoints(
+        dir: &Path,
+        options: StorageOptions,
+    ) -> (ShardedCheckpointStore, Arc<MetricsRecorder>) {
+        let recorder = Arc::new(MetricsRecorder::new());
+        let sink = Some(recorder.clone() as Arc<dyn Recorder>);
+        (
+            ShardedCheckpointStore::open(dir, 1 << 20, options, sink).unwrap(),
+            recorder,
+        )
+    }
+
     #[test]
     fn verdict_roundtrip_survives_reopen() {
         let dir = tmp_dir("verdict-reopen");
         let reqs: Vec<_> = (0..5).map(|i| canonicalize(&config(10 + i), 1)).collect();
         {
-            let store = TieredVerdictCache::open_with(&dir, 1 << 20, fg(), None).unwrap();
+            let (store, recorder) = verdicts(&dir, fg());
             for (i, req) in reqs.iter().enumerate() {
                 store.insert(req, verdict(i % 2 == 0));
             }
-            assert_eq!(store.disk_stats().appends, 5);
+            assert_eq!(recorder.counter_value("storage.appends"), 5);
         }
-        let store = TieredVerdictCache::open_with(&dir, 1 << 20, fg(), None).unwrap();
-        assert_eq!(store.disk_stats().live_records, 5);
+        let (store, recorder) = verdicts(&dir, fg());
+        assert_eq!(store.disk().stats().live_records, 5);
         for (i, req) in reqs.iter().enumerate() {
             let hit = store.lookup(req).expect("disk tier must answer");
             assert_eq!(hit.schedulable, i % 2 == 0);
             assert_eq!(*hit, *verdict(i % 2 == 0));
         }
-        let stats = store.disk_stats();
-        assert_eq!(stats.disk_hits, 5);
-        assert_eq!(stats.promotions, 5);
-        assert_eq!(stats.torn_drops, 0, "a clean shutdown loses nothing");
-        assert_eq!(stats.errors, 0, "no absorbed I/O errors");
+        assert_eq!(recorder.counter_value("storage.disk_hits"), 5);
+        assert_eq!(recorder.counter_value("storage.promotions"), 5);
+        assert_eq!(
+            recorder.counter_value("storage.torn_drops"),
+            0,
+            "a clean shutdown loses nothing"
+        );
+        assert_eq!(
+            recorder.counter_value("storage.errors"),
+            0,
+            "no absorbed I/O errors"
+        );
         // Promoted: the second lookup is a pure memory hit.
         assert!(store.lookup(&reqs[0]).is_some());
-        assert_eq!(store.disk_stats().disk_hits, 5, "no extra disk read");
+        assert_eq!(
+            recorder.counter_value("storage.disk_hits"),
+            5,
+            "no extra disk read"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn verdict_disk_collision_is_a_miss() {
         let dir = tmp_dir("verdict-collision");
-        let store = TieredVerdictCache::open_with(&dir, 1 << 20, fg(), None).unwrap();
+        let (store, _) = verdicts(&dir, fg());
         let real = canonicalize(&config(10), 1);
         store.insert(&real, verdict(true));
         // Same key, different canonical bytes — what a 128-bit collision
         // would look like. Restrict to a fresh store so the memory tier
         // cannot answer first.
         drop(store);
-        let store = TieredVerdictCache::open_with(&dir, 1 << 20, fg(), None).unwrap();
+        let (store, recorder) = verdicts(&dir, fg());
         let forged = CanonicalRequest {
             key: real.key,
             bytes: canonicalize(&config(40), 1).bytes,
         };
         assert!(store.lookup(&forged).is_none(), "collision must miss");
-        assert_eq!(store.disk_stats().disk_misses, 1);
+        assert_eq!(recorder.counter_value("storage.disk_misses"), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1472,7 +1097,7 @@ mod tests {
         let dir = tmp_dir("torn-tail");
         let reqs: Vec<_> = (0..3).map(|i| canonicalize(&config(10 + i), 1)).collect();
         {
-            let store = TieredVerdictCache::open_with(&dir, 1 << 20, fg(), None).unwrap();
+            let (store, _) = verdicts(&dir, fg());
             for req in &reqs {
                 store.insert(req, verdict(true));
             }
@@ -1485,18 +1110,17 @@ mod tests {
         file.set_len(len - 5).unwrap();
         drop(file);
 
-        let recorder = Arc::new(MetricsRecorder::new());
-        let store = TieredVerdictCache::open_with(
-            &dir,
-            1 << 20,
-            fg(),
-            Some(recorder.clone() as Arc<dyn Recorder>),
-        )
-        .unwrap();
-        let stats = store.disk_stats();
-        assert_eq!(stats.torn_drops, 1, "exactly one torn tail dropped");
-        assert_eq!(stats.live_records, 2, "prior records survive");
-        assert_eq!(recorder.counter_value("storage.torn_drops"), 1);
+        let (store, recorder) = verdicts(&dir, fg());
+        assert_eq!(
+            recorder.counter_value("storage.torn_drops"),
+            1,
+            "exactly one torn tail dropped"
+        );
+        assert_eq!(
+            store.disk().stats().live_records,
+            2,
+            "prior records survive"
+        );
         assert!(store.lookup(&reqs[0]).is_some());
         assert!(store.lookup(&reqs[1]).is_some());
         assert!(store.lookup(&reqs[2]).is_none(), "torn record never served");
@@ -1504,7 +1128,7 @@ mod tests {
         // And appends continue cleanly after the truncation.
         store.insert(&reqs[2], verdict(false));
         drop(store);
-        let store = TieredVerdictCache::open_with(&dir, 1 << 20, fg(), None).unwrap();
+        let (store, _) = verdicts(&dir, fg());
         assert!(!store.lookup(&reqs[2]).unwrap().schedulable);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1515,11 +1139,11 @@ mod tests {
         let reqs: Vec<_> = (0..3).map(|i| canonicalize(&config(10 + i), 1)).collect();
         let offsets: Vec<u64>;
         {
-            let store = TieredVerdictCache::open_with(&dir, 1 << 20, fg(), None).unwrap();
+            let (store, _) = verdicts(&dir, fg());
             for req in &reqs {
                 store.insert(req, verdict(true));
             }
-            let disk = store.disk.lock().unwrap();
+            let disk = store.disk().disk.lock().unwrap();
             let mut offs: Vec<u64> = disk.index.values().map(|l| l.offset).collect();
             offs.sort_unstable();
             offsets = offs;
@@ -1531,40 +1155,40 @@ mod tests {
         bytes[at] ^= 0xff;
         fs::write(&seg, &bytes).unwrap();
 
-        let store = TieredVerdictCache::open_with(&dir, 1 << 20, fg(), None).unwrap();
+        let (store, recorder) = verdicts(&dir, fg());
         // The valid prefix ends before the corrupt record; everything
         // after it is gone with it, but the first record still serves.
         assert!(store.lookup(&reqs[0]).is_some());
         assert!(store.lookup(&reqs[1]).is_none());
-        assert!(store.disk_stats().torn_drops >= 1);
+        assert!(recorder.counter_value("storage.torn_drops") >= 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn supersede_and_compact_reclaims_dead_bytes() {
         let dir = tmp_dir("compact");
-        let store = TieredVerdictCache::open_with(&dir, 1 << 20, fg(), None).unwrap();
+        let (store, recorder) = verdicts(&dir, fg());
         let req = canonicalize(&config(10), 1);
         let keeper = canonicalize(&config(11), 1);
         store.insert(&keeper, verdict(true));
         for i in 0..20 {
             store.insert(&req, verdict(i % 2 == 0));
         }
-        let before = store.disk_stats();
+        let before = store.disk().stats();
         assert_eq!(before.live_records, 2);
         assert!(before.dead_bytes > before.live_bytes);
-        assert!(store.compact_now().unwrap(), "compaction must run");
-        let after = store.disk_stats();
+        assert!(store.disk().compact_now(), "compaction must run");
+        let after = store.disk().stats();
         assert_eq!(after.dead_bytes, 0);
-        assert_eq!(after.compactions, 1);
+        assert_eq!(recorder.counter_value("storage.compactions"), 1);
         assert!(after.live_bytes < before.live_bytes + before.dead_bytes);
         // Latest values survive compaction and a reopen.
         assert!(!store.lookup(&req).unwrap().schedulable);
         drop(store);
-        let store = TieredVerdictCache::open_with(&dir, 1 << 20, fg(), None).unwrap();
+        let (store, _) = verdicts(&dir, fg());
         assert!(!store.lookup(&req).unwrap().schedulable);
         assert!(store.lookup(&keeper).unwrap().schedulable);
-        assert_eq!(store.disk_stats().segments, 1);
+        assert_eq!(store.disk().stats().segments, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1576,14 +1200,14 @@ mod tests {
             background_compaction: false,
             ..StorageOptions::default()
         };
-        let store = TieredVerdictCache::open_with(&dir, 1 << 20, options.clone(), None).unwrap();
+        let (store, _) = verdicts(&dir, options.clone());
         let reqs: Vec<_> = (0..8).map(|i| canonicalize(&config(10 + i), 1)).collect();
         for req in &reqs {
             store.insert(req, verdict(true));
         }
-        assert!(store.disk_stats().segments > 1, "log must roll");
+        assert!(store.disk().stats().segments > 1, "log must roll");
         drop(store);
-        let store = TieredVerdictCache::open_with(&dir, 1 << 20, options, None).unwrap();
+        let (store, _) = verdicts(&dir, options);
         for req in &reqs {
             assert!(store.lookup(req).is_some());
         }
@@ -1593,22 +1217,15 @@ mod tests {
     #[test]
     fn checkpoint_ladder_survives_reopen_and_promotes() {
         let dir = tmp_dir("ckpt-reopen");
-        let recorder = Arc::new(MetricsRecorder::new());
         let key = canonical_config(&config(10));
         {
-            let store = TieredCheckpointStore::open_with(&dir, 1 << 20, fg(), None).unwrap();
+            let (store, _) = checkpoints(&dir, fg());
             for t in [100, 200, 300] {
                 store.insert(&key, checkpoint(t));
             }
         }
-        let store = TieredCheckpointStore::open_with(
-            &dir,
-            1 << 20,
-            fg(),
-            Some(recorder.clone() as Arc<dyn Recorder>),
-        )
-        .unwrap();
-        assert_eq!(store.disk_stats().live_records, 3);
+        let (store, recorder) = checkpoints(&dir, fg());
+        assert_eq!(store.disk().stats().live_records, 3);
         // Disk answers the ladder query after a restart, byte-identically.
         let got = store.lookup_latest(&key, 250).expect("disk rung");
         assert_eq!(got.time(), 200);
@@ -1618,10 +1235,10 @@ mod tests {
         assert_eq!(recorder.counter_value("storage.promotions"), 1);
         // Promotion: same query now answered from memory.
         assert_eq!(store.lookup_latest(&key, 250).unwrap().time(), 200);
-        assert_eq!(store.disk_stats().disk_hits, 1);
+        assert_eq!(recorder.counter_value("storage.disk_hits"), 1);
         // A later rung still comes from disk when memory has only t=200.
         assert_eq!(store.lookup_latest(&key, 1000).unwrap().time(), 300);
-        assert_eq!(store.disk_stats().disk_hits, 2);
+        assert_eq!(recorder.counter_value("storage.disk_hits"), 2);
         assert!(store.lookup_latest(&key, 99).is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1631,10 +1248,10 @@ mod tests {
         let dir = tmp_dir("ckpt-collision");
         let real = canonical_config(&config(10));
         {
-            let store = TieredCheckpointStore::open_with(&dir, 1 << 20, fg(), None).unwrap();
+            let (store, _) = checkpoints(&dir, fg());
             store.insert(&real, checkpoint(100));
         }
-        let store = TieredCheckpointStore::open_with(&dir, 1 << 20, fg(), None).unwrap();
+        let (store, _) = checkpoints(&dir, fg());
         let forged = CanonicalConfig {
             key: real.key,
             bytes: canonical_config(&config(40)).bytes,
@@ -1648,15 +1265,15 @@ mod tests {
         let dir = tmp_dir("ckpt-replace");
         let key = canonical_config(&config(10));
         {
-            let store = TieredCheckpointStore::open_with(&dir, 1 << 20, fg(), None).unwrap();
+            let (store, _) = checkpoints(&dir, fg());
             store.insert(&key, checkpoint(100));
             store.insert(&key, checkpoint(100));
-            let stats = store.disk_stats();
+            let stats = store.disk().stats();
             assert_eq!(stats.live_records, 1);
             assert!(stats.dead_bytes > 0, "replaced record is dead");
         }
-        let store = TieredCheckpointStore::open_with(&dir, 1 << 20, fg(), None).unwrap();
-        assert_eq!(store.disk_stats().live_records, 1);
+        let (store, _) = checkpoints(&dir, fg());
+        assert_eq!(store.disk().stats().live_records, 1);
         assert_eq!(store.lookup_latest(&key, 1000).unwrap().time(), 100);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1665,17 +1282,17 @@ mod tests {
     fn checkpoint_compaction_preserves_the_ladder() {
         let dir = tmp_dir("ckpt-compact");
         let key = canonical_config(&config(10));
-        let store = TieredCheckpointStore::open_with(&dir, 1 << 20, fg(), None).unwrap();
+        let (store, _) = checkpoints(&dir, fg());
         for _ in 0..10 {
             for t in [100, 200] {
                 store.insert(&key, checkpoint(t));
             }
         }
-        assert!(store.compact_now().unwrap());
-        assert_eq!(store.disk_stats().dead_bytes, 0);
+        assert!(store.disk().compact_now());
+        assert_eq!(store.disk().stats().dead_bytes, 0);
         drop(store);
-        let store = TieredCheckpointStore::open_with(&dir, 1 << 20, fg(), None).unwrap();
-        assert_eq!(store.disk_stats().live_records, 2);
+        let (store, _) = checkpoints(&dir, fg());
+        assert_eq!(store.disk().stats().live_records, 2);
         assert_eq!(store.lookup_latest(&key, 1000).unwrap().time(), 200);
         assert_eq!(store.lookup_latest(&key, 150).unwrap().time(), 100);
         fs::remove_dir_all(&dir).unwrap();
@@ -1689,19 +1306,24 @@ mod tests {
             compact_min_dead: 1,
             ..StorageOptions::default()
         };
-        let store = TieredVerdictCache::open_with(&dir, 1 << 20, options, None).unwrap();
+        let (store, recorder) = verdicts(&dir, options);
         let req = canonicalize(&config(10), 1);
         for i in 0..50 {
             store.insert(&req, verdict(i % 2 == 0));
         }
         // The background thread is signalled on insert; give it a moment.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while store.disk_stats().compactions == 0 && std::time::Instant::now() < deadline {
+        while recorder.counter_value("storage.compactions") == 0
+            && std::time::Instant::now() < deadline
+        {
             std::thread::sleep(std::time::Duration::from_millis(10));
             // Keep generating dead bytes in case the signal raced.
             store.insert(&req, verdict(true));
         }
-        assert!(store.disk_stats().compactions >= 1, "compactor never ran");
+        assert!(
+            recorder.counter_value("storage.compactions") >= 1,
+            "compactor never ran"
+        );
         drop(store); // Drop joins the thread; hanging here is the bug.
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1723,6 +1345,137 @@ mod tests {
             .is_some());
         let (_, disabled) = open_state_dir(&dir, 1 << 20, 0, None).unwrap();
         assert!(disabled.is_none());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `(hits, misses, full hits)`.
+    type Counts = (u64, u64, u64);
+
+    fn recorded(recorder: &MetricsRecorder, layer: &str) -> Counts {
+        let count = |name: &str| recorder.counter_value(&format!("{layer}.{name}"));
+        (count("hits"), count("misses"), count("full_hits"))
+    }
+
+    /// One stored verdict looked up twice, then one never stored; durable
+    /// stores answer after a reopen, so the first hit comes from disk.
+    fn verdict_counts(durable: bool) -> (Counts, Counts) {
+        let dir = tmp_dir(&format!("count-verdicts-{durable}"));
+        let (stored, absent) = (canonicalize(&config(10), 1), canonicalize(&config(11), 1));
+        let (cache, recorder) = if durable {
+            verdicts(&dir, fg()).0.insert(&stored, verdict(true));
+            verdicts(&dir, fg())
+        } else {
+            let recorder = Arc::new(MetricsRecorder::new());
+            let cache = ShardedVerdictCache::new(1 << 20).with_recorder(recorder.clone());
+            cache.insert(&stored, verdict(true));
+            (cache, recorder)
+        };
+        for req in [&stored, &stored, &absent] {
+            let _ = cache.lookup(req);
+        }
+        let stats = cache.stats();
+        let _ = fs::remove_dir_all(&dir);
+        ((stats.hits, stats.misses, 0), recorded(&recorder, "cache"))
+    }
+
+    /// Rungs at 100, 200 and 300 looked up at ≤250, ≤250, ≤1000, ≤99 and
+    /// ≤300; durable stores answer after a reopen, from both tiers.
+    fn checkpoint_counts(durable: bool) -> (Counts, Counts) {
+        let dir = tmp_dir(&format!("count-checkpoints-{durable}"));
+        let key = canonical_config(&config(10));
+        let fill = |store: &ShardedCheckpointStore| {
+            for t in [100, 200, 300] {
+                store.insert(&key, checkpoint(t));
+            }
+        };
+        let (store, recorder) = if durable {
+            fill(&checkpoints(&dir, fg()).0);
+            checkpoints(&dir, fg())
+        } else {
+            let recorder = Arc::new(MetricsRecorder::new());
+            let store = ShardedCheckpointStore::new(1 << 20).with_recorder(recorder.clone());
+            fill(&store);
+            (store, recorder)
+        };
+        for max_time in [250, 250, 1000, 99, 300] {
+            let _ = store.lookup_latest(&key, max_time);
+        }
+        let stats = store.stats();
+        let _ = fs::remove_dir_all(&dir);
+        (
+            (stats.hits, stats.misses, stats.full_hits),
+            recorded(&recorder, "checkpoint"),
+        )
+    }
+
+    /// Every store counts each lookup once, after both tiers answered:
+    /// `stats()` and the recorder agree with the true counts whether the
+    /// store is memory-only or durable.
+    #[test]
+    fn every_store_counts_each_lookup_once() {
+        type Case = fn(bool) -> (Counts, Counts);
+        let cases: [(&str, Case, Counts); 2] = [
+            ("verdict", verdict_counts, (2, 1, 0)),
+            ("checkpoint", checkpoint_counts, (4, 1, 1)),
+        ];
+        for (store, run, truth) in cases {
+            for durable in [false, true] {
+                let (stats, recorder) = run(durable);
+                assert_eq!(stats, truth, "{store} store, durable={durable}: stats()");
+                assert_eq!(
+                    recorder, truth,
+                    "{store} store, durable={durable}: recorder"
+                );
+            }
+        }
+    }
+
+    /// A rung served from disk that covers the requested horizon is a
+    /// full hit, exactly as a memory-served one is.
+    #[test]
+    fn a_disk_rung_covering_the_horizon_is_a_full_hit() {
+        let dir = tmp_dir("disk-full-hit");
+        let key = canonical_config(&config(10));
+        checkpoints(&dir, fg()).0.insert(&key, checkpoint(100));
+        let (store, recorder) = checkpoints(&dir, fg());
+        assert_eq!(store.lookup_latest(&key, 100).unwrap().time(), 100);
+        assert_eq!(recorder.counter_value("storage.disk_hits"), 1);
+        assert_eq!(store.stats().full_hits, 1);
+        assert_eq!(recorder.counter_value("checkpoint.full_hits"), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Pins the on-disk format: one fixed verdict and one fixed checkpoint
+    /// written through `open_state_dir` produce segment files with these
+    /// exact FNV-1a hashes. A state dir written by an earlier build must
+    /// keep opening and answering, so a change here is a format change
+    /// (bump `FORMAT_VERSION`), never a re-pin.
+    #[test]
+    fn state_dir_segment_bytes_are_pinned() {
+        let dir = tmp_dir("format-pin");
+        let req = canonicalize(&config(10), 1);
+        let key = canonical_config(&config(10));
+        {
+            let (verdicts, checkpoints) = open_state_dir(&dir, 1 << 20, 1 << 20, None).unwrap();
+            verdicts.insert(&req, verdict(false));
+            checkpoints.expect("enabled").insert(&key, checkpoint(100));
+        }
+        let hash = |sub: &str| fnv1a64(&fs::read(dir.join(sub).join("seg-000000.log")).unwrap());
+        assert_eq!(
+            hash("verdicts"),
+            0x7904_3bfc_de5d_6856,
+            "verdict segment bytes drifted"
+        );
+        assert_eq!(
+            hash("checkpoints"),
+            0xe7e0_e418_9852_9df6,
+            "checkpoint segment bytes drifted"
+        );
+        let (verdicts, checkpoints) = open_state_dir(&dir, 1 << 20, 1 << 20, None).unwrap();
+        assert_eq!(verdicts.lookup(&req).as_deref(), Some(&*verdict(false)));
+        let got = checkpoints.unwrap().lookup_latest(&key, 1000).unwrap();
+        assert_eq!(got.snapshot.to_bytes(), checkpoint(100).snapshot.to_bytes());
+        assert_eq!(got.prefix, checkpoint(100).prefix);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

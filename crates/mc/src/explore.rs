@@ -8,49 +8,37 @@
 //! horizon?" — optionally in product with observer [`Monitor`]s, whose bad
 //! locations then become the target.
 
-use std::collections::HashSet;
-
 use swa_nsa::semantics::{any_committed, apply, delay_bounds, enabled_transitions};
 use swa_nsa::{Network, SimError, State, SyncEvent};
 
 use crate::monitor::{Monitor, MonitorBank};
+use crate::visited::VisitedSet;
 
-/// Number of visited-set shards (a power of two; indexed by fingerprint).
-pub(crate) const SHARDS: usize = 64;
-
-/// The sequential explorer's visited set of state fingerprints, split
-/// into [`SHARDS`] tables so that a rehash copies one small table, never
-/// the whole set. Peak memory then stays near the final set size, and an
-/// exploration that follows another in the same process reuses the
-/// freed tables: a single doubling table leaves its outgrown halves
-/// resident in the allocator, so the second run's peak would exceed the
-/// first's.
-struct VisitedSet {
-    shards: Vec<HashSet<u64>>,
-    len: usize,
-}
-
-impl Default for VisitedSet {
-    fn default() -> Self {
-        VisitedSet {
-            shards: vec![HashSet::new(); SHARDS],
-            len: 0,
-        }
-    }
-}
-
-impl VisitedSet {
-    /// Adds `fingerprint`; `true` when it was not present.
-    fn insert(&mut self, fingerprint: u64) -> bool {
-        let shard = usize::try_from(fingerprint).unwrap_or(0) % SHARDS;
-        let fresh = self.shards[shard].insert(fingerprint);
-        self.len += usize::from(fresh);
-        fresh
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
+/// The delay of the unique time successor of a state with no enabled
+/// action transition: up to the next enabling instant, within the
+/// invariants and the horizon. `None` when the branch ends instead (a
+/// time lock, or no time left to pass).
+///
+/// # Errors
+///
+/// Propagates evaluation errors from the network semantics.
+pub(crate) fn delay_successor(
+    network: &Network,
+    state: &State,
+    horizon: i64,
+) -> Result<Option<i64>, SimError> {
+    let bounds = delay_bounds(network, state)?;
+    let remaining = horizon - state.time;
+    let delay = match bounds.next_enabling {
+        Some(d) if bounds.max_delay.is_none_or(|m| d <= m) => d.min(remaining),
+        _ => match bounds.max_delay {
+            None => remaining,
+            Some(m) if m >= remaining => remaining,
+            // Time lock: prune the branch.
+            Some(_) => return Ok(None),
+        },
+    };
+    Ok((delay > 0).then_some(delay))
 }
 
 /// Exploration statistics and verdict.
@@ -192,7 +180,7 @@ impl<'n> Explorer<'n> {
                 truncated: false,
             });
         }
-        visited.insert(fingerprint(&initial));
+        visited.insert_mut(fingerprint(&initial));
         stack.push(initial);
 
         while let Some(node) = stack.pop() {
@@ -242,21 +230,9 @@ impl<'n> Explorer<'n> {
                     }
                     continue;
                 }
-                // Unique delay successor.
-                let bounds = delay_bounds(self.network, &node.state)?;
-                let remaining = self.horizon - node.state.time;
-                let delay = match bounds.next_enabling {
-                    Some(d) if bounds.max_delay.is_none_or(|m| d <= m) => d.min(remaining),
-                    _ => match bounds.max_delay {
-                        None => remaining,
-                        Some(m) if m >= remaining => remaining,
-                        // Time lock: prune the branch.
-                        Some(_) => continue,
-                    },
-                };
-                if delay <= 0 {
+                let Some(delay) = delay_successor(self.network, &node.state, self.horizon)? else {
                     continue;
-                }
+                };
                 let mut succ = node;
                 if self.record_witness {
                     arena.push((succ.step, None));
@@ -273,7 +249,7 @@ impl<'n> Explorer<'n> {
                         witness,
                     ));
                 }
-                if visited.insert(fingerprint(&succ)) {
+                if visited.insert_mut(fingerprint(&succ)) {
                     stack.push(succ);
                 }
                 continue;
@@ -329,7 +305,7 @@ impl<'n> Explorer<'n> {
                         witness,
                     ));
                 }
-                if visited.insert(fingerprint(&succ)) {
+                if visited.insert_mut(fingerprint(&succ)) {
                     stack.push(succ);
                 }
             }
@@ -397,22 +373,6 @@ mod tests {
             nb.automaton(b.finish(l0));
         }
         nb.build().unwrap()
-    }
-
-    #[test]
-    fn visited_set_counts_distinct_fingerprints_across_shards() {
-        let mut visited = VisitedSet::default();
-        let fingerprints: Vec<u64> = (0..1000u64)
-            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .collect();
-        for &fp in &fingerprints {
-            assert!(visited.insert(fp));
-        }
-        for &fp in &fingerprints {
-            assert!(!visited.insert(fp));
-        }
-        assert_eq!(visited.len(), fingerprints.len());
-        assert!(visited.shards.iter().filter(|s| !s.is_empty()).count() > 1);
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod observers;
 pub mod parallel;
 pub mod schedcheck;
 pub mod verify;
+mod visited;
 
 pub use explore::{ExploreOutcome, Explorer};
 pub use monitor::{Monitor, MonitorBank, MonitorBuilder, MonitorState, Pattern};

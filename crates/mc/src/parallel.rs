@@ -6,46 +6,38 @@
 //! shared work stack. Monitors and witnesses are not supported here — use
 //! the sequential explorer for those.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use swa_nsa::semantics::{any_committed, apply, delay_bounds, enabled_transitions};
+use swa_nsa::semantics::{any_committed, apply, enabled_transitions};
 use swa_nsa::{Network, SimError, State};
 
-use crate::explore::{ExploreOutcome, SHARDS};
+use crate::explore::{delay_successor, ExploreOutcome};
+use crate::visited::VisitedSet;
 
 struct Shared<'n, F> {
     network: &'n Network,
     horizon: i64,
     max_states: usize,
     target: F,
-    visited: Vec<Mutex<HashSet<u64>>>,
+    visited: VisitedSet,
     work: Mutex<Vec<State>>,
     idle: AtomicUsize,
     stop: AtomicBool,
     truncated: AtomicBool,
     found: Mutex<Option<State>>,
     error: Mutex<Option<SimError>>,
-    states: AtomicUsize,
     transitions: AtomicU64,
 }
 
 impl<F: Fn(&Network, &State) -> bool + Sync> Shared<'_, F> {
     fn visit(&self, state: &State) -> bool {
-        let fp = state.fingerprint();
-        let shard = usize::try_from(fp).unwrap_or(0) % SHARDS;
-        let mut set = self.visited[shard].lock().expect("unpoisoned shard");
-        if set.insert(fp) {
-            let n = self.states.fetch_add(1, Ordering::Relaxed) + 1;
-            if n >= self.max_states {
-                self.truncated.store(true, Ordering::Relaxed);
-                self.stop.store(true, Ordering::Relaxed);
-            }
-            true
-        } else {
-            false
+        let fresh = self.visited.insert(state.fingerprint());
+        if fresh && self.visited.len() >= self.max_states {
+            self.truncated.store(true, Ordering::Relaxed);
+            self.stop.store(true, Ordering::Relaxed);
         }
+        fresh
     }
 
     fn report_found(&self, state: State) {
@@ -74,19 +66,9 @@ impl<F: Fn(&Network, &State) -> bool + Sync> Shared<'_, F> {
             if any_committed(self.network, state) {
                 return Ok(());
             }
-            let bounds = delay_bounds(self.network, state)?;
-            let remaining = self.horizon - state.time;
-            let delay = match bounds.next_enabling {
-                Some(d) if bounds.max_delay.is_none_or(|m| d <= m) => d.min(remaining),
-                _ => match bounds.max_delay {
-                    None => remaining,
-                    Some(m) if m >= remaining => remaining,
-                    Some(_) => return Ok(()),
-                },
-            };
-            if delay <= 0 {
+            let Some(delay) = delay_successor(self.network, state, self.horizon)? else {
                 return Ok(());
-            }
+            };
             let mut succ = state.clone();
             succ.advance(delay);
             self.transitions.fetch_add(1, Ordering::Relaxed);
@@ -160,14 +142,13 @@ where
         horizon,
         max_states,
         target,
-        visited: (0..SHARDS).map(|_| Mutex::new(HashSet::new())).collect(),
+        visited: VisitedSet::default(),
         work: Mutex::new(Vec::new()),
         idle: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
         truncated: AtomicBool::new(false),
         found: Mutex::new(None),
         error: Mutex::new(None),
-        states: AtomicUsize::new(0),
         transitions: AtomicU64::new(0),
     };
     shared.visit(&initial);
@@ -239,7 +220,7 @@ where
     }
     let target_state = shared.found.into_inner().expect("unpoisoned");
     Ok(ExploreOutcome {
-        states: shared.states.load(Ordering::Relaxed),
+        states: shared.visited.len(),
         transitions: shared.transitions.load(Ordering::Relaxed),
         target_state,
         witness: None,
@@ -258,16 +239,12 @@ pub fn check_schedulable_mc_parallel(
     model: &swa_core::SystemModel,
     threads: usize,
 ) -> Result<crate::schedcheck::McVerdict, SimError> {
-    let network = model.network();
-    let failed_array = model.map().is_failed;
-    let offset = network.array_offset(failed_array);
-    let len = network.array_len(failed_array);
     let out = reachable_parallel(
-        network,
+        model.network(),
         model.horizon(),
         threads,
         usize::MAX,
-        move |_, s| s.vars[offset..offset + len].contains(&1),
+        crate::schedcheck::deadline_missed(model),
     )?;
     Ok(crate::schedcheck::McVerdict {
         schedulable: !out.found(),

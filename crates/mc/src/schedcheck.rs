@@ -9,7 +9,7 @@
 //! the effect Table 1 measures.
 
 use swa_core::SystemModel;
-use swa_nsa::{NsaTrace, SimError};
+use swa_nsa::{Network, NsaTrace, SimError, State};
 
 use crate::explore::Explorer;
 
@@ -66,16 +66,22 @@ pub fn check_schedulable_mc_witnessed(
     run_check(model, max_states, true)
 }
 
-fn run_check(model: &SystemModel, max_states: usize, witness: bool) -> Result<McVerdict, SimError> {
+/// The deadline-miss target of both explorers: some job's `is_failed`
+/// flag is set.
+pub(crate) fn deadline_missed(model: &SystemModel) -> impl Fn(&Network, &State) -> bool + Sync {
     let network = model.network();
     let failed_array = model.map().is_failed;
     let offset = network.array_offset(failed_array);
     let len = network.array_len(failed_array);
-    let mut explorer = Explorer::new(network, model.horizon()).max_states(max_states);
+    move |_, s| s.vars[offset..offset + len].contains(&1)
+}
+
+fn run_check(model: &SystemModel, max_states: usize, witness: bool) -> Result<McVerdict, SimError> {
+    let mut explorer = Explorer::new(model.network(), model.horizon()).max_states(max_states);
     if witness {
         explorer = explorer.with_witness();
     }
-    let out = explorer.reachable(move |_, s| s.vars[offset..offset + len].contains(&1))?;
+    let out = explorer.reachable(deadline_missed(model))?;
     Ok(McVerdict {
         schedulable: !out.found(),
         states: out.states,

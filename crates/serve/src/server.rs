@@ -151,34 +151,28 @@ impl Server {
         let listener = TcpListener::bind(&options.addr)?;
         let local_addr = listener.local_addr()?;
         let recorder = Arc::new(MetricsRecorder::new());
-        let (cache, checkpoints): (Arc<dyn VerdictCache>, Option<Arc<dyn CheckpointStore>>) =
-            match &options.state_dir {
-                Some(dir) => {
-                    let (verdicts, checkpoints) = open_state_dir(
-                        dir,
-                        options.cache_bytes,
-                        options.checkpoint_bytes,
-                        Some(recorder.clone() as Arc<dyn Recorder>),
-                    )?;
-                    (
-                        verdicts as Arc<dyn VerdictCache>,
-                        checkpoints.map(|c| c as Arc<dyn CheckpointStore>),
-                    )
-                }
-                None => {
-                    let cache = Arc::new(
-                        ShardedVerdictCache::new(options.cache_bytes)
+        let (cache, checkpoints) = match &options.state_dir {
+            Some(dir) => open_state_dir(
+                dir,
+                options.cache_bytes,
+                options.checkpoint_bytes,
+                Some(recorder.clone() as Arc<dyn Recorder>),
+            )?,
+            None => (
+                Arc::new(
+                    ShardedVerdictCache::new(options.cache_bytes)
+                        .with_recorder(recorder.clone() as Arc<dyn Recorder>),
+                ),
+                (options.checkpoint_bytes > 0).then(|| {
+                    Arc::new(
+                        ShardedCheckpointStore::new(options.checkpoint_bytes)
                             .with_recorder(recorder.clone() as Arc<dyn Recorder>),
-                    );
-                    let checkpoints = (options.checkpoint_bytes > 0).then(|| {
-                        Arc::new(
-                            ShardedCheckpointStore::new(options.checkpoint_bytes)
-                                .with_recorder(recorder.clone() as Arc<dyn Recorder>),
-                        ) as Arc<dyn CheckpointStore>
-                    });
-                    (cache as Arc<dyn VerdictCache>, checkpoints)
-                }
-            };
+                    )
+                }),
+            ),
+        };
+        let cache: Arc<dyn VerdictCache> = cache;
+        let checkpoints = checkpoints.map(|c| c as Arc<dyn CheckpointStore>);
         let shed_limit = if options.shed_inflight == 0 {
             (options.workers + options.queue_depth) * 4
         } else {

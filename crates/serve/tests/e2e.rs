@@ -502,6 +502,19 @@ fn restart_answers_from_the_disk_tier_without_resimulating() {
             "verdict field {field} drifted across the restart"
         );
     }
+    // The disk-served lookup is one cache hit in the /metrics counters.
+    let metrics = client::get(server.local_addr(), "/metrics").unwrap();
+    let metrics_doc = Json::parse(&metrics.body).unwrap();
+    let counter = |name: &str| {
+        metrics_doc
+            .get("metrics")
+            .and_then(|m| m.get("counters"))
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    };
+    assert_eq!(counter("cache.hits"), 1, "{}", metrics.body);
+    assert_eq!(counter("cache.misses"), 0, "{}", metrics.body);
     server.shutdown();
     std::fs::remove_dir_all(&state_dir).ok();
 }
