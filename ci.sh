@@ -60,9 +60,10 @@ wait_for_addr() {
 echo "==> serve smoke (cached verdict roundtrip over loopback)"
 serve_dir="$(mktemp -d)"
 serve_pid=""
+backend_pids=""
 # The last server has normally exited by then; under `set -e` a failed
 # kill inside the trap would turn a green run's exit status into 1.
-trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
+trap '[ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true; for pid in $backend_pids; do kill "$pid" 2>/dev/null || true; done; rm -rf "$serve_dir"' EXIT
 cargo run --release --offline -q -p swa-workload --example emit_xml -- 100 \
     > "$serve_dir/config.xml"
 ./target/release/swa serve --addr 127.0.0.1:0 --workers 2 \
@@ -208,6 +209,55 @@ wait "$serve_pid" || {
     exit 1
 }
 echo "sweep streaming gate: $line_count lines, final verdict matches the CLI byte-for-byte"
+
+echo "==> router smoke (swa serve --route over two backends: miss, then hit)"
+for backend in 1 2; do
+    ./target/release/swa serve --addr 127.0.0.1:0 --workers 2 \
+        --addr-file "$serve_dir/backend$backend.txt" > "$serve_dir/backend$backend.log" 2>&1 &
+    serve_pid=$!
+    backend_pids="$backend_pids $serve_pid"
+    wait_for_addr "$serve_dir/backend$backend.txt" "router smoke FAILED: backend $backend never published its address"
+done
+backends="$(cat "$serve_dir/backend1.txt"),$(cat "$serve_dir/backend2.txt")"
+./target/release/swa serve --route "$backends" --addr 127.0.0.1:0 \
+    --addr-file "$serve_dir/router.txt" > "$serve_dir/router.log" 2>&1 &
+serve_pid=$!
+wait_for_addr "$serve_dir/router.txt" "router smoke FAILED: router never published its address"
+router="$(cat "$serve_dir/router.txt")"
+first="$(./target/release/swa request "$router" "$serve_dir/config.xml")"
+second="$(./target/release/swa request "$router" "$serve_dir/config.xml")"
+echo "$first" | grep -q '"cached":false' || {
+    echo "router smoke FAILED: first request not marked uncached"
+    echo "$first"
+    exit 1
+}
+echo "$second" | grep -q '"cached":true' || {
+    echo "router smoke FAILED: repeated request did not reach the backend that cached it"
+    echo "$second"
+    exit 1
+}
+./target/release/swa request "$router" --shutdown > /dev/null
+wait "$serve_pid" || {
+    echo "router smoke FAILED: router exited non-zero"
+    cat "$serve_dir/router.log"
+    exit 1
+}
+grep -q "route: requests=2 forwarded=2" "$serve_dir/router.log" || {
+    echo "router smoke FAILED: router summary does not show two forwarded requests"
+    cat "$serve_dir/router.log"
+    exit 1
+}
+for backend in 1 2; do
+    ./target/release/swa request "$(cat "$serve_dir/backend$backend.txt")" --shutdown > /dev/null
+done
+for pid in $backend_pids; do
+    wait "$pid" || {
+        echo "router smoke FAILED: a backend exited non-zero"
+        cat "$serve_dir/backend1.log" "$serve_dir/backend2.log"
+        exit 1
+    }
+done
+backend_pids=""
 
 # The benchsuite is its own package, outside `--workspace`: compile its
 # tests against the current product APIs without running the

@@ -7,6 +7,7 @@
 //! completes (runs its full WCET) within its deadline.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use swa_ima::{Configuration, TaskRef};
 
@@ -302,10 +303,13 @@ pub fn analyze_spanning(
 ) -> Analysis {
     let hyperperiod = config.hyperperiod().unwrap_or(0) * i64::from(hyperperiods.max(1));
 
-    // Prepare one record per expected job.
+    // Prepare one record per expected job; each task's jobs are
+    // contiguous, and `spans` remembers where.
     let mut jobs: Vec<JobOutcome> = Vec::new();
+    let mut spans: Vec<(TaskRef, Range<usize>)> = Vec::new();
     let mut index: HashMap<(TaskRef, u32), usize> = HashMap::new();
     for (tr, t) in config.tasks() {
+        let start = jobs.len();
         let count = if t.period > 0 {
             hyperperiod / t.period
         } else {
@@ -326,6 +330,7 @@ pub fn analyze_spanning(
                 completion: None,
             });
         }
+        spans.push((tr, start..jobs.len()));
     }
 
     // Replay events: EX opens an interval, PR/FIN close it.
@@ -365,8 +370,8 @@ pub fn analyze_spanning(
 
     // Aggregate per task.
     let mut task_stats = Vec::new();
-    for (tr, _) in config.tasks() {
-        let of_task: Vec<&JobOutcome> = jobs.iter().filter(|j| j.task == tr).collect();
+    for (tr, span) in spans {
+        let of_task = &jobs[span];
         let jobs_n = u32::try_from(of_task.len()).expect("job count fits u32");
         let missed = u32::try_from(of_task.iter().filter(|j| !j.is_ok()).count())
             .expect("missed count fits u32");

@@ -160,8 +160,8 @@ pub struct LadderDecision {
     pub decided_by: DecidedBy,
 }
 
-/// Default number of staircase segments for the T2 service-curve
-/// abstraction.
+/// Number of staircase segments in the T2 service-curve abstraction the
+/// ladder runs ([`rtc_interface_check`] takes any granularity).
 pub const DEFAULT_GRANULARITY: usize = 64;
 
 /// The ordered tiers T0 → T1 → T2, each forwarding only the band it
@@ -169,27 +169,13 @@ pub const DEFAULT_GRANULARITY: usize = 64;
 #[derive(Debug, Clone)]
 pub struct VerdictLadder {
     mode: LadderMode,
-    granularity: usize,
 }
 
 impl VerdictLadder {
     /// A ladder running the tiers selected by `mode`.
     #[must_use]
     pub fn new(mode: LadderMode) -> Self {
-        Self {
-            mode,
-            granularity: DEFAULT_GRANULARITY,
-        }
-    }
-
-    /// Overrides the T2 service-curve granularity (segments of the
-    /// staircase lower bound; clamped to ≥ 1). Higher is tighter but
-    /// slower; the knob never affects soundness, only how much of the
-    /// band T2 decides.
-    #[must_use]
-    pub fn with_granularity(mut self, granularity: usize) -> Self {
-        self.granularity = granularity.max(1);
-        self
+        Self { mode }
     }
 
     /// The configured mode.
@@ -231,7 +217,7 @@ impl VerdictLadder {
         }
 
         if self.mode == LadderMode::Full
-            && rtc_interface_check(config, self.granularity).is_schedulable()
+            && rtc_interface_check(config, DEFAULT_GRANULARITY).is_schedulable()
         {
             recorder.counter("ladder.decided", 1);
             recorder.counter("ladder.t2_schedulable", 1);

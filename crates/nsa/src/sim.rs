@@ -147,7 +147,6 @@ pub struct Simulator<'n> {
     horizon: i64,
     max_steps_per_instant: usize,
     tie_break: TieBreak,
-    record_trace: bool,
     engine: EvalEngine,
 }
 
@@ -161,7 +160,6 @@ impl<'n> Simulator<'n> {
             horizon: 0,
             max_steps_per_instant: 1_000_000,
             tie_break: TieBreak::Canonical,
-            record_trace: true,
             engine: EvalEngine::default(),
         }
     }
@@ -198,14 +196,6 @@ impl<'n> Simulator<'n> {
         self
     }
 
-    /// Disables trace recording (events are still reported to the callback
-    /// in [`run_with`](Self::run_with)); useful for pure timing benchmarks.
-    #[must_use]
-    pub fn without_trace(mut self) -> Self {
-        self.record_trace = false;
-        self
-    }
-
     /// Runs from the network's initial state.
     ///
     /// # Errors
@@ -226,29 +216,7 @@ impl<'n> Simulator<'n> {
         &self,
         on_event: impl FnMut(&SyncEvent, &State),
     ) -> Result<SimOutcome, SimError> {
-        self.run_from_with(State::initial(self.network), on_event)
-    }
-
-    /// Runs from an explicit starting state.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_from(&self, state: State) -> Result<SimOutcome, SimError> {
-        self.run_from_with(state, |_, _| {})
-    }
-
-    /// Runs from an explicit starting state with an event callback.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_from_with(
-        &self,
-        state: State,
-        on_event: impl FnMut(&SyncEvent, &State),
-    ) -> Result<SimOutcome, SimError> {
-        let mut state = state;
+        let mut state = State::initial(self.network);
         let mut trace = NsaTrace::new();
         let (steps, stats, stop) = self.run_internal(&mut state, &mut trace, on_event)?;
         Ok(SimOutcome {
@@ -269,7 +237,23 @@ impl<'n> Simulator<'n> {
     /// Returns an [`ExplainedError`] wrapping the [`SimError`]; for time
     /// locks, committed deadlocks and Zeno runs it carries a [`Diagnosis`].
     pub fn run_explained(&self) -> Result<SimOutcome, ExplainedError> {
-        self.run_explained_from(State::initial(self.network))
+        let mut state = State::initial(self.network);
+        let mut trace = NsaTrace::new();
+        match self.run_internal(&mut state, &mut trace, |_, _| {}) {
+            Ok((steps, stats, stop)) => Ok(SimOutcome {
+                trace,
+                final_state: state,
+                steps,
+                stop,
+                stats,
+            }),
+            Err(error) => {
+                let diagnosis =
+                    Diagnosis::capture(self.network, &state, &trace, &error, self.engine)
+                        .map(Box::new);
+                Err(ExplainedError { error, diagnosis })
+            }
+        }
     }
 
     /// Opens an incremental session starting from the network's initial
@@ -317,31 +301,6 @@ impl<'n> Simulator<'n> {
             stats: snapshot.stats,
             stop: None,
         })
-    }
-
-    /// As [`run_explained`](Self::run_explained), from an explicit state.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_explained`](Self::run_explained).
-    pub fn run_explained_from(&self, state: State) -> Result<SimOutcome, ExplainedError> {
-        let mut state = state;
-        let mut trace = NsaTrace::new();
-        match self.run_internal(&mut state, &mut trace, |_, _| {}) {
-            Ok((steps, stats, stop)) => Ok(SimOutcome {
-                trace,
-                final_state: state,
-                steps,
-                stop,
-                stats,
-            }),
-            Err(error) => {
-                let diagnosis =
-                    Diagnosis::capture(self.network, &state, &trace, &error, self.engine)
-                        .map(Box::new);
-                Err(ExplainedError { error, diagnosis })
-            }
-        }
     }
 
     /// Dispatches to the accelerated or generic loop. The caller owns the
@@ -395,9 +354,7 @@ impl<'n> Simulator<'n> {
                     transition,
                 };
                 on_event(&event, state);
-                if self.record_trace {
-                    trace.push(event);
-                }
+                trace.push(event);
                 continue;
             }
 
@@ -471,9 +428,7 @@ impl<'n> Simulator<'n> {
                     transition,
                 };
                 on_event(&event, state);
-                if self.record_trace {
-                    trace.push(event);
-                }
+                trace.push(event);
                 continue;
             }
 
@@ -979,21 +934,6 @@ mod tests {
             .unwrap();
         assert_eq!(seen, vec![(3, 3), (6, 6), (9, 9)]);
         assert_eq!(out.trace.len(), 3);
-    }
-
-    #[test]
-    fn without_trace_still_counts_steps() {
-        let mut nb = NetworkBuilder::new();
-        ticker(&mut nb, "t", 2);
-        let n = nb.build().unwrap();
-        let out = Simulator::new(&n)
-            .horizon(10)
-            .without_trace()
-            .run()
-            .unwrap();
-        assert_eq!(out.trace.len(), 0);
-        // The horizon is exclusive: ticks at 2, 4, 6, 8 (not 10).
-        assert_eq!(out.steps, 4);
     }
 
     #[test]

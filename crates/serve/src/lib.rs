@@ -21,7 +21,13 @@
 //!   silently dropped;
 //! * **observability endpoints**: `/healthz`, and `/metrics` exporting
 //!   the `swa_core` [`MetricsRecorder`](swa_core::MetricsRecorder) JSON
-//!   (cache hit/miss/eviction counters included) plus live cache gauges.
+//!   (cache hit/miss/eviction counters included) plus live cache gauges;
+//! * **one HTTP front end** for the [`Server`] and the consistent-hash
+//!   [`Router`]: a crate-private module owns the accept loop, the socket
+//!   timeouts (a stalled client gets 408), reading the request, the
+//!   shared `/shutdown`/405/404 routes, the connection drain and the
+//!   start/join/shutdown handle; each process supplies only its own
+//!   routes and shutdown hooks.
 //!
 //! ## Endpoints
 //!
@@ -50,6 +56,7 @@
 #![allow(clippy::module_name_repetitions)]
 
 pub mod client;
+mod front;
 pub mod http;
 pub mod json;
 pub mod pool;

@@ -69,6 +69,15 @@ impl RequestError {
             RequestError::Unprocessable(_) => 422,
         }
     }
+
+    /// The error response for this rejection.
+    pub(crate) fn reply(&self) -> (u16, String) {
+        let kind = match self {
+            RequestError::Bad(_) => "bad-request",
+            RequestError::Unprocessable(_) => "invalid-model",
+        };
+        (self.status(), render_error(kind, &self.to_string()))
+    }
 }
 
 impl fmt::Display for RequestError {

@@ -30,14 +30,13 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 use swa_core::{canonicalize, MetricsRecorder, Recorder};
 
 use crate::client::{self, HttpResponse};
-use crate::http::{read_request, write_response, HttpError, Request};
+use crate::front::{Front, Service, Shared, IO_TIMEOUT};
+use crate::http::Request;
 use crate::request::{parse_analyze, render_error};
 use crate::resilience::{Backoff, BreakerOptions, CircuitBreaker, LoadShedder, RetryPolicy};
 
@@ -245,30 +244,53 @@ impl Default for RouterOptions {
 /// stops the router only — backends are owned by their own processes.
 #[derive(Debug)]
 pub struct Router {
-    local_addr: SocketAddr,
-    inner: Arc<RouterInner>,
-    accept: Option<JoinHandle<()>>,
+    front: Front<RouterInner>,
 }
 
+/// The forwarding service behind the front end.
 struct RouterInner {
-    local_addr: SocketAddr,
     recorder: Arc<MetricsRecorder>,
     ring: HashRing,
     /// Parallel to `ring.backends()`.
     breakers: Vec<CircuitBreaker>,
     retry: RetryPolicy,
     shedder: LoadShedder,
-    shutting_down: AtomicBool,
-    active: Mutex<usize>,
-    idle: Condvar,
 }
 
-impl std::fmt::Debug for RouterInner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RouterInner")
-            .field("local_addr", &self.local_addr)
-            .field("backends", &self.ring.backends())
-            .finish()
+impl Service for RouterInner {
+    const PREFIX: &'static str = "route";
+    const NAME: &'static str = "router";
+    const ROUTES: &'static [(&'static str, &'static str)] = &[
+        ("GET", "/healthz"),
+        ("GET", "/metrics"),
+        ("POST", "/analyze"),
+    ];
+
+    fn recorder(&self) -> &MetricsRecorder {
+        &self.recorder
+    }
+
+    fn handle(
+        inner: &Arc<Self>,
+        _front: &Shared<Self>,
+        request: &Request,
+        _stream: &mut TcpStream,
+    ) -> Option<(u16, String)> {
+        Some(match request.path.as_str() {
+            "/healthz" => (
+                200,
+                format!(
+                    "{{\"status\":\"ok\",\"role\":\"router\",\"backends\":{},\"breakers_open\":{}}}",
+                    inner.ring.backends().len(),
+                    inner.breakers.iter().filter(|b| b.is_open()).count(),
+                ),
+            ),
+            "/metrics" => (
+                200,
+                format!("{{\"metrics\":{}}}", inner.recorder.to_json()),
+            ),
+            _ => forward(inner, &request.body),
+        })
     }
 }
 
@@ -286,170 +308,49 @@ impl Router {
             ));
         }
         let listener = TcpListener::bind(&options.addr)?;
-        let local_addr = listener.local_addr()?;
         let breakers = options
             .backends
             .iter()
             .map(|_| CircuitBreaker::new(options.breaker.clone()))
             .collect();
-        let inner = Arc::new(RouterInner {
-            local_addr,
+        let inner = RouterInner {
             recorder: Arc::new(MetricsRecorder::new()),
             ring: HashRing::new(options.backends.clone()),
             breakers,
             retry: options.retry.clone(),
             shedder: LoadShedder::new(options.shed_inflight),
-            shutting_down: AtomicBool::new(false),
-            active: Mutex::new(0),
-            idle: Condvar::new(),
-        });
-        let accept_inner = Arc::clone(&inner);
-        let accept = std::thread::Builder::new()
-            .name("swa-route-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_inner))?;
+        };
         Ok(Router {
-            local_addr,
-            inner,
-            accept: Some(accept),
+            front: Front::start(listener, IO_TIMEOUT, inner)?,
         })
     }
 
     /// The bound address (resolves ephemeral ports).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// The router's metrics sink (`route.*` and `breaker.*` counters).
     #[must_use]
     pub fn recorder(&self) -> Arc<MetricsRecorder> {
-        Arc::clone(&self.inner.recorder)
+        Arc::clone(&self.front.service().recorder)
     }
 
     /// Initiates shutdown without waiting.
     pub fn begin_shutdown(&self) {
-        self.inner.begin_shutdown();
+        self.front.begin_shutdown();
     }
 
     /// Blocks until the router has fully shut down.
-    pub fn join(mut self) {
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+    pub fn join(self) {
+        self.front.join();
     }
 
     /// [`begin_shutdown`](Self::begin_shutdown) + [`join`](Self::join).
     pub fn shutdown(self) {
         self.begin_shutdown();
         self.join();
-    }
-}
-
-impl Drop for Router {
-    fn drop(&mut self) {
-        if let Some(handle) = self.accept.take() {
-            self.inner.begin_shutdown();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl RouterInner {
-    fn begin_shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = TcpStream::connect(self.local_addr);
-    }
-
-    fn connection_finished(&self) {
-        let mut active = self.active.lock().expect("unpoisoned");
-        *active -= 1;
-        if *active == 0 {
-            self.idle.notify_all();
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, inner: &Arc<RouterInner>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => break,
-        };
-        let _ = stream.set_nodelay(true);
-        if inner.shutting_down.load(Ordering::SeqCst) {
-            let mut stream = stream;
-            let _ = write_response(
-                &mut stream,
-                503,
-                &render_error("shutting-down", "router is shutting down"),
-            );
-            break;
-        }
-        *inner.active.lock().expect("unpoisoned") += 1;
-        let handler_inner = Arc::clone(inner);
-        let spawned = std::thread::Builder::new()
-            .name("swa-route-conn".to_string())
-            .spawn(move || {
-                handle_connection(&handler_inner, stream);
-                handler_inner.connection_finished();
-            });
-        if spawned.is_err() {
-            inner.connection_finished();
-        }
-    }
-    let mut active = inner.active.lock().expect("unpoisoned");
-    while *active != 0 {
-        active = inner.idle.wait(active).expect("unpoisoned");
-    }
-}
-
-fn handle_connection(inner: &Arc<RouterInner>, mut stream: TcpStream) {
-    let request = match read_request(&mut stream) {
-        Ok(request) => request,
-        Err(HttpError::Io(_)) => return,
-        Err(HttpError::Malformed(message)) => {
-            let _ = write_response(&mut stream, 400, &render_error("bad-request", &message));
-            return;
-        }
-        Err(HttpError::TooLarge) => {
-            let _ = write_response(
-                &mut stream,
-                413,
-                &render_error("too-large", "request body exceeds the size limit"),
-            );
-            return;
-        }
-    };
-    let (status, body) = route(inner, &request);
-    let _ = write_response(&mut stream, status, &body);
-}
-
-fn route(inner: &Arc<RouterInner>, request: &Request) -> (u16, String) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => (
-            200,
-            format!(
-                "{{\"status\":\"ok\",\"role\":\"router\",\"backends\":{},\"breakers_open\":{}}}",
-                inner.ring.backends().len(),
-                inner.breakers.iter().filter(|b| b.is_open()).count(),
-            ),
-        ),
-        ("GET", "/metrics") => (
-            200,
-            format!("{{\"metrics\":{}}}", inner.recorder.to_json()),
-        ),
-        ("POST", "/shutdown") => {
-            inner.begin_shutdown();
-            (200, "{\"status\":\"shutting-down\"}".to_string())
-        }
-        ("POST", "/analyze") => forward(inner, &request.body),
-        (_, "/healthz" | "/metrics" | "/shutdown" | "/analyze") => (
-            405,
-            render_error("method-not-allowed", "unsupported method for this endpoint"),
-        ),
-        _ => (404, render_error("not-found", "unknown endpoint")),
     }
 }
 
@@ -466,10 +367,7 @@ fn forward(inner: &Arc<RouterInner>, body: &[u8]) -> (u16, String) {
     };
     let parsed = match parse_analyze(body) {
         Ok(parsed) => parsed,
-        Err(e) => {
-            let kind = if e.status() == 400 { "bad-request" } else { "invalid-model" };
-            return (e.status(), render_error(kind, &e.to_string()));
-        }
+        Err(e) => return e.reply(),
     };
     let canon = canonicalize(&parsed.config, parsed.hyperperiods);
     let shard = canon.key.hi ^ canon.key.lo;

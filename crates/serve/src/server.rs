@@ -1,5 +1,6 @@
-//! The analysis server: accept loop, request lifecycle, and graceful
-//! shutdown.
+//! The analysis server: request lifecycle and graceful shutdown. The
+//! accept loop, socket timeouts and connection drain are the front end
+//! it shares with the router (`front.rs`).
 //!
 //! # Request lifecycle
 //!
@@ -36,10 +37,8 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use swa_core::{
@@ -50,10 +49,8 @@ use swa_core::{
 
 use swa_sweep::{render_step_json, run_sweep, SweepEngine, SweepError, SweepEvent};
 
-use crate::http::{
-    apply_io_timeouts, is_timeout, read_request, write_chunk, write_chunked_end,
-    write_chunked_head, write_response, HttpError, Request,
-};
+use crate::front::{Front, Service, Shared, IO_TIMEOUT};
+use crate::http::{write_chunk, write_chunked_end, write_chunked_head, Request};
 use crate::pool::{Job, WorkerPool};
 use crate::request::{parse_analyze, parse_sweep, render_error, render_verdict, AnalyzeRequest};
 use crate::resilience::LoadShedder;
@@ -124,7 +121,7 @@ impl Default for ServeOptions {
             checkpoint_bytes: 16 * 1024 * 1024,
             compositional: false,
             state_dir: None,
-            io_timeout: Duration::from_secs(5),
+            io_timeout: IO_TIMEOUT,
             shed_inflight: 0,
             ladder: LadderMode::Off,
         }
@@ -136,9 +133,7 @@ impl Default for ServeOptions {
 /// Dropping the handle shuts the server down gracefully.
 #[derive(Debug)]
 pub struct Server {
-    local_addr: SocketAddr,
-    inner: Arc<Inner>,
-    accept: Option<JoinHandle<()>>,
+    front: Front<Inner>,
 }
 
 impl Server {
@@ -149,7 +144,6 @@ impl Server {
     /// Propagates bind failures.
     pub fn start(options: &ServeOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(&options.addr)?;
-        let local_addr = listener.local_addr()?;
         let recorder = Arc::new(MetricsRecorder::new());
         let (cache, checkpoints) = match &options.state_dir {
             Some(dir) => open_state_dir(
@@ -185,8 +179,7 @@ impl Server {
         if let Some(store) = &checkpoints {
             analyzer = analyzer.checkpoints(Arc::clone(store));
         }
-        let inner = Arc::new(Inner {
-            local_addr,
+        let inner = Inner {
             recorder,
             cache,
             checkpoints,
@@ -196,66 +189,50 @@ impl Server {
             pool: WorkerPool::new(options.workers, options.queue_depth),
             gates: Mutex::new(HashMap::new()),
             shedder: LoadShedder::new(shed_limit),
-            io_timeout: options.io_timeout,
-            shutting_down: AtomicBool::new(false),
-            active: Mutex::new(0),
-            idle: Condvar::new(),
-        });
-        let accept_inner = Arc::clone(&inner);
-        let accept = std::thread::Builder::new()
-            .name("swa-serve-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_inner))?;
+        };
         Ok(Server {
-            local_addr,
-            inner,
-            accept: Some(accept),
+            front: Front::start(listener, options.io_timeout, inner)?,
         })
     }
 
     /// The bound address (resolves ephemeral ports).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.local_addr()
     }
 
     /// The server's metrics sink (`serve.*`, `cache.*`, and per-run
     /// simulation counters all land here).
     #[must_use]
     pub fn recorder(&self) -> Arc<MetricsRecorder> {
-        Arc::clone(&self.inner.recorder)
+        Arc::clone(&self.front.service().recorder)
     }
 
     /// Current checkpoint-store statistics (all zero when warm starts are
     /// disabled).
     #[must_use]
     pub fn checkpoint_stats(&self) -> CheckpointStats {
-        self.inner
-            .checkpoints
-            .as_ref()
-            .map(|s| s.stats())
-            .unwrap_or_default()
+        self.front.service().checkpoint_stats()
     }
 
     /// Current verdict-cache statistics.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache.stats()
+        self.front.service().cache.stats()
     }
 
     /// Initiates shutdown without waiting: stop accepting, then (in the
     /// accept thread) drain active connections and the worker pool.
     pub fn begin_shutdown(&self) {
-        self.inner.begin_shutdown();
+        self.front.begin_shutdown();
     }
 
     /// Blocks until the server has fully shut down (all connections
     /// finished, worker pool drained and joined). Call after
     /// [`begin_shutdown`](Self::begin_shutdown), or let `/shutdown`
     /// trigger it remotely.
-    pub fn join(mut self) {
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+    pub fn join(self) {
+        self.front.join();
     }
 
     /// Convenience: [`begin_shutdown`](Self::begin_shutdown) +
@@ -266,18 +243,9 @@ impl Server {
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        if let Some(handle) = self.accept.take() {
-            self.inner.begin_shutdown();
-            let _ = handle.join();
-        }
-    }
-}
-
-/// State shared by the accept loop and every handler thread.
+/// The analysis service behind the front end, shared by every handler
+/// thread.
 struct Inner {
-    local_addr: SocketAddr,
     recorder: Arc<MetricsRecorder>,
     cache: Arc<dyn VerdictCache>,
     /// Warm-start store shared across requests; `None` when disabled.
@@ -296,72 +264,84 @@ struct Inner {
     gates: Mutex<HashMap<swa_core::CacheKey, Arc<Gate>>>,
     /// Inflight ceiling checked before any per-request work.
     shedder: LoadShedder,
-    /// Socket timeout armed on every accepted connection.
-    io_timeout: Duration,
-    shutting_down: AtomicBool,
-    /// Count of live handler threads; the accept loop waits for 0 during
-    /// shutdown.
-    active: Mutex<usize>,
-    idle: Condvar,
-}
-
-impl std::fmt::Debug for Inner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Inner")
-            .field("local_addr", &self.local_addr)
-            .field("shutting_down", &self.shutting_down.load(Ordering::Relaxed))
-            .finish()
-    }
 }
 
 impl Inner {
-    fn begin_shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
+    fn checkpoint_stats(&self) -> CheckpointStats {
+        self.checkpoints
+            .as_ref()
+            .map(|s| s.stats())
+            .unwrap_or_default()
+    }
+}
+
+impl Service for Inner {
+    const PREFIX: &'static str = "serve";
+    const NAME: &'static str = "server";
+    const ROUTES: &'static [(&'static str, &'static str)] = &[
+        ("GET", "/healthz"),
+        ("GET", "/metrics"),
+        ("POST", "/analyze"),
+        ("POST", "/sweep"),
+    ];
+
+    fn recorder(&self) -> &MetricsRecorder {
+        &self.recorder
+    }
+
+    fn handle(
+        inner: &Arc<Self>,
+        front: &Shared<Self>,
+        request: &Request,
+        stream: &mut TcpStream,
+    ) -> Option<(u16, String)> {
+        let path = request.path.as_str();
+        match path {
+            "/healthz" => return Some((200, render_health(front))),
+            "/metrics" => return Some((200, render_metrics(inner))),
+            _ => {}
         }
-        // Flag queued analysis jobs so they reply quickly instead of
-        // simulating; nothing is discarded.
+        // Shed before parsing: the queue-full 429 only fires after a
+        // parse, canonicalize, and cache probe, which is already too much
+        // work to spend per request when the box is saturated. The permit
+        // spans the whole handler (cache hit, gate wait, simulation, or
+        // streamed sweep alike).
+        let Some(_permit) = inner.shedder.try_acquire() else {
+            inner.recorder.counter("serve.shed", 1);
+            return Some((
+                429,
+                render_error("overloaded", "server at inflight capacity; retry later"),
+            ));
+        };
+        inner.recorder.counter("serve.requests", 1);
+        if path == "/analyze" {
+            Some(analyze(inner, front, &request.body))
+        } else {
+            sweep_stream(inner, front, stream, &request.body)
+        }
+    }
+
+    /// Flags queued analysis jobs so they reply quickly instead of
+    /// simulating; nothing is discarded.
+    fn shutdown_begun(&self) {
         self.pool.cancel();
-        // The accept loop is parked in accept(); a self-connection wakes
-        // it so it can observe the flag. Failure is fine — the listener
-        // may already be gone.
-        let _ = TcpStream::connect(self.local_addr);
     }
 
-    fn connection_started(&self) {
-        *self.active.lock().expect("unpoisoned") += 1;
-    }
-
-    fn connection_finished(&self) {
-        let mut active = self.active.lock().expect("unpoisoned");
-        *active -= 1;
-        if *active == 0 {
-            self.idle.notify_all();
-        }
-    }
-
-    fn wait_connections_drained(&self) {
-        let mut active = self.active.lock().expect("unpoisoned");
-        while *active != 0 {
-            active = self.idle.wait(active).expect("unpoisoned");
-        }
+    /// Runs the jobs still queued (with the cancelled flag set) once no
+    /// connection can enqueue more.
+    fn drained(&self) {
+        self.pool.shutdown();
     }
 }
 
 /// A single-flight gate: followers wait here while the leader simulates.
+#[derive(Default)]
 struct Gate {
     done: Mutex<bool>,
     cv: Condvar,
 }
 
 impl Gate {
-    fn new() -> Self {
-        Gate {
-            done: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
     fn open(&self) {
         *self.done.lock().expect("unpoisoned") = true;
         self.cv.notify_all();
@@ -406,123 +386,24 @@ impl Drop for GateGuard<'_> {
     }
 }
 
-/// RAII active-connection accounting: decrements on drop so a panic in
-/// the handler cannot strand the shutdown drain waiting on a count that
-/// never reaches zero.
-struct ConnGuard<'a>(&'a Inner);
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.connection_finished();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => break,
-        };
-        // Arm socket timeouts before any byte is read — a stalling
-        // client costs at most `io_timeout`, not a thread forever.
-        let _ = apply_io_timeouts(&stream, inner.io_timeout);
-        let _ = stream.set_nodelay(true);
-        if inner.shutting_down.load(Ordering::SeqCst) {
-            // The wake-up connection (or a late client); refuse politely.
-            let mut stream = stream;
-            let _ = write_response(
-                &mut stream,
-                503,
-                &render_error("shutting-down", "server is shutting down"),
-            );
-            break;
-        }
-        inner.connection_started();
-        let handler_inner = Arc::clone(inner);
-        let spawned = std::thread::Builder::new()
-            .name("swa-serve-conn".to_string())
-            .spawn(move || {
-                let _guard = ConnGuard(&handler_inner);
-                handle_connection(&handler_inner, stream);
-            });
-        if spawned.is_err() {
-            inner.connection_finished();
-        }
-    }
-    // Graceful drain: connections first (they may still enqueue replies),
-    // then the pool (runs queued jobs with the cancelled flag set).
-    inner.wait_connections_drained();
-    inner.pool.shutdown();
-}
-
-fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
-    let request = match read_request(&mut stream) {
-        Ok(request) => request,
-        Err(HttpError::Io(e)) => {
-            if is_timeout(&e) {
-                inner.recorder.counter("serve.timeouts", 1);
-                let _ = write_response(
-                    &mut stream,
-                    408,
-                    &render_error("timeout", "client stalled mid-request"),
-                );
-            }
-            return;
-        }
-        Err(HttpError::Malformed(message)) => {
-            let _ = write_response(&mut stream, 400, &render_error("bad-request", &message));
-            return;
-        }
-        Err(HttpError::TooLarge) => {
-            let _ = write_response(
-                &mut stream,
-                413,
-                &render_error("too-large", "request body exceeds the size limit"),
-            );
-            return;
-        }
-    };
-    // `/sweep` streams a chunked response, so it owns the socket instead
-    // of going through the buffered (status, body) route.
-    if request.method == "POST" && request.path == "/sweep" {
-        sweep_stream(inner, &mut stream, &request.body);
-        return;
-    }
-    let (status, body) = route(inner, &request);
-    let _ = write_response(&mut stream, status, &body);
-}
-
-/// Handles `POST /sweep`: shed/parse/admission errors are plain buffered
-/// responses; once the sweep is admitted the response switches to
-/// `Transfer-Encoding: chunked` and forwards one JSON line per refinement
-/// step, ending with the canonical report line (byte-equal to the `swa
-/// sweep --json` CLI output for the same request).
-fn sweep_stream(inner: &Arc<Inner>, stream: &mut TcpStream, body: &[u8]) {
-    let Some(_permit) = inner.shedder.try_acquire() else {
-        inner.recorder.counter("serve.shed", 1);
-        let _ = write_response(
-            stream,
-            429,
-            &render_error("overloaded", "server at inflight capacity; retry later"),
-        );
-        return;
-    };
-    inner.recorder.counter("serve.requests", 1);
+/// Handles `POST /sweep`: parse/admission errors are returned as plain
+/// buffered responses; once the sweep is admitted the response switches
+/// to `Transfer-Encoding: chunked` (and `None` is returned) and forwards
+/// one JSON line per refinement step, ending with the canonical report
+/// line (byte-equal to the `swa sweep --json` CLI output for the same
+/// request).
+fn sweep_stream(
+    inner: &Arc<Inner>,
+    front: &Shared<Inner>,
+    stream: &mut TcpStream,
+    body: &[u8],
+) -> Option<(u16, String)> {
     let parsed = match parse_sweep(body) {
         Ok(parsed) => parsed,
-        Err(e) => {
-            let kind = if e.status() == 400 { "bad-request" } else { "invalid-model" };
-            let _ = write_response(stream, e.status(), &render_error(kind, &e.to_string()));
-            return;
-        }
+        Err(e) => return Some(e.reply()),
     };
-    if inner.shutting_down.load(Ordering::SeqCst) {
-        let _ = write_response(
-            stream,
-            503,
-            &render_error("shutting-down", "server is shutting down"),
-        );
-        return;
+    if front.is_shutting_down() {
+        return Some((503, render_error("shutting-down", "server is shutting down")));
     }
     let deadline = parsed
         .deadline_ms
@@ -574,8 +455,7 @@ fn sweep_stream(inner: &Arc<Inner>, stream: &mut TcpStream, body: &[u8]) {
                 if ctx.is_cancelled() {
                     render_error("shutting-down", "server cancelled the sweep during shutdown")
                 } else {
-                    job_inner.recorder.counter("serve.deadline_expired", 1);
-                    render_error("deadline", "request deadline expired")
+                    deadline_expired(&job_inner).1
                 }
             }
             Err(e) => {
@@ -588,83 +468,50 @@ fn sweep_stream(inner: &Arc<Inner>, stream: &mut TcpStream, body: &[u8]) {
 
     if inner.pool.try_submit(job).is_err() {
         inner.recorder.counter("serve.rejected", 1);
-        let _ = write_response(
-            stream,
+        return Some((
             429,
-            &render_error("overloaded", "analysis queue is full; retry later"),
-        );
-        return;
+            render_error("overloaded", "analysis queue is full; retry later"),
+        ));
     }
 
     // Committed: from here on the response is chunked. Any error below is
     // delivered as an in-stream JSON line, never a status code.
     if write_chunked_head(stream, 200).is_err() {
-        return;
+        return None;
     }
+    // The deadline bounds waiting between lines; the worker also polls it
+    // between probes and aborts cooperatively.
     loop {
-        let received = match deadline {
-            None => line_rx.recv().ok(),
-            Some(d) => {
-                // The deadline bounds *waiting* between lines; the worker
-                // also polls it between probes and aborts cooperatively.
-                let remaining = d.saturating_duration_since(Instant::now());
-                match line_rx.recv_timeout(remaining.max(Duration::from_millis(1))) {
-                    Ok(line) => Some(line),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        inner.recorder.counter("serve.deadline_expired", 1);
-                        let _ =
-                            write_chunk(stream, &render_error("deadline", "request deadline expired"));
-                        break;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                }
-            }
-        };
-        match received {
-            Some(line) => {
+        match recv_until(&line_rx, deadline) {
+            Ok(Some(line)) => {
                 if write_chunk(stream, &line).is_err() {
-                    return;
+                    return None;
                 }
             }
             // Sender dropped: the worker sent its final line and finished.
-            None => break,
+            Ok(None) => break,
+            Err(_) => {
+                let (_, body) = deadline_expired(inner);
+                let _ = write_chunk(stream, &body);
+                break;
+            }
         }
     }
     let _ = write_chunked_end(stream);
+    None
 }
 
-fn route(inner: &Arc<Inner>, request: &Request) -> (u16, String) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => (200, render_health(inner)),
-        ("GET", "/metrics") => (200, render_metrics(inner)),
-        ("POST", "/shutdown") => {
-            inner.begin_shutdown();
-            (200, "{\"status\":\"shutting-down\"}".to_string())
-        }
-        ("POST", "/analyze") => analyze(inner, &request.body),
-        (_, "/healthz" | "/metrics" | "/shutdown" | "/analyze" | "/sweep") => (
-            405,
-            render_error("method-not-allowed", "unsupported method for this endpoint"),
-        ),
-        _ => (404, render_error("not-found", "unknown endpoint")),
-    }
-}
-
-fn render_health(inner: &Inner) -> String {
+fn render_health(front: &Shared<Inner>) -> String {
     format!(
         "{{\"status\":\"ok\",\"shutting_down\":{},\"active_connections\":{}}}",
-        inner.shutting_down.load(Ordering::SeqCst),
-        *inner.active.lock().expect("unpoisoned"),
+        front.is_shutting_down(),
+        front.active_connections(),
     )
 }
 
 fn render_metrics(inner: &Inner) -> String {
     let stats = inner.cache.stats();
-    let ckpt = inner
-        .checkpoints
-        .as_ref()
-        .map(|s| s.stats())
-        .unwrap_or_default();
+    let ckpt = inner.checkpoint_stats();
     format!(
         "{{\"cache\":{{\"entries\":{},\"bytes\":{},\"hit_rate\":{:.4}}},\
          \"checkpoints\":{{\"entries\":{},\"bytes\":{},\"bytes_saved\":{},\"delta_chain_len\":{}}},\
@@ -691,25 +538,10 @@ enum JobReply {
     Failed(String),
 }
 
-fn analyze(inner: &Arc<Inner>, body: &[u8]) -> (u16, String) {
-    // Shed before parsing: the queue-full 429 only fires after a parse,
-    // canonicalize, and cache probe, which is already too much work to
-    // spend per request when the box is saturated. The permit spans the
-    // whole handler (cache hit, gate wait, or simulation alike).
-    let Some(_permit) = inner.shedder.try_acquire() else {
-        inner.recorder.counter("serve.shed", 1);
-        return (
-            429,
-            render_error("overloaded", "server at inflight capacity; retry later"),
-        );
-    };
-    inner.recorder.counter("serve.requests", 1);
+fn analyze(inner: &Arc<Inner>, front: &Shared<Inner>, body: &[u8]) -> (u16, String) {
     let parsed = match parse_analyze(body) {
         Ok(parsed) => parsed,
-        Err(e) => {
-            let kind = if e.status() == 400 { "bad-request" } else { "invalid-model" };
-            return (e.status(), render_error(kind, &e.to_string()));
-        }
+        Err(e) => return e.reply(),
     };
     let deadline = parsed
         .deadline_ms
@@ -739,10 +571,9 @@ fn analyze(inner: &Arc<Inner>, body: &[u8]) -> (u16, String) {
             return (200, render_verdict(&verdict, true, canon.key, 0.0));
         }
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            inner.recorder.counter("serve.deadline_expired", 1);
-            return (504, render_error("deadline", "request deadline expired"));
+            return deadline_expired(inner);
         }
-        if inner.shutting_down.load(Ordering::SeqCst) {
+        if front.is_shutting_down() {
             return (503, render_error("shutting-down", "server is shutting down"));
         }
         let gate = {
@@ -750,7 +581,7 @@ fn analyze(inner: &Arc<Inner>, body: &[u8]) -> (u16, String) {
             match gates.get(&canon.key) {
                 Some(gate) => Err(Arc::clone(gate)),
                 None => {
-                    let gate = Arc::new(Gate::new());
+                    let gate = Arc::new(Gate::default());
                     gates.insert(canon.key, Arc::clone(&gate));
                     Ok(gate)
                 }
@@ -772,8 +603,7 @@ fn analyze(inner: &Arc<Inner>, body: &[u8]) -> (u16, String) {
             Err(gate) => {
                 // Follower: wait for the leader, then re-probe the cache.
                 if !gate.wait(deadline) {
-                    inner.recorder.counter("serve.deadline_expired", 1);
-                    return (504, render_error("deadline", "request deadline expired"));
+                    return deadline_expired(inner);
                 }
             }
         }
@@ -793,8 +623,7 @@ fn run_leader(
     deadline: Option<Instant>,
 ) -> (u16, String) {
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        inner.recorder.counter("serve.deadline_expired", 1);
-        return (504, render_error("deadline", "request deadline expired"));
+        return deadline_expired(inner);
     }
     // Analytic admission: a ladder-decided request never touches the
     // worker pool, and its verdict is cached. Skipped for `no_cache`
@@ -847,21 +676,10 @@ fn run_leader(
         );
     }
 
-    let reply = match deadline {
-        None => reply_rx.recv().ok(),
-        Some(d) => {
-            // The deadline bounds *waiting*; a simulation already running
-            // is never interrupted, so give the reply a final grace poll.
-            let remaining = d.saturating_duration_since(Instant::now());
-            match reply_rx.recv_timeout(remaining.max(Duration::from_millis(1))) {
-                Ok(reply) => Some(reply),
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    inner.recorder.counter("serve.deadline_expired", 1);
-                    return (504, render_error("deadline", "request deadline expired"));
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => None,
-            }
-        }
+    // The deadline bounds waiting: a simulation already running is never
+    // interrupted.
+    let Ok(reply) = recv_until(&reply_rx, deadline) else {
+        return deadline_expired(inner);
     };
 
     match reply {
@@ -874,10 +692,7 @@ fn run_leader(
             503,
             render_error("shutting-down", "server cancelled the request during shutdown"),
         ),
-        Some(JobReply::DeadlineExpired) => {
-            inner.recorder.counter("serve.deadline_expired", 1);
-            (504, render_error("deadline", "request deadline expired"))
-        }
+        Some(JobReply::DeadlineExpired) => deadline_expired(inner),
         Some(JobReply::Failed(message)) => {
             inner.recorder.counter("serve.errors", 1);
             (500, render_error("analysis-failed", &message))
@@ -887,4 +702,28 @@ fn run_leader(
             (500, render_error("internal", "worker dropped the request"))
         }
     }
+}
+
+/// Waits for a worker's next message: `Ok(None)` once the worker hung up,
+/// `Err` when `deadline` passes first. A passed deadline still gets a
+/// final 1 ms grace poll.
+fn recv_until<T>(
+    rx: &mpsc::Receiver<T>,
+    deadline: Option<Instant>,
+) -> Result<Option<T>, mpsc::RecvTimeoutError> {
+    let Some(deadline) = deadline else {
+        return Ok(rx.recv().ok());
+    };
+    let remaining = deadline.saturating_duration_since(Instant::now());
+    match rx.recv_timeout(remaining.max(Duration::from_millis(1))) {
+        Ok(message) => Ok(Some(message)),
+        Err(mpsc::RecvTimeoutError::Disconnected) => Ok(None),
+        Err(timeout) => Err(timeout),
+    }
+}
+
+/// Counts an expired request deadline and renders its 504.
+fn deadline_expired(inner: &Inner) -> (u16, String) {
+    inner.recorder.counter("serve.deadline_expired", 1);
+    (504, render_error("deadline", "request deadline expired"))
 }

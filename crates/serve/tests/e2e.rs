@@ -447,6 +447,47 @@ fn stalling_client_gets_408() {
     server.shutdown();
 }
 
+/// The router shares the server's front end: a client stalling mid-request
+/// gets 408 at the fixed 5 s socket timeout, and a silent connection
+/// delays `Router::shutdown` by at most that timeout instead of forever.
+#[test]
+fn stalling_client_cannot_hang_the_router() {
+    use std::io::{Read, Write};
+    use swa_serve::{Router, RouterOptions};
+    let backend = start_server();
+    let router = Router::start(&RouterOptions {
+        backends: vec![backend.local_addr().to_string()],
+        ..RouterOptions::default()
+    })
+    .expect("bind router");
+    let addr = router.local_addr();
+
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.write_all(b"POST /analyze HTTP/1.1\r\nContent-Le").unwrap();
+    let mut response = String::new();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let _ = stream.read_to_string(&mut response);
+    assert!(
+        response.starts_with("HTTP/1.1 408"),
+        "expected 408 for a request stalled at the router, got: {response:?}"
+    );
+    assert_eq!(router.recorder().counter_value("route.timeouts"), 1);
+
+    // A second client connects and sends nothing. Shutdown runs on a
+    // watchdog thread so a pinned connection fails the test, not hangs it.
+    let _silent = std::net::TcpStream::connect(addr).unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        router.shutdown();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(15)).is_ok(),
+        "Router::shutdown() still blocked by a silent client after 15 s"
+    );
+    backend.shutdown();
+}
+
 fn temp_state_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("swa-e2e-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
