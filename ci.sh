@@ -284,4 +284,22 @@ for workload in serve-mix design-loop paper-scale; do
     }
 done
 
+# The smoke runs above use ~21-task partitions, below the bytecode's
+# MIN_DOMINANCE_K, so they never reach the fast loop's dominance trees.
+# One full-scale run checks the 417-task paper-scale partitions, whose
+# scheduler quantifiers the trees answer, against the same pinned golden
+# digests (verdict, signature, step count).
+echo "==> paper-scale full-scale golden (suite --seed 1 --seconds 1)"
+out="$(cargo run --release --offline -q --manifest-path benchsuite/Cargo.toml \
+    --bin suite -- --workload paper-scale --seed 1 --seconds 1)" || {
+    echo "paper-scale full-scale golden FAILED: the suite exited non-zero"
+    echo "$out"
+    exit 1
+}
+echo "$out" | tail -n 1 | grep -q '"failed": 0,' || {
+    echo "paper-scale full-scale golden FAILED: failed operations reported"
+    echo "$out"
+    exit 1
+}
+
 echo "==> ci.sh: all green"

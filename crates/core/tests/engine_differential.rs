@@ -4,10 +4,15 @@
 //! same trace, the indexed fast loop must produce the same trace as the
 //! generic interpreter (forced via an identity-permutation tie-break,
 //! which is semantically canonical but disables the fast path), and the
-//! product pipeline must produce the analysis of that trace.
+//! product pipeline must produce the analysis of that trace. The
+//! dominance corpus (see `dominance_corpus`) holds partitions large enough
+//! for the fast loop to answer the scheduler quantifiers from its
+//! tournament trees, which neither other run uses.
+
+mod dominance_corpus;
 
 use swa_core::{analyze, extract_system_trace, Analyzer, SystemModel};
-use swa_ima::Configuration;
+use swa_ima::{Configuration, SchedulerKind};
 use swa_nsa::sim::{SimOutcome, Simulator, TieBreak};
 use swa_nsa::state::EnvView;
 use swa_nsa::{
@@ -162,6 +167,36 @@ fn assert_guards_agree(network: &Network, state: &State, label: &str) -> usize {
         }
     }
     evaluated
+}
+
+/// Trace equality on the dominance corpus: every policy the index covers,
+/// partitions just below, at and far above the threshold, most tasks
+/// ready, priorities and absolute deadlines tied. Round-robin keeps its
+/// circular-distance loops, and only its `go_idle` guard is answered, from
+/// a tree without a key; its loops are quadratic per decision, so it runs
+/// the smaller sizes only.
+#[test]
+fn engines_and_fast_path_agree_on_large_partitions() {
+    let round_robin = SchedulerKind::RoundRobin { quantum: 3 };
+    let cases = dominance_corpus::KINDS
+        .into_iter()
+        .flat_map(|kind| dominance_corpus::SIZES.map(|k| (kind, k)))
+        .chain(dominance_corpus::SIZES[..3].iter().map(|&k| (round_robin, k)));
+    for (i, (kind, k)) in cases.enumerate() {
+        let config = dominance_corpus::ready_heavy(k, kind, 0xd0_0000 + i as u64);
+        let model = SystemModel::build(&config).expect("corpus configuration builds");
+        let queries = model.network().compiled().dominance_queries();
+        assert_eq!(
+            queries > 0,
+            k >= swa_nsa::bytecode::MIN_DOMINANCE_K,
+            "{kind:?} k={k}: {queries} dominance queries"
+        );
+        assert_traces_agree(
+            &config,
+            &format!("{kind:?} partition of {k} tasks"),
+            k == 128,
+        );
+    }
 }
 
 #[test]

@@ -24,9 +24,17 @@
 //! The serialized form is checked too: `to_bytes ∘ from_bytes` is the
 //! identity, and the bytes at a given `k` are identical under the AST and
 //! bytecode engines (snapshots are engine-independent).
+//!
+//! The dominance corpus (see `dominance_corpus`) splits runs whose fast
+//! loop answers the scheduler quantifiers from tournament trees: a
+//! restored run rebuilds them from the snapshot's state, so split must
+//! still equal one-shot.
 
-use swa_nsa::{EvalEngine, Snapshot, SyncEvent};
+mod dominance_corpus;
+
 use swa_core::SystemModel;
+use swa_ima::Configuration;
+use swa_nsa::{EvalEngine, SimOutcome, Snapshot, SyncEvent};
 use swa_workload::{industrial_config, IndustrialSpec, Rng64};
 
 /// A small randomized workload: 1 module, 1–2 cores, 1–2 partitions per
@@ -69,12 +77,12 @@ fn split_points(events: &[SyncEvent], horizon: i64) -> Vec<i64> {
     ks
 }
 
-/// Checks the split identity for one model, one engine and one `k`;
-/// returns the snapshot bytes at `k` for cross-engine comparison.
-fn check_split(model: &SystemModel, engine: EvalEngine, k: i64) -> Vec<u8> {
+/// Checks the split identity for one model, one engine and one `k`
+/// against that engine's one-shot run `cold`; returns the snapshot bytes
+/// at `k` for cross-engine comparison.
+fn check_split(model: &SystemModel, engine: EvalEngine, k: i64, cold: &SimOutcome) -> Vec<u8> {
     let horizon = model.horizon();
     let sim = model.simulator().engine(engine);
-    let cold = sim.run().expect("cold run");
 
     let mut prefix_session = sim.session();
     prefix_session.run_until(k).expect("prefix run");
@@ -88,7 +96,7 @@ fn check_split(model: &SystemModel, engine: EvalEngine, k: i64) -> Vec<u8> {
     // outright (trace, final state, steps, stop; SimStats excluded).
     prefix_session.run_until(horizon).expect("continued run");
     assert_eq!(
-        prefix_session.into_outcome(),
+        &prefix_session.into_outcome(),
         cold,
         "segmented run diverged (engine {engine:?}, k = {k})"
     );
@@ -119,8 +127,22 @@ fn check_split(model: &SystemModel, engine: EvalEngine, k: i64) -> Vec<u8> {
 }
 
 fn check_workload(spec: &IndustrialSpec) {
-    let config = industrial_config(spec);
-    let model = SystemModel::build(&config).expect("generated configuration is valid");
+    check_config(
+        &industrial_config(spec),
+        &format!("seed {}", spec.seed),
+        split_points,
+    );
+}
+
+/// Two mid-run split points: the instant of the run's middle event (its
+/// whole burst lands in the suffix) and the tick after it.
+fn mid_run_points(events: &[SyncEvent], horizon: i64) -> Vec<i64> {
+    let mid = events.get(events.len() / 2).map_or(horizon / 2, |e| e.time);
+    vec![mid, mid + 1]
+}
+
+fn check_config(config: &Configuration, label: &str, points: fn(&[SyncEvent], i64) -> Vec<i64>) {
+    let model = SystemModel::build(config).expect("generated configuration is valid");
     let horizon = model.horizon();
 
     // The engines must agree on the cold run before splits mean anything.
@@ -130,16 +152,15 @@ fn check_workload(spec: &IndustrialSpec) {
         .engine(EvalEngine::Bytecode)
         .run()
         .expect("bytecode run");
-    assert_eq!(ast, bytecode, "engines diverged on seed {}", spec.seed);
+    assert_eq!(ast, bytecode, "engines diverged on {label}");
 
     let events: Vec<SyncEvent> = ast.trace.iter().cloned().collect();
-    for k in split_points(&events, horizon) {
-        let ast_bytes = check_split(&model, EvalEngine::Ast, k);
-        let bytecode_bytes = check_split(&model, EvalEngine::Bytecode, k);
+    for k in points(&events, horizon) {
+        let ast_bytes = check_split(&model, EvalEngine::Ast, k, &ast);
+        let bytecode_bytes = check_split(&model, EvalEngine::Bytecode, k, &bytecode);
         assert_eq!(
             ast_bytes, bytecode_bytes,
-            "snapshot bytes are engine-dependent (seed {}, k = {k})",
-            spec.seed
+            "snapshot bytes are engine-dependent ({label}, k = {k})"
         );
     }
 }
@@ -174,6 +195,23 @@ fn split_runs_match_on_overloaded_workloads() {
         let mut spec = random_spec(seed);
         spec.core_utilization = 1.4;
         check_workload(&spec);
+    }
+}
+
+/// Partitions around and far above the dominance threshold, split
+/// mid-run: the restored fast loop rebuilds its trees from the snapshot's
+/// state, with most tasks ready.
+#[test]
+fn split_runs_match_on_the_dominance_corpus() {
+    for kind in dominance_corpus::KINDS {
+        for (i, k) in dominance_corpus::SIZES.into_iter().enumerate() {
+            let config = dominance_corpus::ready_heavy(k, kind, 0xd1_0000 + i as u64);
+            check_config(
+                &config,
+                &format!("{kind:?} partition of {k} tasks"),
+                mid_run_points,
+            );
+        }
     }
 }
 

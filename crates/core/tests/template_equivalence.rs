@@ -13,7 +13,9 @@
 //!    location, invariant, guard, sync and update of every automaton);
 //! 2. the relocated bytecode of every instance equals, op for op, a
 //!    direct compile of its expanded automaton;
-//! 3. the compile statistics equal the pinned ones.
+//! 3. the compile statistics equal the pinned ones, and no corpus
+//!    scheduler (at most 26 tasks) compiles a dominance query: below
+//!    `MIN_DOMINANCE_K` the programs are exactly the quantifier loops.
 
 use swa_core::{Analyzer, SystemModel};
 use swa_ima::{
@@ -328,6 +330,12 @@ fn expanded_networks_and_compile_stats_match_the_pinned_construction() {
         let uppaal = network_to_uppaal(network)
             .unwrap_or_else(|e| panic!("{}: export failed: {e}", c.label));
         let stats = network.compiled().stats();
+        assert_eq!(
+            network.compiled().dominance_queries(),
+            0,
+            "{}: dominance query below the threshold",
+            c.label
+        );
         seen.push((c.label, fnv1a(uppaal.as_bytes()), stats.programs, stats.ops));
     }
     for s in &seen {
@@ -396,7 +404,12 @@ fn relocated_programs_equal_a_direct_compile_of_every_instance() {
 }
 
 /// Paper-scale seed 1, input 0 of the benchmark suite: 3,336 tasks from
-/// two task shapes and 8 schedulers from three scheduler shapes.
+/// two task shapes and 8 schedulers from three scheduler shapes, 417
+/// tasks each. Every scheduler quantifier gains one dominance query: two
+/// per task plus `continue` and `go_idle` for the three FPPS and two EDF
+/// schedulers (836 each), one per task plus `go_idle` for the three FPNPS
+/// ones (418 each), 5,434 in all; the quantifier loops themselves are
+/// unchanged (332,037 ops without the queries).
 #[test]
 fn paper_scale_compile_stats_are_unchanged() {
     let mut config = industrial_config(&spec_with_jobs(12_500, sub_seed(1, 100)));
@@ -409,7 +422,8 @@ fn paper_scale_compile_stats_are_unchanged() {
     }
     let model = SystemModel::build(&config).expect("paper-scale builds");
     let stats = model.network().compiled().stats();
-    assert_eq!((stats.programs, stats.ops), (111_852, 332_037));
+    assert_eq!(model.network().compiled().dominance_queries(), 5_434);
+    assert_eq!((stats.programs, stats.ops), (111_852, 332_037 + 5_434));
     assert!(expanded(model.network()).compiled() == model.network().compiled());
 }
 

@@ -36,6 +36,7 @@
 use std::cell::RefCell;
 
 use crate::automaton::Automaton;
+use crate::dominance::{Best, DominanceIndex, Key, Query, Ranking};
 use crate::error::{EvalError, SimError};
 use crate::expr::{Binding, CmpOp, IntExpr, Pred, MAX_QUANTIFIER_RANGE};
 use crate::guard::{atom_delay_window, DelayWindow};
@@ -217,6 +218,24 @@ enum Op {
         /// Jump target on exhaustion (the quantifier's exit).
         exit: u32,
     },
+    /// Dominance query in front of the quantifier loop it answers (see
+    /// [`crate::dominance`]): with an index attached and the probed cell
+    /// `b + x` inside the key array, push the quantifier's value and jump
+    /// to `exit`; otherwise fall through to the loop, which yields (or
+    /// raises) exactly what it does without the query.
+    Dominance {
+        /// Index into the network's rankings (the template's site index
+        /// until the instance is appended).
+        tree: u32,
+        /// First ranked cell.
+        b: i64,
+        /// `x = vars[x_slot] + x_add`, or `x_add` alone when `x_slot` is
+        /// [`NO_SLOT`].
+        x_slot: u32,
+        x_add: i64,
+        query: Query,
+        exit: u32,
+    },
     /// Pop a value, check it against the inlined domain, store to
     /// `vars[slot]`.
     StoreVar { slot: u32, var: u32, min: i64, max: i64 },
@@ -230,6 +249,17 @@ enum Op {
     /// Start a clock.
     ClockStart(u32),
 }
+
+/// The `x_slot` of an [`Op::Dominance`] whose probe is a literal.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Least quantifier range the compiler answers from a dominance index.
+///
+/// Measured, the index stops losing to the loop somewhere between 8 and
+/// 16 cells (DESIGN.md §4.17). The floor sits above the 26 tasks per
+/// partition that design-loop, serve-mix and Table 1 reach, so their
+/// programs stay exactly the loops they were.
+pub const MIN_DOMINANCE_K: usize = 27;
 
 /// One open quantifier loop: the current counter and the exclusive bound.
 #[derive(Debug, Clone, Copy)]
@@ -268,6 +298,10 @@ thread_local! {
 /// interpreter is generic over this so both monomorphize without branches.
 trait Env {
     fn vars(&self) -> &[i64];
+    /// The dominance index [`Op::Dominance`] queries, if one is attached.
+    fn ranks(&self) -> Option<&DominanceIndex> {
+        None
+    }
     fn set_var(&mut self, slot: usize, value: i64);
     fn clock_reset(&mut self, clock: usize);
     fn clock_stop(&mut self, clock: usize);
@@ -277,12 +311,18 @@ trait Env {
 /// Read-only environment for pure programs.
 struct ReadEnv<'a> {
     vars: &'a [i64],
+    ranks: Option<&'a DominanceIndex>,
 }
 
 impl Env for ReadEnv<'_> {
     #[inline]
     fn vars(&self) -> &[i64] {
         self.vars
+    }
+
+    #[inline]
+    fn ranks(&self) -> Option<&DominanceIndex> {
+        self.ranks
     }
 
     fn set_var(&mut self, _slot: usize, _value: i64) {
@@ -334,11 +374,12 @@ impl Env for WriteEnv<'_> {
     }
 }
 
-/// Evaluates a pure program against a variable slice.
-fn eval_vars(code: &[Op], vars: &[i64]) -> Result<i64, EvalError> {
+/// Evaluates a pure program against a variable slice, answering its
+/// dominance queries from `ranks` when given.
+fn eval_vars(code: &[Op], vars: &[i64], ranks: Option<&DominanceIndex>) -> Result<i64, EvalError> {
     SCRATCH.with(|scratch| {
         let vm = &mut *scratch.borrow_mut();
-        let mut env = ReadEnv { vars };
+        let mut env = ReadEnv { vars, ranks };
         match run(code, &mut env, vm) {
             Ok(()) => Ok(vm.stack.pop().expect("pure program leaves its result")),
             Err(SimError::Eval(e)) => Err(e),
@@ -439,15 +480,158 @@ fn elem_eq_gate(p: &Pred, binding: &Binding<'_>) -> Option<(ArrayId, Konst, Kons
     let IntExpr::Elem(a, idx) = elem else {
         return None;
     };
-    let k = match idx.as_ref() {
-        IntExpr::Bound(0) => (0, None),
+    Some((*a, counter_index(idx, binding)?, lit))
+}
+
+/// The offset `k` of a counter-relative index `Bound(0) + k` (either
+/// order), or `0` for a bare `Bound(0)`.
+fn counter_index(idx: &IntExpr, binding: &Binding<'_>) -> Option<Konst> {
+    match idx {
+        IntExpr::Bound(0) => Some((0, None)),
         IntExpr::Add(x, y) => match (x.as_ref(), y.as_ref()) {
-            (IntExpr::Bound(0), c) | (c, IntExpr::Bound(0)) => konst(c, binding)?,
-            _ => return None,
+            (IntExpr::Bound(0), c) | (c, IntExpr::Bound(0)) => konst(c, binding),
+            _ => None,
         },
+        _ => None,
+    }
+}
+
+/// A quantifier the dominance index answers (see [`crate::dominance`]):
+/// over `[0, k)`, gated on `gate[b + m] == lit`, ranking the counter cell
+/// against the probed cell `b + x` of `key` (absent for "no cell is
+/// gated").
+#[derive(Debug, Clone, Copy)]
+struct DominancePattern {
+    gate: ArrayId,
+    lit: Konst,
+    b: Konst,
+    k: u32,
+    key: Option<(ArrayId, Best)>,
+    /// The probe `x`: a variable (if any) plus a literal.
+    x: (Option<VarId>, i64),
+    query: Query,
+}
+
+/// Recognises the scheduler's dominance quantifiers over
+/// `K ≥ MIN_DOMINANCE_K` cells, with `m` the counter and `b` a literal or
+/// a bound parameter:
+///
+/// * `∃m∈[0,K): R[b+m]==lit ∧ (A[b+m] ≻ A[b+x] ∨ (A[b+m]==A[b+x] ∧ m<x))`
+///   ([`Query::Beaten`], `≻` one of `>`/`<`);
+/// * `∀m∈[0,K): R[b+m]!=lit ∨ A[b+m] ≺ A[b+x] ∨ (A[b+m]==A[b+x] ∧ m>=x)`
+///   ([`Query::Unbeaten`], its negation);
+/// * `∀m∈[0,K): R[b+m]!=lit` ([`Query::NoneGated`]).
+///
+/// `x` is a literal or `v`, `v + c`, `v - c` for a variable `v`, written
+/// identically in the probe index and the tie-break; with `b` the literal
+/// `0` the probe index may be `x` itself.
+fn dominance_pattern(
+    lo: &IntExpr,
+    hi: &IntExpr,
+    body: &Pred,
+    forall: bool,
+    binding: &Binding<'_>,
+) -> Option<DominancePattern> {
+    let (IntExpr::Lit(0), IntExpr::Lit(k)) = (lo, hi) else {
+        return None;
+    };
+    if !(i64::try_from(MIN_DOMINANCE_K).ok()?..=MAX_QUANTIFIER_RANGE).contains(k) {
+        return None;
+    }
+    let k = u32::try_from(*k).ok()?;
+    if let (true, Pred::Not(gate)) = (forall, body) {
+        let (gate, b, lit) = elem_eq_gate(gate, binding)?;
+        return Some(DominancePattern {
+            gate,
+            lit,
+            b,
+            k,
+            key: None,
+            x: (None, 0),
+            query: Query::NoneGated,
+        });
+    }
+    let (gate, b, lit, rest) = scan_gate(body, forall, binding)?;
+    let disjuncts = match rest {
+        [Pred::Or(ds)] => ds.as_slice(),
+        ds if forall => ds,
         _ => return None,
     };
-    Some((*a, k, lit))
+    let (key, best, x) = beats(disjuncts, forall, b, binding)?;
+    Some(DominancePattern {
+        gate,
+        lit,
+        b,
+        k,
+        key: Some((key, best)),
+        x: probe(x)?,
+        query: if forall {
+            Query::Unbeaten
+        } else {
+            Query::Beaten
+        },
+    })
+}
+
+/// Matches "counter cell `m` beats the probed cell `b + x`" as the
+/// disjuncts `A[b+m] ≻ A[b+x]`, `A[b+m]==A[b+x] ∧ m<x` — or, `negated`,
+/// its complement `A[b+m] ≺ A[b+x]`, `A[b+m]==A[b+x] ∧ m>=x`. Returns the
+/// key array, its winning end and `x`.
+fn beats<'p>(
+    disjuncts: &'p [Pred],
+    negated: bool,
+    b: Konst,
+    binding: &Binding<'_>,
+) -> Option<(ArrayId, Best, &'p IntExpr)> {
+    let [Pred::Cmp(order, cell, probed), Pred::And(tie)] = disjuncts else {
+        return None;
+    };
+    let [Pred::Cmp(CmpOp::Eq, cell_eq, probed_eq), Pred::Cmp(tie_op, m, x)] = tie.as_slice() else {
+        return None;
+    };
+    let best = match (order, negated) {
+        (CmpOp::Gt, false) | (CmpOp::Lt, true) => Best::Max,
+        (CmpOp::Lt, false) | (CmpOp::Gt, true) => Best::Min,
+        _ => return None,
+    };
+    let tie_holds = if negated { CmpOp::Ge } else { CmpOp::Lt };
+    let (IntExpr::Elem(key, at_m), IntExpr::Elem(key_x, at_x)) = (cell.as_ref(), probed.as_ref())
+    else {
+        return None;
+    };
+    let probe_matches = match at_x.as_ref() {
+        IntExpr::Add(c, x2) if konst(c, binding) == Some(b) => x2 == x,
+        at_x => b == (0, None) && at_x == x.as_ref(),
+    };
+    (*tie_op == tie_holds
+        && **m == IntExpr::Bound(0)
+        && cell_eq == cell
+        && probed_eq == probed
+        && key == key_x
+        && counter_index(at_m, binding) == Some(b)
+        && probe_matches)
+        .then_some((*key, best, x.as_ref()))
+}
+
+/// A dominance probe `x` as `(variable, literal)`: `c`, `v`, `v + c` or
+/// `v - c`.
+fn probe(x: &IntExpr) -> Option<(Option<VarId>, i64)> {
+    match x {
+        IntExpr::Lit(c) => Some((None, *c)),
+        IntExpr::Var(v) => Some((Some(*v), 0)),
+        IntExpr::Add(v, c) | IntExpr::Sub(v, c) => {
+            let (IntExpr::Var(v), IntExpr::Lit(c)) = (v.as_ref(), c.as_ref()) else {
+                return None;
+            };
+            let c = if matches!(x, IntExpr::Sub(..)) {
+                c.checked_neg()?
+            } else {
+                *c
+            };
+            Some((Some(*v), c))
+        }
+        _ => None,
+    }
 }
 
 fn negate_cmp(op: CmpOp) -> CmpOp {
@@ -467,28 +651,33 @@ fn jump_targets(code: &[Op], t: &mut Vec<bool>) {
     t.clear();
     t.resize(code.len() + 1, false);
     for op in code {
-        match *op {
-            Op::Jump(x)
-            | Op::JumpIfFalse(x)
-            | Op::AndCheck(x)
-            | Op::OrCheck(x)
-            | Op::ForAllEnter(x)
-            | Op::ExistsEnter(x)
-            | Op::CmpConstOr { target: x, .. }
-            | Op::CmpConstAnd { target: x, .. }
-            | Op::CmpVarOr { target: x, .. }
-            | Op::CmpVarAnd { target: x, .. }
-            | Op::CmpOr { target: x, .. }
-            | Op::CmpAnd { target: x, .. }
-            | Op::CmpElemVarOr { target: x, .. }
-            | Op::CmpElemVarAnd { target: x, .. }
-            | Op::LoopScanEq { exit: x, .. } => t[x as usize] = true,
-            Op::ForAllStep { head, exit } | Op::ExistsStep { head, exit } => {
-                t[head as usize] = true;
-                t[exit as usize] = true;
-            }
-            _ => {}
+        for x in targets(op).into_iter().flatten() {
+            t[x as usize] = true;
         }
+    }
+}
+
+/// Where an op may jump.
+fn targets(op: &Op) -> [Option<u32>; 2] {
+    match *op {
+        Op::Jump(x)
+        | Op::JumpIfFalse(x)
+        | Op::AndCheck(x)
+        | Op::OrCheck(x)
+        | Op::ForAllEnter(x)
+        | Op::ExistsEnter(x)
+        | Op::CmpConstOr { target: x, .. }
+        | Op::CmpConstAnd { target: x, .. }
+        | Op::CmpVarOr { target: x, .. }
+        | Op::CmpVarAnd { target: x, .. }
+        | Op::CmpOr { target: x, .. }
+        | Op::CmpAnd { target: x, .. }
+        | Op::CmpElemVarOr { target: x, .. }
+        | Op::CmpElemVarAnd { target: x, .. }
+        | Op::LoopScanEq { exit: x, .. }
+        | Op::Dominance { exit: x, .. } => [Some(x), None],
+        Op::ForAllStep { head, exit } | Op::ExistsStep { head, exit } => [Some(head), Some(exit)],
+        _ => [None, None],
     }
 }
 
@@ -694,7 +883,8 @@ fn fuse_once(
             | Op::CmpAnd { target: x, .. }
             | Op::CmpElemVarOr { target: x, .. }
             | Op::CmpElemVarAnd { target: x, .. }
-            | Op::LoopScanEq { exit: x, .. } => *x = map[*x as usize],
+            | Op::LoopScanEq { exit: x, .. }
+            | Op::Dominance { exit: x, .. } => *x = map[*x as usize],
             Op::ForAllStep { head, exit } | Op::ExistsStep { head, exit } => {
                 *head = map[*head as usize];
                 *exit = map[*exit as usize];
@@ -1092,6 +1282,24 @@ fn run<E: Env>(code: &[Op], env: &mut E, vm: &mut Vm) -> Result<(), SimError> {
                 }
                 continue;
             }
+            Op::Dominance {
+                tree,
+                b,
+                x_slot,
+                x_add,
+                query,
+                exit,
+            } => {
+                let x_slot = (x_slot != NO_SLOT).then_some(x_slot);
+                if let Some(holds) = env
+                    .ranks()
+                    .and_then(|r| r.answer(tree, query, (b, x_slot, x_add), env.vars()))
+                {
+                    stack.push(i64::from(holds));
+                    pc = exit as usize;
+                    continue;
+                }
+            }
             Op::StoreVar { slot, var, min, max } => {
                 let value = pop!();
                 if value < min || value > max {
@@ -1279,7 +1487,8 @@ impl Op {
             | Self::CmpElemVar { add: k, .. }
             | Self::CmpElemVarOr { add: k, .. }
             | Self::CmpElemVarAnd { add: k, .. }
-            | Self::LoopScanEq { k, .. } => k,
+            | Self::LoopScanEq { k, .. }
+            | Self::Dominance { b: k, .. } => k,
             other => unreachable!("no constant to relocate in {other:?}"),
         }
     }
@@ -1295,6 +1504,7 @@ impl Op {
             | Self::CmpElemVar { slot: s, .. }
             | Self::CmpElemVarOr { slot: s, .. }
             | Self::CmpElemVarAnd { slot: s, .. }
+            | Self::Dominance { x_slot: s, .. }
             | Self::ClockReset(s)
             | Self::ClockStop(s)
             | Self::ClockStart(s) => s,
@@ -1319,6 +1529,8 @@ struct Compiler<'n> {
     /// Relocations of `code` (all [`Field::Op`]), ascending.
     relocs: Vec<Reloc>,
     checks: Vec<Check>,
+    /// The dominance queries emitted so far, by their ops' `tree` field.
+    sites: Vec<Site>,
     fusion: Fusion,
     depth: u32,
 }
@@ -1331,6 +1543,7 @@ impl<'n> Compiler<'n> {
             code: Vec::new(),
             relocs: Vec::new(),
             checks: Vec::new(),
+            sites: Vec::new(),
             fusion: Fusion::default(),
             depth: 0,
         }
@@ -1409,7 +1622,8 @@ impl<'n> Compiler<'n> {
             | Op::ExistsEnter(t) => *t = target,
             Op::ForAllStep { exit, .. }
             | Op::ExistsStep { exit, .. }
-            | Op::LoopScanEq { exit, .. } => *exit = target,
+            | Op::LoopScanEq { exit, .. }
+            | Op::Dominance { exit, .. } => *exit = target,
             other => unreachable!("patching non-jump {other:?}"),
         }
     }
@@ -1645,8 +1859,11 @@ impl<'n> Compiler<'n> {
     }
 
     /// Compiles a bounded quantifier, fusing a counter-gated body into a
-    /// [`Op::LoopScanEq`] head when the shape allows (see [`scan_gate`]).
+    /// [`Op::LoopScanEq`] head when the shape allows (see [`scan_gate`]),
+    /// behind an [`Op::Dominance`] query when the dominance index answers
+    /// it.
     fn quantifier(&mut self, lo: &IntExpr, hi: &IntExpr, body: &Pred, forall: bool) {
+        let query = self.dominance(lo, hi, body, forall);
         self.expr(lo);
         self.expr(hi);
         let enter = self.emit(if forall {
@@ -1694,9 +1911,70 @@ impl<'n> Compiler<'n> {
         let exit = self.here();
         self.patch(enter, exit);
         self.patch(step, exit);
-        if let Some(at) = scan {
+        for at in [scan, query].into_iter().flatten() {
             self.patch(at, exit);
         }
+    }
+
+    /// Emits an [`Op::Dominance`] query for a quantifier of
+    /// [`dominance_pattern`]'s shape whose ranked cells `b..b+K` all lie
+    /// inside both arrays for this instance: the loop can then raise an
+    /// error only through the probe, which the query checks before it
+    /// answers. Returns the op, for its exit to be patched.
+    fn dominance(
+        &mut self,
+        lo: &IntExpr,
+        hi: &IntExpr,
+        body: &Pred,
+        forall: bool,
+    ) -> Option<usize> {
+        let p = dominance_pattern(lo, hi, body, forall, &self.frame)?;
+        let len = |a: ArrayId| u32::try_from(self.network.array_len(a)).ok();
+        let key_len = p.key.map_or(Some(u32::MAX), |(a, _)| len(a))?;
+        let room = len(p.gate)?.min(key_len).checked_sub(p.k)?;
+        let ((b, b_param), (lit, lit_param)) = (p.b, p.lit);
+        let fits = u32::try_from(b).is_ok_and(|b| b <= room);
+        if let Some(param) = b_param {
+            self.checks.push(Check {
+                p: param,
+                add: 0,
+                test: Test::Below(room + 1),
+                expect: fits,
+            });
+        }
+        if !fits {
+            return None;
+        }
+        if let Some(param) = lit_param {
+            self.checks.push(Check {
+                p: param,
+                add: 0,
+                test: Test::Eq(lit),
+                expect: true,
+            });
+        }
+        let (x_var, x_add) = p.x;
+        let at = self.emit(Op::Dominance {
+            tree: u32::try_from(self.sites.len()).expect("site count fits u32"),
+            b,
+            x_slot: x_var.map_or(NO_SLOT, |v| self.frame.var(v).raw()),
+            x_add,
+            query: p.query,
+            exit: 0,
+        });
+        self.sites.push(Site {
+            gate: p.gate,
+            lit,
+            key: p.key,
+            k: p.k,
+        });
+        if let Some(param) = b_param {
+            self.reloc(Src::Param { p: param, add: 0 });
+        }
+        if let Some(v) = x_var {
+            self.reloc(Src::Var(v));
+        }
+        Some(at)
     }
 
     fn update(&mut self, u: &Update) {
@@ -1845,10 +2123,15 @@ impl PredTerm {
     }
 
     #[inline]
-    fn eval(&self, ops: &[Op], vars: &[i64]) -> Result<bool, EvalError> {
+    fn eval(
+        &self,
+        ops: &[Op],
+        vars: &[i64],
+        ranks: Option<&DominanceIndex>,
+    ) -> Result<bool, EvalError> {
         match self {
             Self::Cmp { lhs, op, rhs } => Ok(op.apply(lhs.get(vars), rhs.get(vars))),
-            Self::Prog(p) => Ok(eval_vars(&ops[p.range()], vars)? != 0),
+            Self::Prog(p) => Ok(eval_vars(&ops[p.range()], vars, ranks)? != 0),
         }
     }
 }
@@ -1877,7 +2160,7 @@ impl Rhs {
         match self {
             Self::Const(v) => Ok(*v),
             Self::Var(slot) => Ok(vars[*slot as usize]),
-            Self::Prog(p) => eval_vars(&ops[p.range()], vars),
+            Self::Prog(p) => eval_vars(&ops[p.range()], vars, None),
         }
     }
 }
@@ -1954,8 +2237,20 @@ impl CompiledGuard<'_> {
     /// Propagates evaluation errors in the same order as the AST walker.
     #[inline]
     pub fn holds_flat(&self, clock_values: &[i64], vars: &[i64]) -> Result<bool, EvalError> {
+        self.holds_ranked(clock_values, vars, None)
+    }
+
+    /// As [`CompiledGuard::holds_flat`], answering the guard's dominance
+    /// queries from `ranks` (the fast loop's trees, in step with `vars`).
+    #[inline]
+    pub(crate) fn holds_ranked(
+        &self,
+        clock_values: &[i64],
+        vars: &[i64],
+        ranks: Option<&DominanceIndex>,
+    ) -> Result<bool, EvalError> {
         for t in self.terms {
-            if !t.eval(self.ops, vars)? {
+            if !t.eval(self.ops, vars, ranks)? {
                 return Ok(false);
             }
         }
@@ -1975,7 +2270,7 @@ impl CompiledGuard<'_> {
     /// Propagates evaluation errors in the same order as the AST walker.
     pub fn enabling_window(&self, state: &State) -> Result<Option<DelayWindow>, EvalError> {
         for t in self.terms {
-            if !t.eval(self.ops, &state.vars)? {
+            if !t.eval(self.ops, &state.vars, None)? {
                 return Ok(None);
             }
         }
@@ -2000,7 +2295,7 @@ impl CompiledGuard<'_> {
     /// either engine.
     pub(crate) fn first_failing(&self, state: &State) -> Result<Option<GuardConjunct>, EvalError> {
         for (i, t) in self.terms.iter().enumerate() {
-            if !t.eval(self.ops, &state.vars)? {
+            if !t.eval(self.ops, &state.vars, None)? {
                 return Ok(Some(GuardConjunct::Pred(i)));
             }
         }
@@ -2081,6 +2376,18 @@ struct TemplateCode {
     relocs: Vec<Reloc>,
     /// Sorted and deduplicated.
     checks: Vec<Check>,
+    /// The dominance queries, by their ops' `tree` field.
+    sites: Vec<Site>,
+}
+
+/// What an [`Op::Dominance`] ranks, short of the instance's first cell
+/// `b`, which relocation writes into the op.
+#[derive(Debug, Clone, Copy)]
+struct Site {
+    gate: ArrayId,
+    lit: i64,
+    key: Option<(ArrayId, Best)>,
+    k: u32,
 }
 
 impl TemplateCode {
@@ -2132,6 +2439,7 @@ impl TemplateCode {
         code.checks = c.checks;
         code.checks.sort_unstable();
         code.checks.dedup();
+        code.sites = c.sites;
         code
     }
 
@@ -2249,6 +2557,9 @@ pub struct CompiledNetwork {
     edge_base: Vec<u32>,
     /// Index of each automaton's first location in `locations`.
     location_base: Vec<u32>,
+    /// The ranges the [`Op::Dominance`] queries rank, one per distinct
+    /// gate, key, first cell and length.
+    rankings: Vec<Ranking>,
     stats: CompileStats,
 }
 
@@ -2256,23 +2567,82 @@ impl CompiledNetwork {
     /// Compiles every guard, invariant and update sequence of the network.
     #[must_use]
     pub fn compile(network: &Network) -> Self {
-        let mut out = Self::default();
         let mut variants: Vec<Vec<TemplateCode>> =
             network.templates.iter().map(|_| Vec::new()).collect();
+        // Per instance: its variant, and whether that was lowered against
+        // another instance's frame (so its relocations apply).
+        let mut chosen = Vec::with_capacity(network.instances.len());
         for inst in &network.instances {
             let frame = inst.frame.binding();
             let known = &mut variants[inst.template];
             match known.iter().position(|code| code.fits(frame.params)) {
-                Some(i) => out.append(&known[i], frame, true, network),
+                Some(i) => chosen.push((i, true)),
                 None => {
                     let template = &network.templates[inst.template].automaton;
-                    let code = TemplateCode::compile(template, frame, network);
-                    out.append(&code, frame, false, network);
-                    known.push(code);
+                    known.push(TemplateCode::compile(template, frame, network));
+                    chosen.push((known.len() - 1, false));
                 }
             }
         }
+        let mut out = Self::default();
+        let instances = network.instances.iter().zip(&chosen);
+        out.reserve(instances.map(|(inst, &(i, _))| &variants[inst.template][i].net));
+        for (inst, &(i, relocate)) in network.instances.iter().zip(&chosen) {
+            let frame = inst.frame.binding();
+            out.append(&variants[inst.template][i], frame, relocate, network);
+        }
         out
+    }
+
+    /// Sizes every buffer for the code of all instances at once, so none
+    /// grows by doubling: each outgrown block would stay behind on the heap
+    /// and raise the peak memory of a process that compiles many networks.
+    fn reserve<'c>(&mut self, codes: impl Iterator<Item = &'c Self> + Clone) {
+        let total = |len: fn(&Self) -> usize| codes.clone().map(len).sum();
+        self.ops.reserve_exact(total(|c| c.ops.len()));
+        self.terms.reserve_exact(total(|c| c.terms.len()));
+        self.atoms.reserve_exact(total(|c| c.atoms.len()));
+        self.bounds.reserve_exact(total(|c| c.bounds.len()));
+        self.edges.reserve_exact(total(|c| c.edges.len()));
+        self.locations.reserve_exact(total(|c| c.locations.len()));
+    }
+
+    /// Ranks the dominance query at each op of `ops` (the instance just
+    /// appended) by its template site and relocated first cell, sharing a
+    /// tree with every query over the same cells; a keyless query (no
+    /// cell gated) shares any tree over its gate range.
+    fn intern_sites(&mut self, sites: &[Site], from: usize, network: &Network) {
+        let slot = |a: ArrayId| u32::try_from(network.array_offset(a)).expect("slot fits u32");
+        for op in &mut self.ops[from..] {
+            let Op::Dominance { tree, b, .. } = op else {
+                continue;
+            };
+            let site = sites[*tree as usize];
+            let b = u32::try_from(*b).expect("checked ranked range");
+            let covers = |r: &Ranking| {
+                (r.gate, r.lit, r.b, r.k) == (site.gate, site.lit, b, site.k)
+                    && site.key.is_none_or(|(a, best)| {
+                        r.key.is_some_and(|k| (k.array, k.best) == (a, best))
+                    })
+            };
+            let at = self.rankings.iter().position(covers).unwrap_or_else(|| {
+                self.rankings.push(Ranking {
+                    gate: site.gate,
+                    gate_base: slot(site.gate),
+                    lit: site.lit,
+                    key: site.key.map(|(array, best)| Key {
+                        array,
+                        base: slot(array),
+                        len: u32::try_from(network.array_len(array)).expect("len fits u32"),
+                        best,
+                    }),
+                    b,
+                    k: site.k,
+                });
+                self.rankings.len() - 1
+            });
+            *tree = u32::try_from(at).expect("ranking count fits u32");
+        }
     }
 
     /// Appends one instance: `code` with its clocks mapped through `frame`
@@ -2336,6 +2706,9 @@ impl CompiledNetwork {
                 }
             }
         }
+        if !code.sites.is_empty() {
+            self.intern_sites(&code.sites, ops, network);
+        }
     }
 
     fn edge(&self, automaton: AutomatonId, edge: EdgeId) -> &EdgeCode {
@@ -2376,6 +2749,50 @@ impl CompiledNetwork {
     #[must_use]
     pub fn stats(&self) -> CompileStats {
         self.stats
+    }
+
+    /// Number of dominance queries compiled in front of scheduler
+    /// quantifiers (see [`MIN_DOMINANCE_K`]).
+    #[must_use]
+    pub fn dominance_queries(&self) -> usize {
+        self.ops
+            .iter()
+            .filter(|op| matches!(op, Op::Dominance { .. }))
+            .count()
+    }
+
+    /// The ranges the dominance queries rank (see [`crate::dominance`]).
+    pub(crate) fn rankings(&self) -> &[Ranking] {
+        &self.rankings
+    }
+
+    /// Re-keys the dominance leaves an edge's update program may have
+    /// changed. A `StoreElem` to a ranked array whose index is a literal
+    /// (a `Push` that no jump lands after) re-keys the one leaf on that
+    /// cell; any other store to a ranked array rebuilds the trees over it.
+    pub(crate) fn rekey_stores(
+        &self,
+        automaton: AutomatonId,
+        edge: EdgeId,
+        ranks: &mut DominanceIndex,
+        vars: &[i64],
+    ) {
+        let code = &self.ops[self.edge(automaton, edge).updates.range()];
+        for (at, op) in code.iter().enumerate() {
+            let Op::StoreElem { array, .. } = *op else {
+                continue;
+            };
+            let array = ArrayId::from_raw(array);
+            if !ranks.watches(array) {
+                continue;
+            }
+            let lands = |op: &Op| targets(op).contains(&u32::try_from(at).ok());
+            let index = match at.checked_sub(1).map(|i| code[i]) {
+                Some(Op::Push(i)) if !code.iter().any(lands) => Some(i),
+                _ => None,
+            };
+            ranks.stored(array, index, vars);
+        }
     }
 }
 
@@ -2530,5 +2947,333 @@ pub(crate) fn run_edge_updates(
             state.apply_updates(network, updates)
         }
         EvalEngine::Bytecode => network.compiled().updates(automaton, edge).exec(state),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::automaton::{AutomatonBuilder, Edge};
+    use crate::guard::Guard;
+    use crate::ids::ParamId;
+    use crate::network::NetworkBuilder;
+    use crate::state::EnvView;
+
+    /// Ranked partition size of the shapes below.
+    const K: usize = MIN_DOMINANCE_K + 5;
+    /// First ranked cell: the arrays hold `B + K + 4` cells, so probes a
+    /// little outside the partition still land inside them.
+    const B: i64 = 3;
+
+    fn lit(i: usize) -> i64 {
+        i64::try_from(i).unwrap()
+    }
+
+    /// The arrays and the variable the scheduler quantifiers read.
+    struct Decls {
+        ready: ArrayId,
+        key: ArrayId,
+        running: VarId,
+    }
+
+    fn builder() -> (NetworkBuilder, Decls) {
+        let mut nb = NetworkBuilder::new();
+        let cells = usize::try_from(B).unwrap() + K + 4;
+        let decls = Decls {
+            ready: nb.array("ready", vec![0; cells], 0, 1),
+            key: nb.array("key", vec![0; cells], 0, 3),
+            running: nb.var("running", 0, -20, 60),
+        };
+        (nb, decls)
+    }
+
+    /// How the counter-relative cell `m + b` is written: with `b` as a
+    /// literal, as the template parameter 0, or folded away (`b = 0`).
+    #[derive(Debug, Clone, Copy)]
+    enum Base {
+        Lit,
+        Param,
+        Folded,
+    }
+
+    impl Base {
+        fn at(self, e: IntExpr) -> IntExpr {
+            match self {
+                Self::Lit => IntExpr::lit(B) + e,
+                Self::Param => IntExpr::param(ParamId::from_raw(0)) + e,
+                Self::Folded => e,
+            }
+        }
+
+        fn counter(self) -> IntExpr {
+            match self {
+                Self::Lit => IntExpr::bound(0) + IntExpr::lit(B),
+                Self::Param => IntExpr::bound(0) + IntExpr::param(ParamId::from_raw(0)),
+                Self::Folded => IntExpr::bound(0),
+            }
+        }
+    }
+
+    fn gate(d: &Decls, base: Base) -> Pred {
+        IntExpr::elem(d.ready, base.counter()).eq(1)
+    }
+
+    /// "Counter cell beats `x`" (or, `negated`, its complement), written
+    /// as `templates/sched.rs` writes it for a policy whose winning end is
+    /// `best`.
+    fn beats(d: &Decls, base: Base, best: Best, x: &IntExpr, negated: bool) -> Pred {
+        let m = IntExpr::elem(d.key, base.counter());
+        let p = IntExpr::elem(d.key, base.at(x.clone()));
+        let (win, lose) = match best {
+            Best::Max => (CmpOp::Gt, CmpOp::Lt),
+            Best::Min => (CmpOp::Lt, CmpOp::Gt),
+        };
+        let (order, tie) = if negated {
+            (lose, IntExpr::bound(0).ge(x.clone()))
+        } else {
+            (win, IntExpr::bound(0).lt(x.clone()))
+        };
+        Pred::cmp(order, m.clone(), p.clone()).or(m.eq(p).and(tie))
+    }
+
+    /// The scheduler's quantifier shapes for one policy (`preemptive`:
+    /// FPPS and EDF add `preempt_k` and `continue`), probing literal `k`.
+    fn shapes(
+        d: &Decls,
+        base: Base,
+        best: Best,
+        preemptive: bool,
+        k: i64,
+    ) -> Vec<(&'static str, Pred)> {
+        let x = IntExpr::lit(k);
+        let running = IntExpr::var(d.running) - IntExpr::lit(1);
+        let mut out = vec![
+            (
+                "is_top",
+                Pred::forall(
+                    0,
+                    lit(K),
+                    gate(d, base).not().or(beats(d, base, best, &x, true)),
+                ),
+            ),
+            ("go_idle", Pred::forall(0, lit(K), gate(d, base).not())),
+        ];
+        if preemptive {
+            out.push((
+                "preempt",
+                Pred::exists(
+                    0,
+                    lit(K),
+                    gate(d, base).and(beats(d, base, best, &x, false)),
+                ),
+            ));
+            out.push((
+                "continue",
+                Pred::exists(
+                    0,
+                    lit(K),
+                    gate(d, base).and(beats(d, base, best, &running, false)),
+                )
+                .not(),
+            ));
+        }
+        out
+    }
+
+    const POLICIES: [(&str, Best, bool); 3] = [
+        ("fpps", Best::Max, true),
+        ("fpnps", Best::Max, false),
+        ("edf", Best::Min, true),
+    ];
+
+    /// Whether compiling `p` emits a dominance query.
+    fn emits_query(network: &Network, params: &[i64], p: &Pred) -> bool {
+        let mut c = Compiler::new(network, Binding::params(params));
+        let (code, _) = c.program(|c| c.pred(p));
+        code.iter().any(|op| matches!(op, Op::Dominance { .. }))
+    }
+
+    #[test]
+    fn recogniser_fires_on_every_scheduler_shape() {
+        let (nb, d) = builder();
+        let network = nb.build().unwrap();
+        for (policy, best, preemptive) in POLICIES {
+            for base in [Base::Lit, Base::Param, Base::Folded] {
+                let shapes = shapes(&d, base, best, preemptive, 5);
+                assert_eq!(shapes.len(), if preemptive { 4 } else { 2 });
+                for (shape, p) in shapes {
+                    assert!(
+                        emits_query(&network, &[B], &p),
+                        "{policy} {shape} ({base:?} base) compiles no query"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recogniser_rejects_near_misses() {
+        let (nb, d) = builder();
+        let network = nb.build().unwrap();
+        let base = Base::Lit;
+        let x = IntExpr::lit(5);
+        let m_cell = IntExpr::elem(d.key, base.counter());
+        let x_cell = IntExpr::elem(d.key, base.at(x.clone()));
+        // Round-robin: circular distance, not a key order.
+        let cdist = |e: IntExpr| {
+            IntExpr::Rem(
+                Box::new(e - IntExpr::var(d.running) - IntExpr::lit(1)),
+                Box::new(IntExpr::lit(lit(K))),
+            )
+        };
+        let rr = Pred::exists(
+            0,
+            lit(K),
+            gate(&d, base).and(cdist(IntExpr::bound(0)).lt(cdist(x.clone()))),
+        );
+        // `m <= x` lets a task beat itself.
+        let non_strict = Pred::exists(
+            0,
+            lit(K),
+            gate(&d, base).and(
+                m_cell.clone().gt(x_cell.clone()).or(m_cell
+                    .clone()
+                    .eq(x_cell.clone())
+                    .and(IntExpr::bound(0).le(x.clone()))),
+            ),
+        );
+        let extra_conjunct = Pred::exists(
+            0,
+            lit(K),
+            gate(&d, base)
+                .and(beats(&d, base, Best::Max, &x, false))
+                .and(IntExpr::var(d.running).gt(0)),
+        );
+        let extra_disjunct = Pred::forall(
+            0,
+            lit(K),
+            gate(&d, base)
+                .not()
+                .or(beats(&d, base, Best::Max, &x, true))
+                .or(IntExpr::var(d.running).gt(0)),
+        );
+        // The probe's tie-break and cell disagree on `x`.
+        let split_probe = Pred::exists(
+            0,
+            lit(K),
+            gate(&d, base).and(
+                m_cell
+                    .clone()
+                    .gt(x_cell.clone())
+                    .or(m_cell.eq(x_cell).and(IntExpr::bound(0).lt(6))),
+            ),
+        );
+        let non_literal_bound = Pred::exists(
+            0,
+            IntExpr::var(d.running),
+            gate(&d, base).and(beats(&d, base, Best::Max, &x, false)),
+        );
+        let below_threshold = Pred::exists(
+            0,
+            lit(MIN_DOMINANCE_K - 1),
+            gate(&d, base).and(beats(&d, base, Best::Max, &x, false)),
+        );
+        let negation_mismatch = Pred::exists(
+            0,
+            lit(K),
+            gate(&d, base).and(beats(&d, base, Best::Max, &x, true)),
+        );
+        for (label, p) in [
+            ("round-robin cdist", rr),
+            ("m <= x tie-break", non_strict),
+            ("extra conjunct", extra_conjunct),
+            ("extra disjunct", extra_disjunct),
+            ("tie-break probes another x", split_probe),
+            ("non-literal bound", non_literal_bound),
+            ("K below MIN_DOMINANCE_K", below_threshold),
+            ("exists over the negated test", negation_mismatch),
+        ] {
+            assert!(!emits_query(&network, &[B], &p), "{label} compiled a query");
+        }
+        // Ranked cells past the end of the arrays: the loop must keep its
+        // out-of-bounds error, so no query (and a parameter-steered check).
+        let shifted = shapes(&d, Base::Param, Best::Max, true, 5);
+        assert!(emits_query(&network, &[7], &shifted[0].1));
+        assert!(!emits_query(&network, &[8], &shifted[0].1));
+    }
+
+    /// A state with `ready` mostly 1, keys from `0..4` (many ties) and
+    /// `running` anywhere from well below to well past the partition.
+    fn random_state(network: &Network, d: &Decls, seed: &mut u64) -> State {
+        let mut next = |n: u64| {
+            *seed ^= *seed << 13;
+            *seed ^= *seed >> 7;
+            *seed ^= *seed << 17;
+            i64::try_from(*seed % n).unwrap()
+        };
+        let mut state = State::initial(network);
+        let quiet = next(8) == 0;
+        for cell in 0..network.array_len(d.ready) {
+            let r = network.array_offset(d.ready) + cell;
+            state.vars[r] = i64::from(!quiet && next(5) != 0);
+            state.vars[network.array_offset(d.key) + cell] = next(4);
+        }
+        state.vars[d.running.index()] = next(K as u64 + 12) - 6;
+        state
+    }
+
+    #[test]
+    fn queries_equal_the_loop_and_the_ast_on_random_vectors() {
+        let (mut nb, d) = builder();
+        let probes = [0, 5, lit(K) - 1, lit(K) + 2, lit(K) + 10, -1, -B - 1];
+        let mut guards = Vec::new();
+        for (_, best, preemptive) in POLICIES {
+            for base in [Base::Lit, Base::Folded] {
+                for &k in &probes {
+                    guards.extend(
+                        shapes(&d, base, best, preemptive, k)
+                            .into_iter()
+                            .map(|(_, p)| p),
+                    );
+                }
+            }
+        }
+        let mut a = AutomatonBuilder::new("probe");
+        let l = a.location("l");
+        for p in &guards {
+            a.edge(Edge::new(l, l).with_guard(Guard::when(p.clone())));
+        }
+        let aid = nb.automaton(a.finish(l));
+        let network = nb.build().unwrap();
+        let compiled = network.compiled();
+        assert!(compiled.dominance_queries() >= guards.len());
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let (mut errors, mut answered) = (0, 0);
+        for _ in 0..300 {
+            let state = random_state(&network, &d, &mut seed);
+            let index = DominanceIndex::build(compiled.rankings(), &state.vars);
+            let view = EnvView {
+                network: &network,
+                state: &state,
+            };
+            for (e, edge) in network.automaton(aid).edges.iter().enumerate() {
+                let eid = EdgeId::from_raw(u32::try_from(e).unwrap());
+                let ast = edge.guard.holds(&view, &view);
+                let guard = compiled.guard(aid, eid);
+                assert_eq!(
+                    guard.holds(&state),
+                    ast,
+                    "edge {e}: unindexed program vs AST"
+                );
+                let indexed = guard.holds_ranked(state.clock_values(), &state.vars, index.as_ref());
+                assert_eq!(indexed, ast, "edge {e}: indexed program vs AST");
+                errors += usize::from(ast.is_err());
+                answered += usize::from(ast.is_ok());
+            }
+        }
+        assert!(
+            errors > 0 && answered > errors,
+            "{errors} errors, {answered} answers"
+        );
     }
 }

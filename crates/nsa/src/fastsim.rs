@@ -30,6 +30,11 @@
 //! * per-channel receiver-readiness sets holding exactly the receiving
 //!   edges whose source location is current, in canonical order.
 //!
+//! With the bytecode engine, `FastRun` also owns the tournament trees of
+//! the crate's `dominance` module, which answer the large schedulers'
+//! dispatch quantifiers; it builds them from the state and re-keys them
+//! after each transition.
+//!
 //! Heap entries are never updated in place: an entry `(t, a)` is *live* iff
 //! the corresponding cached value still equals `t` (and the automaton is
 //! still cacheable); stale entries are discarded when they surface. A step
@@ -48,6 +53,7 @@ use std::collections::{BTreeSet, BinaryHeap};
 
 use crate::automaton::Sync;
 use crate::bytecode::{self, EvalEngine};
+use crate::dominance::DominanceIndex;
 use crate::error::SimError;
 use crate::guard::{Guard, Invariant};
 use crate::ids::{AutomatonId, ChannelId, ClockId, EdgeId, LocationId};
@@ -445,6 +451,11 @@ pub(crate) struct FastRun<'n> {
     memo_all_internal: Vec<bool>,
     /// Reusable merge buffer for the per-call canonical scan order.
     scan_buf: Vec<u32>,
+    /// Tournament trees answering the compiled guards' dominance queries
+    /// (`None` for the AST walker and for networks without such queries).
+    /// Built from the state, like the event wheel, and re-keyed after
+    /// every transition from the stores of its edges' update programs.
+    ranks: Option<DominanceIndex>,
 }
 
 impl<'n> FastRun<'n> {
@@ -455,9 +466,10 @@ impl<'n> FastRun<'n> {
         engine: EvalEngine,
     ) -> Result<Self, SimError> {
         let n = network.automaton_count();
+        let compiled = (engine == EvalEngine::Bytecode).then(|| network.compiled());
         let mut run = Self {
             network,
-            compiled: (engine == EvalEngine::Bytecode).then(|| network.compiled()),
+            compiled,
             cache,
             engine,
             wake: vec![0; n],
@@ -479,6 +491,7 @@ impl<'n> FastRun<'n> {
             memo_enabled: vec![Vec::new(); n],
             memo_all_internal: vec![false; n],
             scan_buf: Vec::new(),
+            ranks: compiled.and_then(|c| DominanceIndex::build(c.rankings(), &state.vars)),
         };
         for aid in network.automaton_ids() {
             run.refresh(aid, state)?;
@@ -498,8 +511,9 @@ impl<'n> FastRun<'n> {
         &self.cache.info[self.network.instances[a.index()].template][loc.index()]
     }
 
-    /// One guard evaluation through the hoisted compiled network (falling
-    /// back to engine dispatch for the AST walker).
+    /// One guard evaluation through the hoisted compiled network and the
+    /// dominance trees (falling back to engine dispatch for the AST
+    /// walker).
     fn guard_holds_at(
         &self,
         aid: AutomatonId,
@@ -507,7 +521,11 @@ impl<'n> FastRun<'n> {
         state: &State,
     ) -> Result<bool, SimError> {
         match self.compiled {
-            Some(c) => c.guard(aid, eid).holds(state),
+            Some(c) => c.guard(aid, eid).holds_ranked(
+                state.clock_values(),
+                &state.vars,
+                self.ranks.as_ref(),
+            ),
             None => bytecode::guard_holds(self.network, self.engine, aid, eid, state),
         }
         .map_err(SimError::Eval)
@@ -878,6 +896,11 @@ impl<'n> FastRun<'n> {
             }
         }
         apply_with(self.network, state, transition, self.engine)?;
+        if let (Some(ranks), Some(c)) = (&mut self.ranks, self.compiled) {
+            for &(p, e) in &participants {
+                c.rekey_stores(p, e, ranks, &state.vars);
+            }
+        }
         for &(p, _) in &participants {
             if self.loc_info(p, state).committed {
                 self.committed_count += 1;

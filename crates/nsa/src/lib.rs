@@ -67,6 +67,7 @@ pub mod automaton;
 pub mod bytecode;
 pub mod diagnose;
 pub mod dot;
+mod dominance;
 pub mod error;
 pub mod expr;
 pub mod fastsim;
