@@ -14,6 +14,9 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy -D warnings (offline)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings (offline)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> simulator perf gate (bytecode >= 2.5x the AST walker and above a steps/s floor, release)"
 cargo test -q --release --offline -p swa-core --test simulator_perf -- --ignored
 

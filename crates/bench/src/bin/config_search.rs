@@ -6,6 +6,8 @@
 //!
 //! Usage: `cargo run --release -p swa-bench --bin config_search`
 
+#![forbid(unsafe_code)]
+
 use swa_bench::{batch_speedup, render_table, secs};
 use swa_core::Analyzer;
 use swa_schedtool::{search, DesignProblem, SearchOptions};

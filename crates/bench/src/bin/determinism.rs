@@ -8,6 +8,8 @@
 //!
 //! Usage: `cargo run --release -p swa-bench --bin determinism`
 
+#![forbid(unsafe_code)]
+
 use swa_bench::determinism_check;
 use swa_workload::{industrial_config, table1_config, IndustrialSpec};
 

@@ -9,6 +9,8 @@
 //!
 //! Usage: `cargo run --release -p swa-bench --bin rta_comparison`
 
+#![forbid(unsafe_code)]
+
 use swa_bench::render_table;
 use swa_ima::{
     Configuration, CoreRef, CoreType, CoreTypeId, Module, ModuleId, Partition, SchedulerKind, Task,

@@ -7,6 +7,8 @@
 //!
 //! Usage: `cargo run --release -p swa-bench --bin scalability`
 
+#![forbid(unsafe_code)]
+
 use swa_bench::{batch_speedup, render_table, scalability_row, secs};
 
 fn main() {

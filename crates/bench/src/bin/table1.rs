@@ -8,6 +8,8 @@
 //! paper's full 10–18 range (the model-checking column grows roughly 2×
 //! per job, so expect several minutes — this growth *is* the result).
 
+#![forbid(unsafe_code)]
+
 use swa_bench::{render_table, secs, table1_row};
 
 fn main() {

@@ -6,6 +6,8 @@
 //!
 //! Usage: `cargo run --release -p swa-bench --bin verify_components`
 
+#![forbid(unsafe_code)]
+
 use swa_core::SystemModel;
 use swa_ima::{
     Configuration, CoreRef, CoreType, CoreTypeId, Module, ModuleId, Partition, SchedulerKind, Task,

@@ -22,6 +22,7 @@
 //! checking (A5, `mc.par_speedup`). Their correctness gates are cargo
 //! tests; `EXPERIMENTS.md` lists them.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::module_name_repetitions)]
 #![allow(clippy::cast_precision_loss)]

@@ -19,6 +19,7 @@
 //! (unschedulable, violations found, nothing found), `1` usage or input
 //! error.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;

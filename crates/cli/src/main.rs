@@ -1,6 +1,8 @@
 //! The `swa` command-line tool; all logic lives in the library so it can
 //! be tested without spawning processes.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let outcome = swa_cli::run(&args);

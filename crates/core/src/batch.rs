@@ -132,7 +132,6 @@ pub(crate) fn run_batch(
             let cutoff = &cutoff;
             let first_error = &first_error;
             scope.spawn(move || {
-                crate::affinity::pin_worker(worker_id);
                 let mut stats = WorkerStats::default();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);

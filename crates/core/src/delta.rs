@@ -193,7 +193,10 @@ pub(crate) fn decode_events(
     count: usize,
 ) -> Option<Vec<SyncEvent>> {
     let mut c = Cursor { bytes, at: 0 };
-    let mut out = Vec::with_capacity(count);
+    // Every event takes at least four bytes (time delta, tag and one
+    // participant), so a larger `count` can only be corruption; the loop
+    // below rejects it, and the capacity must not trust it.
+    let mut out = Vec::with_capacity(count.min(bytes.len() / 4));
     for _ in 0..count {
         let time = prev_time.wrapping_add(c.zigzag()?);
         prev_time = time;
@@ -366,9 +369,11 @@ mod tests {
         padded.push(0);
         assert!(decode_events(&padded, 0, events.len()).is_none());
         // An unknown tag is rejected.
-        let mut bad = bytes;
+        let mut bad = bytes.clone();
         bad[1] = 9;
         assert!(decode_events(&bad, 0, events.len()).is_none());
+        // A corrupted count is rejected without allocating for it.
+        assert!(decode_events(&bytes, 0, 1 << 53).is_none());
     }
 
     #[test]

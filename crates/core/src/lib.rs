@@ -50,10 +50,10 @@
 //! # Ok::<(), swa_core::PipelineError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::module_name_repetitions)]
 
-pub mod affinity;
 pub mod analysis;
 pub mod analyzer;
 pub mod batch;

@@ -303,22 +303,22 @@ fn build(c: &Case) -> SystemModel {
 /// `(label, UPPAAL export hash, compiled programs, compiled ops)`, as
 /// produced by the per-instance construction.
 const PINNED: &[(&str, u64, usize, usize)] = &[
-    ("fpps", 0x0a68_9035_72ee_a747, 958, 2474),
-    ("fpnps", 0x7c59_5c84_1b27_d0b0, 849, 2011),
-    ("edf", 0x8ace_3a3d_3872_235c, 958, 2474),
-    ("rr", 0xe088_97cc_b99f_8bca, 946, 2458),
-    ("mixed", 0x8bec_0882_a50d_51cf, 924, 2341),
-    ("offsets", 0x73b5_e81d_68f0_8da1, 960, 2393),
-    ("fan_in_fpps", 0x4f81_3632_e50d_57b1, 381, 1057),
-    ("fan_in_edf", 0xfe40_eda1_2083_4d63, 381, 1057),
-    ("fan_in_rr", 0xbba4_a59d_88d8_3876, 377, 1051),
-    ("modular_fpps", 0xe335_fa98_f29a_d2f9, 3843, 11487),
-    ("modular_links", 0xc533_244e_50a8_3784, 2110, 6110),
-    ("modular_fpnps_edf", 0x2ac4_a046_a1c8_e858, 3678, 10596),
-    ("fan_in_routed", 0x77cb_7a4d_3e98_0969, 409, 1085),
-    ("fan_in_routed_fpnps_h2", 0x28e5_c068_536b_160e, 383, 923),
-    ("offsets_h2", 0x8cf9_089e_e861_e4ce, 908, 2309),
-    ("modular_h2", 0x150b_6389_2110_dea0, 2923, 8603),
+    ("fpps", 0x0a68_9035_72ee_a747, 958, 2686),
+    ("fpnps", 0x7c59_5c84_1b27_d0b0, 849, 2117),
+    ("edf", 0x8ace_3a3d_3872_235c, 958, 2686),
+    ("rr", 0xe088_97cc_b99f_8bca, 946, 2474),
+    ("mixed", 0x8bec_0882_a50d_51cf, 924, 2485),
+    ("offsets", 0x73b5_e81d_68f0_8da1, 960, 2537),
+    ("fan_in_fpps", 0x4f81_3632_e50d_57b1, 381, 1156),
+    ("fan_in_edf", 0xfe40_eda1_2083_4d63, 381, 1156),
+    ("fan_in_rr", 0xbba4_a59d_88d8_3876, 377, 1062),
+    ("modular_fpps", 0xe335_fa98_f29a_d2f9, 3843, 12471),
+    ("modular_links", 0xc533_244e_50a8_3784, 2110, 6646),
+    ("modular_fpnps_edf", 0x2ac4_a046_a1c8_e858, 3678, 11316),
+    ("fan_in_routed", 0x77cb_7a4d_3e98_0969, 409, 1184),
+    ("fan_in_routed_fpnps_h2", 0x28e5_c068_536b_160e, 383, 974),
+    ("offsets_h2", 0x8cf9_089e_e861_e4ce, 908, 2453),
+    ("modular_h2", 0x150b_6389_2110_dea0, 2923, 9355),
 ];
 
 #[test]
@@ -423,7 +423,7 @@ fn paper_scale_compile_stats_are_unchanged() {
     let model = SystemModel::build(&config).expect("paper-scale builds");
     let stats = model.network().compiled().stats();
     assert_eq!(model.network().compiled().dominance_queries(), 5_434);
-    assert_eq!((stats.programs, stats.ops), (111_852, 332_037 + 5_434));
+    assert_eq!((stats.programs, stats.ops), (111_852, 355_441 + 5_434));
     assert!(expanded(model.network()).compiled() == model.network().compiled());
 }
 

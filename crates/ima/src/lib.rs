@@ -46,6 +46,7 @@
 //! # Ok::<(), String>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::module_name_repetitions)]
 

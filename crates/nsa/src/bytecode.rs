@@ -20,7 +20,7 @@
 //!   lookups at all.
 //!
 //! Evaluation is allocation-free after warm-up: every thread reuses one
-//! scratch [`Vm`] (an operand stack plus a loop-frame stack).
+//! scratch `Vm` (an operand stack plus a loop-frame stack).
 //!
 //! ## Exact equivalence with the AST walker
 //!
@@ -126,53 +126,6 @@ enum Op {
     /// Fused `LoadBound(frame); AddConst(add)`: push `frames[frame].i + add`
     /// (checked).
     LoadBoundConst { frame: u32, add: i64 },
-    /// Fused `LoadBound(frame); AddConst(add); LoadElem`: compute
-    /// `frames[frame].i + add` (checked, in that order), bounds-check it,
-    /// push `vars[base + i]`. `add == 0` is the plain
-    /// `LoadBound; LoadElem` pair (the checked add of `0` cannot fail, so
-    /// error behavior is unchanged).
-    LoadElemBound { frame: u32, array: u32, base: u32, len: u32, add: i64 },
-    /// Fused `CmpConst; OrCheck`: pop `a`; on `a ⋈ k` push `1` and jump.
-    CmpConstOr { op: CmpOp, k: i64, target: u32 },
-    /// Fused `CmpConst; AndCheck`: pop `a`; on `¬(a ⋈ k)` push `0` and
-    /// jump.
-    CmpConstAnd { op: CmpOp, k: i64, target: u32 },
-    /// Fused `CmpVar; OrCheck`.
-    CmpVarOr { op: CmpOp, slot: u32, target: u32 },
-    /// Fused `CmpVar; AndCheck`.
-    CmpVarAnd { op: CmpOp, slot: u32, target: u32 },
-    /// Fused `Cmp; OrCheck`: pop `b`, pop `a`; on `a ⋈ b` push `1` and
-    /// jump.
-    CmpOr { op: CmpOp, target: u32 },
-    /// Fused `Cmp; AndCheck`: pop `b`, pop `a`; on `¬(a ⋈ b)` push `0` and
-    /// jump.
-    CmpAnd { op: CmpOp, target: u32 },
-    /// Fused `LoadElemBound; CmpVar`: push
-    /// `vars[base + frames[frame].i + add] ⋈ vars[slot]` after the checked
-    /// add and bounds check.
-    CmpElemVar { frame: u32, array: u32, base: u32, len: u32, add: i64, op: CmpOp, slot: u32 },
-    /// Fused `CmpElemVar; OrCheck`.
-    CmpElemVarOr {
-        frame: u32,
-        array: u32,
-        base: u32,
-        len: u32,
-        add: i64,
-        op: CmpOp,
-        slot: u32,
-        target: u32,
-    },
-    /// Fused `CmpElemVar; AndCheck`.
-    CmpElemVarAnd {
-        frame: u32,
-        array: u32,
-        base: u32,
-        len: u32,
-        add: i64,
-        op: CmpOp,
-        slot: u32,
-        target: u32,
-    },
     /// Unconditional jump.
     Jump(u32),
     /// Pop; jump if the popped value is `0`.
@@ -634,17 +587,6 @@ fn probe(x: &IntExpr) -> Option<(Option<VarId>, i64)> {
     }
 }
 
-fn negate_cmp(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Ne,
-        CmpOp::Ne => CmpOp::Eq,
-        CmpOp::Lt => CmpOp::Ge,
-        CmpOp::Ge => CmpOp::Lt,
-        CmpOp::Le => CmpOp::Gt,
-        CmpOp::Gt => CmpOp::Le,
-    }
-}
-
 /// The jump targets of a program (positions that a fusion must not
 /// swallow: fusing across one would change where the jump lands), into `t`.
 fn jump_targets(code: &[Op], t: &mut Vec<bool>) {
@@ -659,21 +601,20 @@ fn jump_targets(code: &[Op], t: &mut Vec<bool>) {
 
 /// Where an op may jump.
 fn targets(op: &Op) -> [Option<u32>; 2] {
-    match *op {
+    let mut op = *op;
+    targets_mut(&mut op).map(|x| x.copied())
+}
+
+/// An op's jump-target fields, the loops' `exit` last: the one list of
+/// jump-carrying ops.
+fn targets_mut(op: &mut Op) -> [Option<&mut u32>; 2] {
+    match op {
         Op::Jump(x)
         | Op::JumpIfFalse(x)
         | Op::AndCheck(x)
         | Op::OrCheck(x)
         | Op::ForAllEnter(x)
         | Op::ExistsEnter(x)
-        | Op::CmpConstOr { target: x, .. }
-        | Op::CmpConstAnd { target: x, .. }
-        | Op::CmpVarOr { target: x, .. }
-        | Op::CmpVarAnd { target: x, .. }
-        | Op::CmpOr { target: x, .. }
-        | Op::CmpAnd { target: x, .. }
-        | Op::CmpElemVarOr { target: x, .. }
-        | Op::CmpElemVarAnd { target: x, .. }
         | Op::LoopScanEq { exit: x, .. }
         | Op::Dominance { exit: x, .. } => [Some(x), None],
         Op::ForAllStep { head, exit } | Op::ExistsStep { head, exit } => [Some(head), Some(exit)],
@@ -727,127 +668,6 @@ fn fuse_once(
             (Op::LoadBound(frame), Some(Op::AddConst(add))) => {
                 Some(Op::LoadBoundConst { frame, add })
             }
-            (Op::LoadBound(frame), Some(Op::LoadElem { array, base, len })) => {
-                Some(Op::LoadElemBound {
-                    frame,
-                    array,
-                    base,
-                    len,
-                    add: 0,
-                })
-            }
-            (Op::LoadBoundConst { frame, add }, Some(Op::LoadElem { array, base, len })) => {
-                Some(Op::LoadElemBound {
-                    frame,
-                    array,
-                    base,
-                    len,
-                    add,
-                })
-            }
-            (Op::CmpConst { op, k }, Some(Op::OrCheck(target))) => {
-                Some(Op::CmpConstOr { op, k, target })
-            }
-            (Op::CmpConst { op, k }, Some(Op::AndCheck(target))) => {
-                Some(Op::CmpConstAnd { op, k, target })
-            }
-            (Op::CmpVar { op, slot }, Some(Op::OrCheck(target))) => {
-                Some(Op::CmpVarOr { op, slot, target })
-            }
-            (Op::CmpVar { op, slot }, Some(Op::AndCheck(target))) => {
-                Some(Op::CmpVarAnd { op, slot, target })
-            }
-            (Op::Cmp(op), Some(Op::OrCheck(target))) => Some(Op::CmpOr { op, target }),
-            (Op::Cmp(op), Some(Op::AndCheck(target))) => Some(Op::CmpAnd { op, target }),
-            (
-                Op::LoadElemBound {
-                    frame,
-                    array,
-                    base,
-                    len,
-                    add,
-                },
-                Some(Op::CmpVar { op, slot }),
-            ) => Some(Op::CmpElemVar {
-                frame,
-                array,
-                base,
-                len,
-                add,
-                op,
-                slot,
-            }),
-            (
-                Op::CmpElemVar {
-                    frame,
-                    array,
-                    base,
-                    len,
-                    add,
-                    op,
-                    slot,
-                },
-                Some(Op::OrCheck(target)),
-            ) => Some(Op::CmpElemVarOr {
-                frame,
-                array,
-                base,
-                len,
-                add,
-                op,
-                slot,
-                target,
-            }),
-            (
-                Op::CmpElemVar {
-                    frame,
-                    array,
-                    base,
-                    len,
-                    add,
-                    op,
-                    slot,
-                },
-                Some(Op::AndCheck(target)),
-            ) => Some(Op::CmpElemVarAnd {
-                frame,
-                array,
-                base,
-                len,
-                add,
-                op,
-                slot,
-                target,
-            }),
-            (
-                Op::CmpElemVar {
-                    frame,
-                    array,
-                    base,
-                    len,
-                    add,
-                    op,
-                    slot,
-                },
-                Some(Op::Not),
-            ) => Some(Op::CmpElemVar {
-                frame,
-                array,
-                base,
-                len,
-                add,
-                op: negate_cmp(op),
-                slot,
-            }),
-            (Op::Cmp(op), Some(Op::Not)) => Some(Op::Cmp(negate_cmp(op))),
-            (Op::CmpConst { op, k }, Some(Op::Not)) => Some(Op::CmpConst {
-                op: negate_cmp(op),
-                k,
-            }),
-            (Op::CmpVar { op, slot }, Some(Op::Not)) => Some(Op::CmpVar {
-                op: negate_cmp(op),
-                slot,
-            }),
             _ => None,
         };
         if let Some(op) = replacement {
@@ -868,35 +688,16 @@ fn fuse_once(
         r.at = Field::Op(map[r.op()] as usize);
     }
     for op in new.iter_mut() {
-        match op {
-            Op::Jump(x)
-            | Op::JumpIfFalse(x)
-            | Op::AndCheck(x)
-            | Op::OrCheck(x)
-            | Op::ForAllEnter(x)
-            | Op::ExistsEnter(x)
-            | Op::CmpConstOr { target: x, .. }
-            | Op::CmpConstAnd { target: x, .. }
-            | Op::CmpVarOr { target: x, .. }
-            | Op::CmpVarAnd { target: x, .. }
-            | Op::CmpOr { target: x, .. }
-            | Op::CmpAnd { target: x, .. }
-            | Op::CmpElemVarOr { target: x, .. }
-            | Op::CmpElemVarAnd { target: x, .. }
-            | Op::LoopScanEq { exit: x, .. }
-            | Op::Dominance { exit: x, .. } => *x = map[*x as usize],
-            Op::ForAllStep { head, exit } | Op::ExistsStep { head, exit } => {
-                *head = map[*head as usize];
-                *exit = map[*exit as usize];
-            }
-            _ => {}
+        for x in targets_mut(op).into_iter().flatten() {
+            *x = map[*x as usize];
         }
     }
     true
 }
 
 /// Runs fusion passes to a fixpoint (fused opcodes enable further pairs,
-/// e.g. `Cmp`+`Not` exposing a `Push`+`Cmp`).
+/// e.g. `Push`+`Add` becoming the `AddConst` a preceding `LoadVar` then
+/// fuses with).
 fn fuse(code: &mut Vec<Op>, relocs: &mut Vec<Reloc>, checks: &mut Vec<Check>, bufs: &mut Fusion) {
     if code.len() < 2 {
         return;
@@ -944,26 +745,6 @@ fn run<E: Env>(code: &[Op], env: &mut E, vm: &mut Vm) -> Result<(), SimError> {
             let b = pop!();
             let a = pop!();
             stack.push(a.$f(b).ok_or(EvalError::Overflow)?);
-        }};
-    }
-    // Shared body of the `LoadElemBound`-family ops: checked add of the
-    // constant offset to the loop counter, then the bounds check — the
-    // exact error order of the unfused `LoadBound; AddConst; LoadElem`.
-    macro_rules! elem_bound {
-        ($frame:expr, $array:expr, $base:expr, $len:expr, $add:expr) => {{
-            let index = frames[$frame as usize]
-                .i
-                .checked_add($add)
-                .ok_or(EvalError::Overflow)?;
-            let Some(i) = usize::try_from(index).ok().filter(|i| *i < $len as usize) else {
-                return Err(EvalError::IndexOutOfBounds {
-                    array: $array,
-                    index,
-                    len: $len as usize,
-                }
-                .into());
-            };
-            env.vars()[$base as usize + i]
         }};
     }
 
@@ -1051,112 +832,6 @@ fn run<E: Env>(code: &[Op], env: &mut E, vm: &mut Vm) -> Result<(), SimError> {
                     .checked_add(add)
                     .ok_or(EvalError::Overflow)?;
                 stack.push(v);
-            }
-            Op::LoadElemBound {
-                frame,
-                array,
-                base,
-                len,
-                add,
-            } => {
-                let v = elem_bound!(frame, array, base, len, add);
-                stack.push(v);
-            }
-            Op::CmpConstOr { op, k, target } => {
-                let a = pop!();
-                if op.apply(a, k) {
-                    stack.push(1);
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            Op::CmpConstAnd { op, k, target } => {
-                let a = pop!();
-                if !op.apply(a, k) {
-                    stack.push(0);
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            Op::CmpVarOr { op, slot, target } => {
-                let a = pop!();
-                if op.apply(a, env.vars()[slot as usize]) {
-                    stack.push(1);
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            Op::CmpVarAnd { op, slot, target } => {
-                let a = pop!();
-                if !op.apply(a, env.vars()[slot as usize]) {
-                    stack.push(0);
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            Op::CmpOr { op, target } => {
-                let b = pop!();
-                let a = pop!();
-                if op.apply(a, b) {
-                    stack.push(1);
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            Op::CmpAnd { op, target } => {
-                let b = pop!();
-                let a = pop!();
-                if !op.apply(a, b) {
-                    stack.push(0);
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            Op::CmpElemVar {
-                frame,
-                array,
-                base,
-                len,
-                add,
-                op,
-                slot,
-            } => {
-                let a = elem_bound!(frame, array, base, len, add);
-                stack.push(i64::from(op.apply(a, env.vars()[slot as usize])));
-            }
-            Op::CmpElemVarOr {
-                frame,
-                array,
-                base,
-                len,
-                add,
-                op,
-                slot,
-                target,
-            } => {
-                let a = elem_bound!(frame, array, base, len, add);
-                if op.apply(a, env.vars()[slot as usize]) {
-                    stack.push(1);
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            Op::CmpElemVarAnd {
-                frame,
-                array,
-                base,
-                len,
-                add,
-                op,
-                slot,
-                target,
-            } => {
-                let a = elem_bound!(frame, array, base, len, add);
-                if !op.apply(a, env.vars()[slot as usize]) {
-                    stack.push(0);
-                    pc = target as usize;
-                    continue;
-                }
             }
             Op::Jump(t) => {
                 pc = t as usize;
@@ -1479,14 +1154,8 @@ impl Op {
             Self::Push(k)
             | Self::AddConst(k)
             | Self::CmpConst { k, .. }
-            | Self::CmpConstOr { k, .. }
-            | Self::CmpConstAnd { k, .. }
             | Self::LoadVarConst { add: k, .. }
             | Self::LoadBoundConst { add: k, .. }
-            | Self::LoadElemBound { add: k, .. }
-            | Self::CmpElemVar { add: k, .. }
-            | Self::CmpElemVarOr { add: k, .. }
-            | Self::CmpElemVarAnd { add: k, .. }
             | Self::LoopScanEq { k, .. }
             | Self::Dominance { b: k, .. } => k,
             other => unreachable!("no constant to relocate in {other:?}"),
@@ -1498,12 +1167,7 @@ impl Op {
         match self {
             Self::LoadVar(s)
             | Self::CmpVar { slot: s, .. }
-            | Self::CmpVarOr { slot: s, .. }
-            | Self::CmpVarAnd { slot: s, .. }
             | Self::LoadVarConst { slot: s, .. }
-            | Self::CmpElemVar { slot: s, .. }
-            | Self::CmpElemVarOr { slot: s, .. }
-            | Self::CmpElemVarAnd { slot: s, .. }
             | Self::Dominance { x_slot: s, .. }
             | Self::ClockReset(s)
             | Self::ClockStop(s)
@@ -1613,19 +1277,8 @@ impl<'n> Compiler<'n> {
 
     /// Rewrites the jump target of the instruction at `at` to `target`.
     fn patch(&mut self, at: usize, target: u32) {
-        match &mut self.code[at] {
-            Op::Jump(t)
-            | Op::JumpIfFalse(t)
-            | Op::AndCheck(t)
-            | Op::OrCheck(t)
-            | Op::ForAllEnter(t)
-            | Op::ExistsEnter(t) => *t = target,
-            Op::ForAllStep { exit, .. }
-            | Op::ExistsStep { exit, .. }
-            | Op::LoopScanEq { exit, .. }
-            | Op::Dominance { exit, .. } => *exit = target,
-            other => unreachable!("patching non-jump {other:?}"),
-        }
+        let [first, exit] = targets_mut(&mut self.code[at]);
+        *exit.or(first).expect("patching a jump") = target;
     }
 
     /// Slot offset and length of an array.
@@ -2532,7 +2185,7 @@ struct EdgeCode {
 /// Every guard, invariant and update of a network in compiled form.
 ///
 /// Each template is lowered once (per combination of parameter-steered
-/// decisions its instances take) into a [`TemplateCode`]; every instance
+/// decisions its instances take) into a `TemplateCode`; every instance
 /// then copies that code into the network's contiguous buffers and
 /// relocates the fields its frame binds. No instance walks the AST or runs
 /// the fusion passes, and the per-program allocations of a direct compile

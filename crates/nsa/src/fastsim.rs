@@ -16,7 +16,7 @@
 //!    (`wake[a]`) can be cached when the automaton enters the location and
 //!    stays exact until the automaton itself moves.
 //!
-//! On top of the cached wake times, [`FastRun`] keeps an **event wheel** so
+//! On top of the cached wake times, `FastRun` keeps an **event wheel** so
 //! that neither finding the next transition nor computing the next delay
 //! target requires an `O(automata)` scan:
 //!

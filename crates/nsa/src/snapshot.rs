@@ -6,7 +6,7 @@
 //! including the frozen/running flags, variable store, model time), the
 //! action-transition counter, the interpreter stats, and the trace cursor
 //! (how many events preceded the snapshot). The event wheel of the
-//! accelerated loop is *derived* state — [`crate::fastsim::FastRun`]
+//! accelerated loop is *derived* state — `FastRun`
 //! rebuilds it from the [`State`] on resume — so it is deliberately not
 //! serialized; this is what makes snapshots engine-independent.
 //!
@@ -103,19 +103,19 @@ impl Snapshot {
         let wheel_wakeups = r.u64()?;
         let trace_len = r.u64()?;
         let time = r.i64()?;
-        let n_locations = r.len()?;
+        let n_locations = r.len(4)?;
         let mut locations = Vec::with_capacity(n_locations);
         for _ in 0..n_locations {
             locations.push(LocationId::from_raw(r.u32()?));
         }
-        let n_clocks = r.len()?;
+        let n_clocks = r.len(9)?;
         let mut clocks = Vec::with_capacity(n_clocks);
         for _ in 0..n_clocks {
             let value = r.i64()?;
             let running = r.u8()? != 0;
             clocks.push(ClockVal { value, running });
         }
-        let n_vars = r.len()?;
+        let n_vars = r.len(8)?;
         let mut vars = Vec::with_capacity(n_vars);
         for _ in 0..n_vars {
             vars.push(r.i64()?);
@@ -231,8 +231,14 @@ impl Reader<'_> {
         ))
     }
 
-    fn len(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.u64()?).map_err(|_| SnapshotError::Truncated)
+    /// A count of `record`-byte records. A count the remaining input cannot
+    /// hold is truncation, rejected before anything is allocated for it.
+    fn len(&mut self, record: usize) -> Result<usize, SnapshotError> {
+        let n = usize::try_from(self.u64()?).map_err(|_| SnapshotError::Truncated)?;
+        if n > (self.bytes.len() - self.at) / record {
+            return Err(SnapshotError::Truncated);
+        }
+        Ok(n)
     }
 }
 
@@ -324,6 +330,18 @@ mod tests {
             Snapshot::from_bytes(&long),
             Err(SnapshotError::TrailingBytes { extra: 1 })
         );
+    }
+
+    #[test]
+    fn a_corrupted_length_is_truncation_not_an_allocation() {
+        let n = ticker_network();
+        let bytes = sample_snapshot(&n).to_bytes();
+        // The locations count follows the version byte and four 8-byte
+        // header fields.
+        let at = 1 + 4 * 8;
+        let mut bad = bytes;
+        bad[at..at + 8].copy_from_slice(&(1u64 << 53).to_le_bytes());
+        assert_eq!(Snapshot::from_bytes(&bad), Err(SnapshotError::Truncated));
     }
 
     #[test]

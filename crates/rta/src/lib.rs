@@ -22,6 +22,7 @@
 //!   tier T1 of the verdict ladder
 //!   ([`swa_core::ladder`], DESIGN.md §4.20).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::module_name_repetitions)]
 

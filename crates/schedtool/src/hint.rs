@@ -3,7 +3,7 @@
 //! The search loop's repair heuristics (window widening, rebinding) act
 //! on *structure*; a sensitivity sweep tells it *where* the structure is
 //! tight. [`repair_hints`] ranks the tasks of a
-//! [`TaskSensitivity`](swa_sweep::TaskSensitivity) vector by ascending
+//! [`swa_sweep::TaskSensitivity`] vector by ascending
 //! WCET slack, so the caller can aim its next repair at the task whose
 //! budget breaks first — and knows which tasks have headroom to give up.
 

@@ -16,6 +16,7 @@
 //! * [`hint`] — ranks a `swa-sweep` per-task sensitivity vector into
 //!   repair targets (tightest WCET slack first).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::module_name_repetitions)]
 

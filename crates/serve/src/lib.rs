@@ -52,6 +52,7 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::module_name_repetitions)]
 

@@ -76,10 +76,7 @@ impl WorkerPool {
                 };
                 std::thread::Builder::new()
                     .name(format!("swa-serve-worker-{i}"))
-                    .spawn(move || {
-                        swa_core::affinity::pin_worker(i);
-                        worker_loop(&rx, &ctx)
-                    })
+                    .spawn(move || worker_loop(&rx, &ctx))
                     .expect("spawn worker thread")
             })
             .collect();

@@ -140,7 +140,7 @@ impl TaskSensitivity {
 /// The probe engine. Construct with [`SweepEngine::new`], attach shared
 /// stores with the builder methods, then drive it through
 /// [`breakdown`](Self::breakdown) / [`sensitivity`](Self::sensitivity) or
-/// the [`run_sweep`] orchestrator.
+/// the [`run_sweep`](crate::run_sweep) orchestrator.
 pub struct SweepEngine {
     base: Configuration,
     options: SweepOptions,

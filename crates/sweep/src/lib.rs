@@ -46,6 +46,7 @@
 //! # Ok::<(), swa_sweep::SweepError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::module_name_repetitions)]
 

@@ -16,6 +16,7 @@
 //! Generation is deterministic given a seed, so every experiment is
 //! reproducible.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::module_name_repetitions)]
 

@@ -33,6 +33,7 @@
 //! # Ok::<(), swa_xmlio::XmlError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::module_name_repetitions)]
 

@@ -180,7 +180,7 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
 }
 
 struct Parser<'a> {
-    input: &'a [u8],
+    input: &'a str,
     pos: usize,
     line: usize,
     line_start: usize,
@@ -189,7 +189,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
         Self {
-            input: input.as_bytes(),
+            input,
             pos: 0,
             line: 1,
             line_start: 0,
@@ -209,7 +209,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -222,8 +222,20 @@ impl<'a> Parser<'a> {
         Some(c)
     }
 
+    /// Consumes input up to (not including) the next byte that `stop`
+    /// accepts, or to the end. Every stop byte the callers pass is ASCII,
+    /// so the run ends on a UTF-8 boundary and multi-byte characters are
+    /// copied whole.
+    fn take_until(&mut self, stop: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.peek().is_some_and(|c| !stop(c)) {
+            self.bump();
+        }
+        &self.input[start..self.pos]
+    }
+
     fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s.as_bytes())
+        self.input.as_bytes()[self.pos..].starts_with(s.as_bytes())
     }
 
     fn eat(&mut self, s: &str) -> bool {
@@ -298,7 +310,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.error("expected a name"));
         }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
+        Ok(String::from_utf8_lossy(&self.input.as_bytes()[start..self.pos]).into_owned())
     }
 
     fn parse_entity(&mut self) -> Result<char, XmlError> {
@@ -306,7 +318,7 @@ impl<'a> Parser<'a> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c == b';' {
-                let name = &self.input[start..self.pos];
+                let name = &self.input.as_bytes()[start..self.pos];
                 self.bump();
                 return match name {
                     b"lt" => Ok('<'),
@@ -335,11 +347,11 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| self.error("expected a quoted attribute value"))?;
         let mut out = String::new();
         loop {
+            out.push_str(self.take_until(|c| c == quote || c == b'&'));
             match self.bump() {
                 None => return Err(self.error("unterminated attribute value")),
-                Some(c) if c == quote => return Ok(out),
                 Some(b'&') => out.push(self.parse_entity()?),
-                Some(c) => out.push(c as char),
+                Some(_) => return Ok(out),
             }
         }
     }
@@ -401,10 +413,7 @@ impl<'a> Parser<'a> {
                     self.bump();
                     text.push(self.parse_entity()?);
                 }
-                Some(c) => {
-                    text.push(c as char);
-                    self.bump();
-                }
+                Some(_) => text.push_str(self.take_until(|c| c == b'<' || c == b'&')),
             }
         }
     }

@@ -94,6 +94,7 @@
 //!
 //! Errors from any layer convert into the unified [`enum@Error`] via `?`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod prelude;

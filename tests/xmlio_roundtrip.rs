@@ -129,6 +129,31 @@ fn every_scheduler_kind_and_task_shape_roundtrips() {
     assert_eq!(restored, config);
 }
 
+/// Non-ASCII names survive the round trip byte for byte, so an
+/// XML-parsed configuration has the cache key of the same configuration
+/// built in code.
+#[test]
+fn regulation_non_ascii_names_roundtrip_with_equal_canonical_keys() {
+    let mut config = kitchen_sink_config();
+    config.partitions[0].name = "régulation".into();
+    config.partitions[1].tasks[0].name = "contrôle-µ".into();
+    config.messages[0].name = "entrée→sortie".into();
+    let xml = configuration_to_xml(&config);
+    let restored = configuration_from_xml(&xml).expect("non-ASCII XML parses");
+    assert_eq!(restored, config);
+    assert_eq!(configuration_to_xml(&restored), xml, "re-encoding drifted");
+    assert_eq!(
+        swa::core::canonicalize(&restored, 1).key,
+        swa::core::canonicalize(&config, 1).key,
+        "the XML-parsed configuration got a different cache key"
+    );
+
+    // The text path, next to entities and across a child element.
+    let e = swa::xmlio::parse("<r a='régulation &amp; ü'>é &lt;x<c/>ñ</r>").unwrap();
+    assert_eq!(e.attributes, vec![("a".into(), "régulation & ü".into())]);
+    assert_eq!(e.text, "é <xñ");
+}
+
 /// Helper: the document must be rejected, and with the expected error
 /// variant — not silently coerced into some other configuration.
 fn assert_rejected(xml: &str, what: &str, check: impl Fn(&XmlError) -> bool) {
