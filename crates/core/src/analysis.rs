@@ -61,14 +61,25 @@ impl VerdictDiagnosis {
             "{} missed job{} in partition{} {:?}",
             self.missed_jobs,
             if self.missed_jobs == 1 { "" } else { "s" },
-            if self.missing_partitions.len() == 1 { "" } else { "s" },
-            self.missing_partitions.iter().map(|p| p.raw()).collect::<Vec<_>>(),
+            if self.missing_partitions.len() == 1 {
+                ""
+            } else {
+                "s"
+            },
+            self.missing_partitions
+                .iter()
+                .map(|p| p.raw())
+                .collect::<Vec<_>>(),
         );
         if !self.failing_modules.is_empty() {
             let _ = write!(
                 s,
                 " (module{} {})",
-                if self.failing_modules.len() == 1 { "" } else { "s" },
+                if self.failing_modules.len() == 1 {
+                    ""
+                } else {
+                    "s"
+                },
                 self.failing_modules.join(", ")
             );
         }

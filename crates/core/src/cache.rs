@@ -84,10 +84,8 @@ impl CachedVerdict {
     /// Summarizes a schedulability analysis into its cacheable form.
     #[must_use]
     pub fn from_analysis(analysis: &crate::Analysis) -> Self {
-        let mut missing: Vec<PartitionId> = analysis
-            .missed_jobs()
-            .map(|j| j.task.partition)
-            .collect();
+        let mut missing: Vec<PartitionId> =
+            analysis.missed_jobs().map(|j| j.task.partition).collect();
         missing.sort_unstable();
         missing.dedup();
         Self {
@@ -150,7 +148,8 @@ impl CachedVerdict {
     /// Approximate heap footprint, used for the cache's byte budget.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.missing_partitions.len() * std::mem::size_of::<PartitionId>()
+        std::mem::size_of::<Self>()
+            + self.missing_partitions.len() * std::mem::size_of::<PartitionId>()
     }
 }
 
@@ -353,7 +352,8 @@ impl ShardedVerdictCache {
         let evicted = shard.evict_to(self.shards.budget);
         drop(guard);
         self.tally.count(&self.insertions, "cache.insertions", 1);
-        self.tally.count(&self.evictions, "cache.evictions", evicted);
+        self.tally
+            .count(&self.evictions, "cache.evictions", evicted);
     }
 }
 
@@ -500,9 +500,7 @@ mod tests {
         let entry_cost = probe.bytes.len() + verdict(true).approx_bytes() + ENTRY_OVERHEAD;
         let cache = ShardedVerdictCache::with_shards(entry_cost * 2 + entry_cost / 2, 1);
 
-        let reqs: Vec<_> = (0..3)
-            .map(|i| canonicalize(&config(10 + i), 1))
-            .collect();
+        let reqs: Vec<_> = (0..3).map(|i| canonicalize(&config(10 + i), 1)).collect();
         cache.insert(&reqs[0], verdict(true));
         cache.insert(&reqs[1], verdict(true));
         // Touch req 0 so req 1 becomes the LRU victim.
@@ -590,7 +588,11 @@ mod tests {
             let key = hash_bytes(&[i]);
             used.insert((key.lo as usize) % cache.shards.len());
         }
-        assert!(used.len() > 4, "64 keys landed in only {} shards", used.len());
+        assert!(
+            used.len() > 4,
+            "64 keys landed in only {} shards",
+            used.len()
+        );
     }
 
     #[test]

@@ -329,13 +329,22 @@ mod tests {
     fn window_order_is_normalized() {
         let mut permuted = config();
         permuted.windows[0].reverse();
-        assert_eq!(canonicalize(&config(), 1).key, canonicalize(&permuted, 1).key);
+        assert_eq!(
+            canonicalize(&config(), 1).key,
+            canonicalize(&permuted, 1).key
+        );
     }
 
     #[test]
     fn horizon_default_is_normalized() {
-        assert_eq!(canonicalize(&config(), 0).key, canonicalize(&config(), 1).key);
-        assert_ne!(canonicalize(&config(), 1).key, canonicalize(&config(), 2).key);
+        assert_eq!(
+            canonicalize(&config(), 0).key,
+            canonicalize(&config(), 1).key
+        );
+        assert_ne!(
+            canonicalize(&config(), 1).key,
+            canonicalize(&config(), 2).key
+        );
     }
 
     #[test]
@@ -444,12 +453,7 @@ mod tests {
                 .push(Module::homogeneous(format!("M{mi}"), 1, ct));
             let parts_n = 1 + rng.pick(2);
             for pi in 0..parts_n {
-                let mut tasks = vec![Task::new(
-                    format!("m{mi}p{pi}_anchor"),
-                    9,
-                    vec![2],
-                    200,
-                )];
+                let mut tasks = vec![Task::new(format!("m{mi}p{pi}_anchor"), 9, vec![2], 200)];
                 for ti in 0..rng.pick(3) {
                     let period = [50, 100, 200][rng.pick(3)];
                     tasks.push(Task::new(
@@ -459,9 +463,11 @@ mod tests {
                         period,
                     ));
                 }
-                config
-                    .partitions
-                    .push(Partition::new(format!("m{mi}p{pi}"), SchedulerKind::Fpps, tasks));
+                config.partitions.push(Partition::new(
+                    format!("m{mi}p{pi}"),
+                    SchedulerKind::Fpps,
+                    tasks,
+                ));
                 config.binding.push(CoreRef::new(
                     ModuleId::from_raw(u32::try_from(mi).unwrap()),
                     0,
@@ -478,7 +484,10 @@ mod tests {
     /// remapping the bindings accordingly. Partition order stays global.
     fn permute_modules(config: &Configuration, perm: &[usize]) -> Configuration {
         let mut out = config.clone();
-        out.modules = perm.iter().map(|&old| config.modules[old].clone()).collect();
+        out.modules = perm
+            .iter()
+            .map(|&old| config.modules[old].clone())
+            .collect();
         let mut new_of_old = vec![0u32; perm.len()];
         for (new, &old) in perm.iter().enumerate() {
             new_of_old[old] = u32::try_from(new).unwrap();

@@ -247,7 +247,11 @@ mod tests {
                         Task::new("s", 1, vec![5], 25),
                     ],
                 ),
-                Partition::new("act", SchedulerKind::Fpps, vec![Task::new("a", 1, vec![4], 25)]),
+                Partition::new(
+                    "act",
+                    SchedulerKind::Fpps,
+                    vec![Task::new("a", 1, vec![4], 25)],
+                ),
             ],
             binding: vec![
                 CoreRef::new(ModuleId::from_raw(0), 0),
@@ -280,8 +284,16 @@ mod tests {
                 Module::homogeneous("M2", 1, CoreTypeId::from_raw(0)),
             ],
             partitions: vec![
-                Partition::new("proc", SchedulerKind::Edf, vec![urgent, Task::new("s", 9, vec![5], 50)]),
-                Partition::new("act", SchedulerKind::Fpps, vec![Task::new("a", 1, vec![4], 50)]),
+                Partition::new(
+                    "proc",
+                    SchedulerKind::Edf,
+                    vec![urgent, Task::new("s", 9, vec![5], 50)],
+                ),
+                Partition::new(
+                    "act",
+                    SchedulerKind::Fpps,
+                    vec![Task::new("a", 1, vec![4], 50)],
+                ),
             ],
             binding: vec![
                 CoreRef::new(ModuleId::from_raw(0), 0),

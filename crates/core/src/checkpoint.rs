@@ -270,9 +270,7 @@ impl Slot {
         let base = self.reconstruct(base_time)?;
         let base_events = base.prefix.events();
         let new_events = checkpoint.prefix.events();
-        if new_events.len() < base_events.len()
-            || new_events[..base_events.len()] != *base_events
-        {
+        if new_events.len() < base_events.len() || new_events[..base_events.len()] != *base_events {
             return None;
         }
         let snap_delta =
@@ -530,7 +528,8 @@ impl ShardedCheckpointStore {
                 Some((enc, cost)) => (enc, cost, None),
                 None => {
                     drop(shard);
-                    self.tally.count(&self.evictions, "checkpoint.evictions", evicted + 1);
+                    self.tally
+                        .count(&self.evictions, "checkpoint.evictions", evicted + 1);
                     return;
                 }
             },
@@ -541,7 +540,8 @@ impl ShardedCheckpointStore {
             // A checkpoint larger than a whole shard could only thrash;
             // treat it as immediately evicted.
             drop(shard);
-            self.tally.count(&self.evictions, "checkpoint.evictions", evicted + 1);
+            self.tally
+                .count(&self.evictions, "checkpoint.evictions", evicted + 1);
             return;
         }
         if !shard.map.contains_key(&config.key) {
@@ -564,11 +564,15 @@ impl ShardedCheckpointStore {
         shard.bytes += cost;
         evicted += shard.evict_to(self.shards.budget);
         drop(shard);
-        self.tally.count(&self.insertions, "checkpoint.insertions", 1);
-        self.tally.count(&self.evictions, "checkpoint.evictions", evicted);
-        self.tally.count(&self.bytes_saved, "checkpoint.bytes_saved", saved);
+        self.tally
+            .count(&self.insertions, "checkpoint.insertions", 1);
+        self.tally
+            .count(&self.evictions, "checkpoint.evictions", evicted);
+        self.tally
+            .count(&self.bytes_saved, "checkpoint.bytes_saved", saved);
         if let Some(chain) = chain {
-            self.tally.count(&self.delta_chain_len, "checkpoint.delta_chain_len", chain);
+            self.tally
+                .count(&self.delta_chain_len, "checkpoint.delta_chain_len", chain);
         }
     }
 }
@@ -722,7 +726,10 @@ mod tests {
 
         let stats = store.stats();
         assert_eq!(stats.hits, 3);
-        assert_eq!(stats.full_hits, 1, "only the max_time == 200 lookup is full");
+        assert_eq!(
+            stats.full_hits, 1,
+            "only the max_time == 200 lookup is full"
+        );
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.insertions, 3);
         assert_eq!(stats.entries, 3);
@@ -930,7 +937,11 @@ mod tests {
         }
         let stats = store.stats();
         assert!(stats.bytes_saved > 0, "ladder rungs must delta-encode");
-        assert_eq!(stats.delta_chain_len, 1 + 2 + 3, "rungs 2-4 chain at depth 1, 2, 3");
+        assert_eq!(
+            stats.delta_chain_len,
+            1 + 2 + 3,
+            "rungs 2-4 chain at depth 1, 2, 3"
+        );
         assert_eq!(
             recorder.counter_value("checkpoint.bytes_saved"),
             stats.bytes_saved
@@ -1006,7 +1017,9 @@ mod tests {
     fn delta_chains_are_bounded_and_restart_with_a_full_rung() {
         let store = ShardedCheckpointStore::new(1 << 24);
         let key = canonical_config(&config(10));
-        let times: Vec<i64> = (1..=i64::from(MAX_DELTA_CHAIN) + 4).map(|i| i * 50).collect();
+        let times: Vec<i64> = (1..=i64::from(MAX_DELTA_CHAIN) + 4)
+            .map(|i| i * 50)
+            .collect();
         for &t in &times {
             store.insert(&key, ladder_checkpoint(t));
         }

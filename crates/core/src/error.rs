@@ -168,8 +168,11 @@ mod tests {
         let l0 = a.location_with_invariant("l0", Invariant::upper_bound(c, 5));
         let l1 = a.location("l1");
         a.edge(
-            Edge::new(l0, l1)
-                .with_guard(Guard::always().and_clock(ClockAtom::new(c, CmpOp::Ge, 10))),
+            Edge::new(l0, l1).with_guard(Guard::always().and_clock(ClockAtom::new(
+                c,
+                CmpOp::Ge,
+                10,
+            ))),
         );
         nb.automaton(a.finish(l0));
         let network = nb.build().unwrap();

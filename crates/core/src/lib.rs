@@ -59,10 +59,10 @@ pub mod analyzer;
 pub mod batch;
 pub mod cache;
 pub mod canon;
-pub mod checkpoint;
 pub mod chains;
-mod delta;
+pub mod checkpoint;
 pub mod compose;
+mod delta;
 pub mod error;
 pub mod gantt;
 pub mod instance;
@@ -84,8 +84,8 @@ pub use canon::{
     canonical_config, canonical_module_configs, canonicalize, canonicalize_modules, CacheKey,
     CanonicalConfig, CanonicalRequest,
 };
-pub use checkpoint::{Checkpoint, CheckpointStats, CheckpointStore, ShardedCheckpointStore};
 pub use chains::{chain_latency, ChainError, ChainInstance, ChainLatency};
+pub use checkpoint::{Checkpoint, CheckpointStats, CheckpointStore, ShardedCheckpointStore};
 pub use compose::{
     compose_analysis, compose_cached, compositional_lookup, decompose, Decomposition,
     FallbackReason, ModulePart,

@@ -447,7 +447,11 @@ impl BatchMetrics {
     pub fn utilization(&self) -> f64 {
         let denom = self.wall.as_secs_f64() * self.workers.len() as f64;
         if denom > 0.0 {
-            self.workers.iter().map(|w| w.busy.as_secs_f64()).sum::<f64>() / denom
+            self.workers
+                .iter()
+                .map(|w| w.busy.as_secs_f64())
+                .sum::<f64>()
+                / denom
         } else {
             0.0
         }
@@ -622,6 +626,9 @@ mod tests {
         assert_eq!(r.counter_value("batch.worker.0.checks"), 3);
         assert_eq!(r.counter_value("batch.worker.1.checks"), 1);
         assert_eq!(r.span_total("batch.wall"), Duration::from_millis(10));
-        assert_eq!(r.span_total("batch.worker.1.busy"), Duration::from_millis(4));
+        assert_eq!(
+            r.span_total("batch.worker.1.busy"),
+            Duration::from_millis(4)
+        );
     }
 }

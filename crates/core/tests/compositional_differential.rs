@@ -213,7 +213,10 @@ fn cached_composed_verdicts_match_whole_verdicts() {
         let whole_entry = cache
             .lookup(&canonicalize(&config, 1))
             .expect("whole-key entry");
-        assert_eq!(*whole_entry, reference, "whole-key entry diverged (seed {seed})");
+        assert_eq!(
+            *whole_entry, reference,
+            "whole-key entry diverged (seed {seed})"
+        );
 
         // …and after evicting it, compositional_lookup recomposes the
         // same payload from the per-module entries alone.
@@ -223,6 +226,9 @@ fn cached_composed_verdicts_match_whole_verdicts() {
             fresh.insert(&request, module_entry);
         }
         let recomposed = compositional_lookup(&*fresh, &config, 1).expect("composed hit");
-        assert_eq!(*recomposed, reference, "recomposed entry diverged (seed {seed})");
+        assert_eq!(
+            *recomposed, reference,
+            "recomposed entry diverged (seed {seed})"
+        );
     }
 }

@@ -30,8 +30,7 @@ fn assert_traces_agree(config: &Configuration, label: &str, pipeline: bool) {
     let model = SystemModel::build(config).unwrap_or_else(|e| panic!("{label}: build failed: {e}"));
     let network = model.network();
     let horizon = model.horizon();
-    let identity: Vec<u32> =
-        (0..u32::try_from(network.automata().len()).expect("fits")).collect();
+    let identity: Vec<u32> = (0..u32::try_from(network.automata().len()).expect("fits")).collect();
 
     let run = |tie: TieBreak, engine: EvalEngine| -> SimOutcome {
         Simulator::new(network)
@@ -46,9 +45,18 @@ fn assert_traces_agree(config: &Configuration, label: &str, pipeline: bool) {
     let generic_bc = run(TieBreak::Permuted(identity), EvalEngine::Bytecode);
     let fast_ast = run(TieBreak::Canonical, EvalEngine::Ast);
 
-    assert_eq!(fast_bc, generic_bc, "{label}: fast path diverges from generic interpreter");
-    assert_eq!(fast_bc, fast_ast, "{label}: bytecode diverges from AST walker");
-    assert!(fast_bc.steps > 0, "{label}: degenerate run exercised nothing");
+    assert_eq!(
+        fast_bc, generic_bc,
+        "{label}: fast path diverges from generic interpreter"
+    );
+    assert_eq!(
+        fast_bc, fast_ast,
+        "{label}: bytecode diverges from AST walker"
+    );
+    assert!(
+        fast_bc.steps > 0,
+        "{label}: degenerate run exercised nothing"
+    );
 
     if pipeline {
         let report = Analyzer::new(config)
@@ -162,7 +170,10 @@ fn assert_guards_agree(network: &Network, state: &State, label: &str) -> usize {
             let eid = EdgeId::from_raw(u32::try_from(ei).expect("fits"));
             let ast = e.guard.holds(&view, &view);
             let bc = compiled.guard(aid, eid).holds(state);
-            assert_eq!(ast, bc, "{label}: guard of automaton {ai} edge {ei} diverges");
+            assert_eq!(
+                ast, bc,
+                "{label}: guard of automaton {ai} edge {ei} diverges"
+            );
             evaluated += usize::from(ast.is_ok());
         }
     }
@@ -181,7 +192,11 @@ fn engines_and_fast_path_agree_on_large_partitions() {
     let cases = dominance_corpus::KINDS
         .into_iter()
         .flat_map(|kind| dominance_corpus::SIZES.map(|k| (kind, k)))
-        .chain(dominance_corpus::SIZES[..3].iter().map(|&k| (round_robin, k)));
+        .chain(
+            dominance_corpus::SIZES[..3]
+                .iter()
+                .map(|&k| (round_robin, k)),
+        );
     for (i, (kind, k)) in cases.enumerate() {
         let config = dominance_corpus::ready_heavy(k, kind, 0xd0_0000 + i as u64);
         let model = SystemModel::build(&config).expect("corpus configuration builds");
@@ -233,7 +248,11 @@ fn engines_report_the_same_array_domain_violation() {
         domain: (0, 12),
     };
     for engine in [EvalEngine::Ast, EvalEngine::Bytecode] {
-        let err = Simulator::new(&network).horizon(10).engine(engine).run().unwrap_err();
+        let err = Simulator::new(&network)
+            .horizon(10)
+            .engine(engine)
+            .run()
+            .unwrap_err();
         assert_eq!(err, expected, "{engine:?}");
     }
 }

@@ -171,7 +171,12 @@ fn offset_extension_of_the_horizon_stays_inside_the_release_domain() {
     );
     let report = analyze_configuration(&config).unwrap();
     assert!(report.schedulable(), "{}", report.analysis.summary());
-    let slow = report.analysis.jobs.iter().find(|j| j.task == tr(1)).unwrap();
+    let slow = report
+        .analysis
+        .jobs
+        .iter()
+        .find(|j| j.task == tr(1))
+        .unwrap();
     assert_eq!(slow.release, 50);
     assert_eq!(slow.intervals, vec![(51, 56)]);
 }

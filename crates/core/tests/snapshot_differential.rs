@@ -89,7 +89,11 @@ fn check_split(model: &SystemModel, engine: EvalEngine, k: i64, cold: &SimOutcom
     let snapshot = prefix_session.snapshot();
     let bytes = snapshot.to_bytes();
     let reparsed = Snapshot::from_bytes(&bytes).expect("serialized snapshot parses");
-    assert_eq!(reparsed.to_bytes(), bytes, "to_bytes ∘ from_bytes is the identity");
+    assert_eq!(
+        reparsed.to_bytes(),
+        bytes,
+        "to_bytes ∘ from_bytes is the identity"
+    );
     let prefix: Vec<SyncEvent> = prefix_session.trace().iter().cloned().collect();
 
     // Continuing the same session to the horizon must equal the cold run
@@ -105,7 +109,10 @@ fn check_split(model: &SystemModel, engine: EvalEngine, k: i64, cold: &SimOutcom
     // exactly the missing suffix.
     let mut resumed = sim.resume(&reparsed).expect("snapshot fits its own model");
     let stop = resumed.run_until(horizon).expect("suffix run");
-    assert_eq!(stop, cold.stop, "stop reason diverged (engine {engine:?}, k = {k})");
+    assert_eq!(
+        stop, cold.stop,
+        "stop reason diverged (engine {engine:?}, k = {k})"
+    );
     let stitched: Vec<SyncEvent> = prefix
         .iter()
         .cloned()
@@ -121,7 +128,11 @@ fn check_split(model: &SystemModel, engine: EvalEngine, k: i64, cold: &SimOutcom
         &cold.final_state,
         "final state diverged (engine {engine:?}, k = {k})"
     );
-    assert_eq!(resumed.steps(), cold.steps, "step count diverged (engine {engine:?}, k = {k})");
+    assert_eq!(
+        resumed.steps(),
+        cold.steps,
+        "step count diverged (engine {engine:?}, k = {k})"
+    );
 
     bytes
 }
@@ -146,7 +157,11 @@ fn check_config(config: &Configuration, label: &str, points: fn(&[SyncEvent], i6
     let horizon = model.horizon();
 
     // The engines must agree on the cold run before splits mean anything.
-    let ast = model.simulator().engine(EvalEngine::Ast).run().expect("ast run");
+    let ast = model
+        .simulator()
+        .engine(EvalEngine::Ast)
+        .run()
+        .expect("ast run");
     let bytecode = model
         .simulator()
         .engine(EvalEngine::Bytecode)

@@ -70,9 +70,21 @@ fn check_state_invariants(state: &State, context: &str) {
     // the ClockVal exchange form.
     for (i, cv) in state.iter_clocks().enumerate() {
         let id = ClockId::from_raw(u32::try_from(i).unwrap());
-        assert_eq!(cv.value, state.clock_values()[i], "{context}: clock {i} value");
-        assert_eq!(cv.value, state.clock_value(id), "{context}: clock {i} accessor");
-        assert_eq!(cv.running, state.clock_running(id), "{context}: clock {i} running");
+        assert_eq!(
+            cv.value,
+            state.clock_values()[i],
+            "{context}: clock {i} value"
+        );
+        assert_eq!(
+            cv.value,
+            state.clock_value(id),
+            "{context}: clock {i} accessor"
+        );
+        assert_eq!(
+            cv.running,
+            state.clock_running(id),
+            "{context}: clock {i} running"
+        );
         let word = state.stopped_words()[i / 64];
         let bit = (word >> (i % 64)) & 1;
         assert_eq!(bit == 1, !cv.running, "{context}: clock {i} mask bit");
@@ -83,7 +95,11 @@ fn check_state_invariants(state: &State, context: &str) {
     if let Some(&last) = state.stopped_words().last() {
         let used = n % 64;
         if used != 0 {
-            assert_eq!(last >> used, 0, "{context}: trailing mask bits must be zero");
+            assert_eq!(
+                last >> used,
+                0,
+                "{context}: trailing mask bits must be zero"
+            );
         }
     }
 }
@@ -146,7 +162,11 @@ fn check_workload(seed: u64) {
                     reference_advance(&state, d).as_slice(),
                     "{context}: advance({d})"
                 );
-                assert_eq!(advanced.time, state.time + d, "{context}: time after advance");
+                assert_eq!(
+                    advanced.time,
+                    state.time + d,
+                    "{context}: time after advance"
+                );
                 assert_eq!(
                     advanced.stopped_words(),
                     state.stopped_words(),

@@ -191,10 +191,21 @@ enum Op {
     },
     /// Pop a value, check it against the inlined domain, store to
     /// `vars[slot]`.
-    StoreVar { slot: u32, var: u32, min: i64, max: i64 },
+    StoreVar {
+        slot: u32,
+        var: u32,
+        min: i64,
+        max: i64,
+    },
     /// Pop an index, pop a value; bounds-check, domain-check, store to
     /// `vars[base + i]`.
-    StoreElem { array: u32, base: u32, len: u32, min: i64, max: i64 },
+    StoreElem {
+        array: u32,
+        base: u32,
+        len: u32,
+        min: i64,
+        max: i64,
+    },
     /// Reset a clock to zero.
     ClockReset(u32),
     /// Stop a clock.
@@ -936,12 +947,8 @@ fn run<E: Env>(code: &[Op], env: &mut E, vm: &mut Vm) -> Result<(), SimError> {
                         pc = exit as usize;
                         break;
                     }
-                    let index = frame
-                        .i
-                        .checked_add(k)
-                        .ok_or(EvalError::Overflow)?;
-                    let Some(j) = usize::try_from(index).ok().filter(|j| *j < len as usize)
-                    else {
+                    let index = frame.i.checked_add(k).ok_or(EvalError::Overflow)?;
+                    let Some(j) = usize::try_from(index).ok().filter(|j| *j < len as usize) else {
                         return Err(EvalError::IndexOutOfBounds {
                             array,
                             index,
@@ -975,7 +982,12 @@ fn run<E: Env>(code: &[Op], env: &mut E, vm: &mut Vm) -> Result<(), SimError> {
                     continue;
                 }
             }
-            Op::StoreVar { slot, var, min, max } => {
+            Op::StoreVar {
+                slot,
+                var,
+                min,
+                max,
+            } => {
                 let value = pop!();
                 if value < min || value > max {
                     return Err(SimError::DomainViolation {
@@ -986,7 +998,13 @@ fn run<E: Env>(code: &[Op], env: &mut E, vm: &mut Vm) -> Result<(), SimError> {
                 }
                 env.set_var(slot as usize, value);
             }
-            Op::StoreElem { array, base, len, min, max } => {
+            Op::StoreElem {
+                array,
+                base,
+                len,
+                min,
+                max,
+            } => {
                 let index = pop!();
                 let value = pop!();
                 let Some(i) = usize::try_from(index).ok().filter(|i| *i < len as usize) else {

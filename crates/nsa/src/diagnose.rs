@@ -120,7 +120,10 @@ impl fmt::Display for BlockReason {
                 }
             }
             Self::NoBinaryPartner { channel } => {
-                write!(f, "guard holds but no receiver is ready on channel {channel:?}")
+                write!(
+                    f,
+                    "guard holds but no receiver is ready on channel {channel:?}"
+                )
             }
             Self::AwaitsSender { channel } => {
                 write!(f, "receive edge awaiting a sender on channel {channel:?}")
@@ -229,10 +232,9 @@ impl Diagnosis {
             } else {
                 Some(loc.invariant.to_string())
             };
-            let invariant_slack =
-                bytecode::invariant_max_delay(network, engine, aid, lid, state)
-                    .ok()
-                    .flatten();
+            let invariant_slack = bytecode::invariant_max_delay(network, engine, aid, lid, state)
+                .ok()
+                .flatten();
             let edges = network
                 .outgoing_edges(aid, lid)
                 .iter()
@@ -602,7 +604,10 @@ mod tests {
     #[test]
     fn both_engines_produce_identical_diagnoses() {
         let n = guard_atom_fixture();
-        assert_eq!(explain(&n, EvalEngine::Ast), explain(&n, EvalEngine::Bytecode));
+        assert_eq!(
+            explain(&n, EvalEngine::Ast),
+            explain(&n, EvalEngine::Bytecode)
+        );
     }
 
     #[test]
@@ -615,12 +620,9 @@ mod tests {
         let mut a = AutomatonBuilder::new("stuck");
         let l0 = a.location_with_invariant("l0", Invariant::upper_bound(c, 5));
         let l1 = a.location("l1");
-        a.edge(
-            Edge::new(l0, l1).with_guard(
-                Guard::when(IntExpr::var(flag).eq(1))
-                    .and_clock(ClockAtom::new(c, CmpOp::Ge, 10)),
-            ),
-        );
+        a.edge(Edge::new(l0, l1).with_guard(
+            Guard::when(IntExpr::var(flag).eq(1)).and_clock(ClockAtom::new(c, CmpOp::Ge, 10)),
+        ));
         nb.automaton(a.finish(l0));
         let n = nb.build().unwrap();
         for engine in ENGINES {

@@ -159,8 +159,7 @@ fn build_eq_index(a: &crate::automaton::Automaton, initiators: &[EdgeId]) -> Opt
     if best < MIN_INDEXED {
         return None;
     }
-    let mut buckets: std::collections::HashMap<i64, Vec<EdgeId>> =
-        std::collections::HashMap::new();
+    let mut buckets: std::collections::HashMap<i64, Vec<EdgeId>> = std::collections::HashMap::new();
     let mut rest = Vec::new();
     for &eid in initiators {
         match leading_eq(&a.edge(eid).guard) {
@@ -613,8 +612,9 @@ impl<'n> FastRun<'n> {
             } else {
                 let mut wake = i64::MAX;
                 for &eid in &info.initiators {
-                    if let Some(w) = bytecode::guard_window(self.network, self.engine, a, eid, state)
-                        .map_err(SimError::Eval)?
+                    if let Some(w) =
+                        bytecode::guard_window(self.network, self.engine, a, eid, state)
+                            .map_err(SimError::Eval)?
                     {
                         wake = wake.min(abs_time(now, w.lo)?);
                     }
@@ -629,13 +629,12 @@ impl<'n> FastRun<'n> {
         }
 
         self.inv_dynamic[ai] = !inv_cacheable;
-        let expiry =
-            match bytecode::invariant_max_delay(self.network, self.engine, a, loc, state)
-                .map_err(SimError::Eval)?
-            {
-                None => i64::MAX,
-                Some(d) => abs_time(now, d.max(0))?,
-            };
+        let expiry = match bytecode::invariant_max_delay(self.network, self.engine, a, loc, state)
+            .map_err(SimError::Eval)?
+        {
+            None => i64::MAX,
+            Some(d) => abs_time(now, d.max(0))?,
+        };
         self.inv_expiry[ai] = expiry;
         if !inv_cacheable {
             self.inv_dynamic_set.insert(raw);
@@ -789,11 +788,7 @@ impl<'n> FastRun<'n> {
             self.memo_enabled[ai] = enabled;
             self.memo_stamp[ai] = self.instant;
         }
-        if batched
-            && self.committed_count > 0
-            && !info.committed
-            && self.memo_all_internal[ai]
-        {
+        if batched && self.committed_count > 0 && !info.committed && self.memo_all_internal[ai] {
             // Internal transitions of a non-committed automaton cannot
             // fire while a committed location is active elsewhere.
             return Ok(None);
@@ -957,9 +952,14 @@ impl<'n> FastRun<'n> {
 
         for &raw in &self.inv_dynamic_set {
             let aid = AutomatonId::from_raw(raw);
-            if let Some(d) =
-                bytecode::invariant_max_delay(self.network, self.engine, aid, state.location_of(aid), state)
-                    .map_err(SimError::Eval)?
+            if let Some(d) = bytecode::invariant_max_delay(
+                self.network,
+                self.engine,
+                aid,
+                state.location_of(aid),
+                state,
+            )
+            .map_err(SimError::Eval)?
             {
                 let e = abs_time(now, d.max(0))?;
                 if e < expiry {
@@ -1065,8 +1065,11 @@ mod tests {
         let l0 = a.location("l0");
         let l1 = a.location("l1");
         a.edge(
-            Edge::new(l0, l1)
-                .with_guard(Guard::always().and_clock(ClockAtom::new(c, CmpOp::Ge, 5))),
+            Edge::new(l0, l1).with_guard(Guard::always().and_clock(ClockAtom::new(
+                c,
+                CmpOp::Ge,
+                5,
+            ))),
         );
         nb.automaton(a.finish(l0));
         let mut b = AutomatonBuilder::new("meddler");
@@ -1228,8 +1231,11 @@ mod tests {
         let l1 = a.location("l1");
         let l2 = a.location("l2");
         a.edge(
-            Edge::new(l0, l1)
-                .with_guard(Guard::always().and_clock(ClockAtom::new(c, CmpOp::Ge, 5))),
+            Edge::new(l0, l1).with_guard(Guard::always().and_clock(ClockAtom::new(
+                c,
+                CmpOp::Ge,
+                5,
+            ))),
         );
         a.edge(
             Edge::new(l1, l2).with_guard(Guard::always().and_clock(ClockAtom::new(
@@ -1286,6 +1292,9 @@ mod tests {
         let cache = FastCache::new(&n);
         let state = State::initial(&n);
         let run = FastRun::new(&n, &cache, &state, EvalEngine::default()).unwrap();
-        assert_eq!(run.earliest_bounded_automaton(), Some(AutomatonId::from_raw(1)));
+        assert_eq!(
+            run.earliest_bounded_automaton(),
+            Some(AutomatonId::from_raw(1))
+        );
     }
 }

@@ -67,8 +67,8 @@
 pub mod automaton;
 pub mod bytecode;
 pub mod diagnose;
-pub mod dot;
 mod dominance;
+pub mod dot;
 pub mod error;
 pub mod expr;
 pub mod fastsim;

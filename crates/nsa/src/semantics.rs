@@ -367,8 +367,7 @@ pub(crate) fn delay_bounds_with(
                                 if redge.from != state.location_of(bid) {
                                     continue;
                                 }
-                                let rw =
-                                    bytecode::guard_window(network, engine, bid, reid, state)?;
+                                let rw = bytecode::guard_window(network, engine, bid, reid, state)?;
                                 if let Some(rw) = rw {
                                     consider(sw.intersect(rw));
                                 }
@@ -544,8 +543,16 @@ mod tests {
         let Transition::Broadcast { receivers, .. } = &ts[0] else {
             panic!("expected broadcast, got {:?}", ts[0]);
         };
-        assert_eq!(receivers.len(), 1, "duplicate receiver must be deduplicated");
-        assert_eq!(receivers[0].1.raw(), 0, "first edge in canonical order wins");
+        assert_eq!(
+            receivers.len(),
+            1,
+            "duplicate receiver must be deduplicated"
+        );
+        assert_eq!(
+            receivers[0].1.raw(),
+            0,
+            "first edge in canonical order wins"
+        );
         apply(&n, &mut s, &ts[0]).unwrap();
         assert_eq!(s.vars[0], 1);
     }

@@ -11,8 +11,8 @@
 use std::path::{Path, PathBuf};
 
 use swa_ima::{
-    Configuration, CoreRef, CoreType, CoreTypeId, Module, ModuleId, Partition, SchedulerKind,
-    Task, Window,
+    Configuration, CoreRef, CoreType, CoreTypeId, Module, ModuleId, Partition, SchedulerKind, Task,
+    Window,
 };
 use swa_rta::{compare, window_rta, window_supply_rta};
 use swa_workload::rng::Rng64;
@@ -55,23 +55,37 @@ fn rta_schedulable_implies_simulation_schedulable_on_full_core_sets() {
     let (mut said_yes, mut said_no) = (0u32, 0u32);
     for seed in 0..60 {
         let config = full_core_config(seed);
-        config.validate().unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+        config
+            .validate()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
         let cmp = compare(&config).expect("analysis runs");
         let verdict = &cmp.rta[0];
-        assert!(verdict.assumptions_hold, "seed {seed}: full-core FPPS must qualify");
+        assert!(
+            verdict.assumptions_hold,
+            "seed {seed}: full-core FPPS must qualify"
+        );
         if verdict.schedulable {
             said_yes += 1;
             assert!(
                 cmp.trace_schedulable,
                 "seed {seed}: RTA said schedulable but the simulation found a miss"
             );
-            assert!(cmp.classical_model_suffices(), "seed {seed}: optimism on a full core");
+            assert!(
+                cmp.classical_model_suffices(),
+                "seed {seed}: optimism on a full core"
+            );
         } else {
             said_no += 1;
         }
     }
-    assert!(said_yes >= 10, "corpus too overloaded to test the implication ({said_yes} yes)");
-    assert!(said_no >= 10, "corpus too light to include RTA rejections ({said_no} no)");
+    assert!(
+        said_yes >= 10,
+        "corpus too overloaded to test the implication ({said_yes} yes)"
+    );
+    assert!(
+        said_no >= 10,
+        "corpus too light to include RTA rejections ({said_no} no)"
+    );
 }
 
 /// Window-supply RTA is sound on the same randomized corpus: a
@@ -106,8 +120,14 @@ fn window_rta_schedulable_implies_simulation_schedulable() {
             said_rest += 1;
         }
     }
-    assert!(said_yes >= 10, "corpus too overloaded to test the implication ({said_yes} yes)");
-    assert!(said_rest >= 10, "corpus too light to exercise refusals ({said_rest} undecided)");
+    assert!(
+        said_yes >= 10,
+        "corpus too overloaded to test the implication ({said_yes} yes)"
+    );
+    assert!(
+        said_rest >= 10,
+        "corpus too light to exercise refusals ({said_rest} undecided)"
+    );
 }
 
 /// On the full-core corpus the window-supply test is at least as strong
@@ -175,7 +195,10 @@ fn fpps_fixture_agrees_with_rta() {
 #[test]
 fn fpnps_fixture_is_outside_rta_assumptions() {
     let cmp = compare(&load_fixture("fpnps.xml")).expect("analysis runs");
-    assert!(!cmp.trace_schedulable, "the fixture pins a blocking-induced miss");
+    assert!(
+        !cmp.trace_schedulable,
+        "the fixture pins a blocking-induced miss"
+    );
     assert!(
         cmp.rta.iter().all(|v| !v.assumptions_hold),
         "FPNPS partitions must not claim classical-model applicability"

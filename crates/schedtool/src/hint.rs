@@ -60,7 +60,10 @@ impl RepairHint {
 /// Tasks with no feasible factor at all rank ahead of everything.
 #[must_use]
 pub fn repair_hints(sensitivity: &[TaskSensitivity]) -> Vec<RepairHint> {
-    let mut hints: Vec<RepairHint> = sensitivity.iter().map(RepairHint::from_sensitivity).collect();
+    let mut hints: Vec<RepairHint> = sensitivity
+        .iter()
+        .map(RepairHint::from_sensitivity)
+        .collect();
     hints.sort_by(|a, b| {
         let ka = a.slack.unwrap_or(f64::NEG_INFINITY);
         let kb = b.slack.unwrap_or(f64::NEG_INFINITY);
@@ -112,8 +115,16 @@ mod tests {
         ]);
         let labels: Vec<&str> = hints.iter().map(|h| h.label.as_str()).collect();
         assert_eq!(labels, ["P/b", "P/c", "P/a"]);
-        assert!(hints[0].suggestion.contains("tight"), "{}", hints[0].suggestion);
-        assert!(hints[2].suggestion.contains("headroom"), "{}", hints[2].suggestion);
+        assert!(
+            hints[0].suggestion.contains("tight"),
+            "{}",
+            hints[0].suggestion
+        );
+        assert!(
+            hints[2].suggestion.contains("headroom"),
+            "{}",
+            hints[2].suggestion
+        );
     }
 
     #[test]

@@ -78,7 +78,11 @@ pub struct StreamedResponse {
 ///
 /// Propagates connection and protocol failures, including malformed
 /// chunked framing.
-pub fn post_lines<A: ToSocketAddrs>(addr: A, path: &str, body: &str) -> io::Result<StreamedResponse> {
+pub fn post_lines<A: ToSocketAddrs>(
+    addr: A,
+    path: &str,
+    body: &str,
+) -> io::Result<StreamedResponse> {
     parse_streamed(&send(addr, "POST", path, body)?)
 }
 

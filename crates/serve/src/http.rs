@@ -38,7 +38,10 @@ pub fn apply_io_timeouts(stream: &TcpStream, timeout: Duration) -> io::Result<()
 /// `WouldBlock` or `TimedOut` depending on the socket API used).
 #[must_use]
 pub fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// A parsed HTTP request.
@@ -151,7 +154,10 @@ pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, HttpError> {
 
 /// Index just past the `\r\n\r\n` terminating the header section.
 fn find_head_end(bytes: &[u8]) -> Option<usize> {
-    bytes.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
+    bytes
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map(|i| i + 4)
 }
 
 /// Writes a complete JSON response — status line, headers and body in
@@ -276,7 +282,8 @@ mod tests {
 
     #[test]
     fn parses_post_with_body() {
-        let req = roundtrip(b"POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody").unwrap();
+        let req = roundtrip(b"POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody")
+            .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/analyze");
         assert_eq!(req.body, b"body");
@@ -347,8 +354,14 @@ mod tests {
 
     #[test]
     fn rejects_malformed_requests() {
-        assert!(matches!(roundtrip(b"\r\n\r\n"), Err(HttpError::Malformed(_))));
-        assert!(matches!(roundtrip(b"GET\r\n\r\n"), Err(HttpError::Malformed(_))));
+        assert!(matches!(
+            roundtrip(b"\r\n\r\n"),
+            Err(HttpError::Malformed(_))
+        ));
+        assert!(matches!(
+            roundtrip(b"GET\r\n\r\n"),
+            Err(HttpError::Malformed(_))
+        ));
         assert!(matches!(
             roundtrip(b"GET / SPDY/9\r\n\r\n"),
             Err(HttpError::Malformed(_))
@@ -361,8 +374,14 @@ mod tests {
 
     #[test]
     fn rejects_oversized_bodies() {
-        let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
-        assert!(matches!(roundtrip(raw.as_bytes()), Err(HttpError::TooLarge)));
+        let raw = format!(
+            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        assert!(matches!(
+            roundtrip(raw.as_bytes()),
+            Err(HttpError::TooLarge)
+        ));
     }
 
     /// Counts the `write` calls a response takes.
@@ -407,8 +426,10 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Transfer-Encoding: chunked\r\n"));
         // 8 = len("{\"a\":1}") + newline; 9 for the second line.
-        assert!(text.contains("\r\n\r\n8\r\n{\"a\":1}\n\r\n9\r\n{\"b\":22}\n\r\n0\r\n\r\n"),
-            "unexpected framing: {text:?}");
+        assert!(
+            text.contains("\r\n\r\n8\r\n{\"a\":1}\n\r\n9\r\n{\"b\":22}\n\r\n0\r\n\r\n"),
+            "unexpected framing: {text:?}"
+        );
     }
 
     #[test]

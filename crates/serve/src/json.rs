@@ -104,9 +104,7 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
     }
@@ -376,7 +374,10 @@ mod tests {
             r#"{"config_xml": "<configuration/>", "hyperperiods": 2, "explain": false}"#,
         )
         .unwrap();
-        assert_eq!(doc.get("config_xml").unwrap().as_str(), Some("<configuration/>"));
+        assert_eq!(
+            doc.get("config_xml").unwrap().as_str(),
+            Some("<configuration/>")
+        );
         assert_eq!(doc.get("hyperperiods").unwrap().as_u64(), Some(2));
         assert_eq!(doc.get("explain").unwrap().as_bool(), Some(false));
         assert!(doc.get("missing").is_none());
@@ -385,7 +386,9 @@ mod tests {
     #[test]
     fn parses_nested_values_and_numbers() {
         let doc = Json::parse(r#"[null, true, -1.5e2, "a", {"k": []}]"#).unwrap();
-        let Json::Arr(items) = doc else { panic!("array") };
+        let Json::Arr(items) = doc else {
+            panic!("array")
+        };
         assert_eq!(items[0], Json::Null);
         assert_eq!(items[2].as_f64(), Some(-150.0));
         assert_eq!(items[4].get("k"), Some(&Json::Arr(vec![])));
@@ -421,7 +424,10 @@ mod tests {
             (e.offset, e.message)
         };
         let control = format!("\"{}\u{1}{}\"", "a".repeat(1000), "b".repeat(10));
-        assert_eq!(at(&control), (1001, "raw control character in string".into()));
+        assert_eq!(
+            at(&control),
+            (1001, "raw control character in string".into())
+        );
         let unterminated = format!("\"{}é", "x".repeat(500));
         assert_eq!(at(&unterminated), (503, "unterminated string".into()));
         assert_eq!(at(r#""ab\x""#), (4, "invalid escape".into()));
@@ -435,8 +441,26 @@ mod tests {
     /// scalars (4-byte ones become surrogate pairs when `\u`-escaped).
     fn random_string(rng: &mut Rng64) -> String {
         const POOL: &[char] = &[
-            '"', '\\', '/', '\u{8}', '\u{c}', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é',
-            'ß', '\u{7ff}', '€', '\u{d7ff}', '\u{e000}', '\u{ffff}', '😀', '\u{10000}',
+            '"',
+            '\\',
+            '/',
+            '\u{8}',
+            '\u{c}',
+            '\n',
+            '\r',
+            '\t',
+            '\u{0}',
+            '\u{1f}',
+            '\u{7f}',
+            'é',
+            'ß',
+            '\u{7ff}',
+            '€',
+            '\u{d7ff}',
+            '\u{e000}',
+            '\u{ffff}',
+            '😀',
+            '\u{10000}',
             '\u{10ffff}',
         ];
         let len = rng.gen_range(200);
@@ -497,9 +521,17 @@ mod tests {
         for _ in 0..500 {
             let s = random_string(&mut rng);
             let escaped = format!("\"{}\"", json_escape(&s));
-            assert_eq!(Json::parse(&escaped).unwrap().as_str(), Some(s.as_str()), "{escaped:?}");
+            assert_eq!(
+                Json::parse(&escaped).unwrap().as_str(),
+                Some(s.as_str()),
+                "{escaped:?}"
+            );
             let any = format!("\"{}\"", encode_any(&s, &mut rng));
-            assert_eq!(Json::parse(&any).unwrap().as_str(), Some(s.as_str()), "{any:?}");
+            assert_eq!(
+                Json::parse(&any).unwrap().as_str(),
+                Some(s.as_str()),
+                "{any:?}"
+            );
         }
     }
 

@@ -184,7 +184,9 @@ mod tests {
         let ran = Arc::new(AtomicUsize::new(0));
         let (unblock, wait) = channel();
         // Occupy the single worker…
-        pool.try_submit(blocking_job(wait, ran.clone())).map_err(|_| ()).unwrap();
+        pool.try_submit(blocking_job(wait, ran.clone()))
+            .map_err(|_| ())
+            .unwrap();
         // …then fill the depth-1 queue. The worker may not have dequeued
         // the first job yet, so allow one slot to be taken either way.
         let mut accepted = 0;

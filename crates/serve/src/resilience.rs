@@ -247,9 +247,11 @@ impl LoadShedder {
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return Some(ShedPermit {
-                    shedder: Some(self),
-                }),
+                Ok(_) => {
+                    return Some(ShedPermit {
+                        shedder: Some(self),
+                    })
+                }
                 Err(observed) => current = observed,
             }
         }

@@ -394,10 +394,7 @@ fn forward(inner: &Arc<RouterInner>, body: &[u8]) -> (u16, String) {
         }
         Err(message) => {
             inner.recorder.counter("route.exhausted", 1);
-            (
-                502,
-                render_error("backends-unavailable", &message),
-            )
+            (502, render_error("backends-unavailable", &message))
         }
     }
 }
@@ -478,10 +475,7 @@ mod tests {
     fn forward_exhausts_unreachable_backends() {
         // Nothing listens on these ports; the forward must fail cleanly
         // (and quickly — retry budget of 1 means no sleeps at all).
-        let ring = HashRing::new(vec![
-            "127.0.0.1:1".to_string(),
-            "127.0.0.1:2".to_string(),
-        ]);
+        let ring = HashRing::new(vec!["127.0.0.1:1".to_string(), "127.0.0.1:2".to_string()]);
         let retry = RetryPolicy {
             attempts: 1,
             ..RetryPolicy::default()

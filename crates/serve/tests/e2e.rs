@@ -172,7 +172,10 @@ fn concurrent_duplicate_requests_simulate_exactly_once() {
                 s.spawn(move || client::post(addr, "/analyze", &body).expect("post"))
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
     });
 
     let mut fresh = 0;
@@ -267,12 +270,7 @@ fn longer_horizon_request_warm_starts_from_an_earlier_one() {
 
     // …and a longer-horizon re-analysis of the same configuration resumes
     // it (the verdict cache cannot serve this: the horizon differs).
-    let longer = client::post(
-        addr,
-        "/analyze",
-        &envelope(&config, ",\"hyperperiods\":3"),
-    )
-    .unwrap();
+    let longer = client::post(addr, "/analyze", &envelope(&config, ",\"hyperperiods\":3")).unwrap();
     assert_eq!(longer.status, 200);
     let doc = Json::parse(&longer.body).unwrap();
     assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(false));
@@ -301,7 +299,10 @@ fn no_cache_also_bypasses_warm_starts() {
     assert_eq!(resp.status, 200);
     let stats = server.checkpoint_stats();
     assert_eq!(stats.hits, 0);
-    assert_eq!(stats.insertions, 1, "only the cache-honoring request checkpointed");
+    assert_eq!(
+        stats.insertions, 1,
+        "only the cache-honoring request checkpointed"
+    );
     server.shutdown();
 }
 
@@ -375,7 +376,12 @@ fn health_metrics_and_error_paths() {
     let doc = Json::parse(&metrics.body).unwrap();
     let cache = doc.get("cache").expect("cache gauges");
     assert_eq!(cache.get("entries").and_then(Json::as_u64), Some(1));
-    for counter in ["cache.hits", "cache.misses", "cache.insertions", "serve.analyses"] {
+    for counter in [
+        "cache.hits",
+        "cache.misses",
+        "cache.insertions",
+        "serve.analyses",
+    ] {
         assert!(
             metrics.body.contains(counter),
             "/metrics missing {counter}: {}",
@@ -389,7 +395,9 @@ fn health_metrics_and_error_paths() {
     assert_eq!(client::get(addr, "/analyze").unwrap().status, 405);
     assert_eq!(client::post(addr, "/analyze", "{oops").unwrap().status, 400);
     assert_eq!(
-        client::post(addr, "/analyze", "{\"config_xml\":\"<x/>\"}").unwrap().status,
+        client::post(addr, "/analyze", "{\"config_xml\":\"<x/>\"}")
+            .unwrap()
+            .status,
         422
     );
     server.shutdown();
@@ -411,7 +419,12 @@ fn failed_analysis_releases_the_single_flight_gate() {
     // With a leaked gate this second request would wait out its deadline
     // and answer 504; with the guard it becomes a fresh leader and fails
     // the same way the first one did.
-    let second = client::post(addr, "/analyze", &envelope(&failing_config(), ",\"deadline_ms\":2000")).unwrap();
+    let second = client::post(
+        addr,
+        "/analyze",
+        &envelope(&failing_config(), ",\"deadline_ms\":2000"),
+    )
+    .unwrap();
     assert_eq!(
         second.status, 500,
         "second request must re-run, not hang on the dead gate: {}",
@@ -433,11 +446,15 @@ fn stalling_client_gets_408() {
     let addr = server.local_addr();
 
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    stream.write_all(b"POST /analyze HTTP/1.1\r\nContent-Le").unwrap();
+    stream
+        .write_all(b"POST /analyze HTTP/1.1\r\nContent-Le")
+        .unwrap();
     // …and stall. The server must give up at its io_timeout and close
     // with a 408 instead of waiting forever.
     let mut response = String::new();
-    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
     stream.read_to_string(&mut response).unwrap();
     assert!(
         response.starts_with("HTTP/1.1 408"),
@@ -463,9 +480,13 @@ fn stalling_client_cannot_hang_the_router() {
     let addr = router.local_addr();
 
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
-    stream.write_all(b"POST /analyze HTTP/1.1\r\nContent-Le").unwrap();
+    stream
+        .write_all(b"POST /analyze HTTP/1.1\r\nContent-Le")
+        .unwrap();
     let mut response = String::new();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let _ = stream.read_to_string(&mut response);
     assert!(
         response.starts_with("HTTP/1.1 408"),
@@ -536,7 +557,14 @@ fn restart_answers_from_the_disk_tier_without_resimulating() {
         "restart re-simulated instead of reading the disk tier"
     );
     // Verdict fields are identical pre/post restart.
-    for field in ["schedulable", "verdict", "hyperperiod", "jobs", "missed_jobs", "key"] {
+    for field in [
+        "schedulable",
+        "verdict",
+        "hyperperiod",
+        "jobs",
+        "missed_jobs",
+        "key",
+    ] {
         assert_eq!(
             doc.get(field).map(|v| format!("{v:?}")),
             first_doc.get(field).map(|v| format!("{v:?}")),
@@ -627,13 +655,23 @@ fn sweep_endpoint_rejects_bad_requests_without_streaming() {
     // Wrong method.
     assert_eq!(client::get(addr, "/sweep").unwrap().status, 405);
     // Malformed JSON → 400, invalid model → 422, bad axis → 400.
-    assert_eq!(client::post_lines(addr, "/sweep", "{oops").unwrap().status, 400);
     assert_eq!(
-        client::post_lines(addr, "/sweep", "{\"config_xml\":\"<x/>\"}").unwrap().status,
+        client::post_lines(addr, "/sweep", "{oops").unwrap().status,
+        400
+    );
+    assert_eq!(
+        client::post_lines(addr, "/sweep", "{\"config_xml\":\"<x/>\"}")
+            .unwrap()
+            .status,
         422
     );
     let bad_axis = envelope(&small_config(10), ",\"axis\":\"voltage\"");
-    assert_eq!(client::post_lines(addr, "/sweep", &bad_axis).unwrap().status, 400);
+    assert_eq!(
+        client::post_lines(addr, "/sweep", &bad_axis)
+            .unwrap()
+            .status,
+        400
+    );
     server.shutdown();
 }
 
@@ -674,19 +712,29 @@ fn router_shards_and_fails_over() {
     }
     let total_analyses = backend_a.recorder().counter_value("serve.analyses")
         + backend_b.recorder().counter_value("serve.analyses");
-    assert_eq!(total_analyses, 4, "each config simulated exactly once fleet-wide");
+    assert_eq!(
+        total_analyses, 4,
+        "each config simulated exactly once fleet-wide"
+    );
     assert_eq!(router.recorder().counter_value("route.requests"), 8);
     assert_eq!(router.recorder().counter_value("route.forwarded"), 8);
 
     // Health endpoint speaks for the router itself.
     let health = client::get(addr, "/healthz").unwrap();
-    assert!(health.body.contains("\"role\":\"router\""), "{}", health.body);
+    assert!(
+        health.body.contains("\"role\":\"router\""),
+        "{}",
+        health.body
+    );
     router.shutdown();
 
     // Failover: a ring with one dead backend still answers through the
     // live one, for every key.
     let router = Router::start(&RouterOptions {
-        backends: vec!["127.0.0.1:9".to_string(), backend_a.local_addr().to_string()],
+        backends: vec![
+            "127.0.0.1:9".to_string(),
+            backend_a.local_addr().to_string(),
+        ],
         retry: swa_serve::RetryPolicy {
             attempts: 1,
             ..swa_serve::RetryPolicy::default()
@@ -695,9 +743,12 @@ fn router_shards_and_fails_over() {
     })
     .expect("bind failover router");
     for wcet in [10, 20, 30, 40] {
-        let response =
-            client::post(router.local_addr(), "/analyze", &envelope(&small_config(wcet), ""))
-                .unwrap();
+        let response = client::post(
+            router.local_addr(),
+            "/analyze",
+            &envelope(&small_config(wcet), ""),
+        )
+        .unwrap();
         assert_eq!(response.status, 200, "failover failed: {}", response.body);
     }
     router.shutdown();
@@ -720,8 +771,14 @@ fn ladder_admission_decides_without_simulating() {
     let yes = client::post(addr, "/analyze", &envelope(&small_config(10), "")).unwrap();
     assert_eq!(yes.status, 200, "{}", yes.body);
     let doc = Json::parse(&yes.body).unwrap();
-    assert_eq!(doc.get("verdict").and_then(Json::as_str), Some("schedulable"));
-    assert_eq!(doc.get("decided_by").and_then(Json::as_str), Some("t1-window-rta"));
+    assert_eq!(
+        doc.get("verdict").and_then(Json::as_str),
+        Some("schedulable")
+    );
+    assert_eq!(
+        doc.get("decided_by").and_then(Json::as_str),
+        Some("t1-window-rta")
+    );
     assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(false));
 
     // Demand 30 against a 25-tick window: tier T0 rejects analytically.
@@ -730,8 +787,14 @@ fn ladder_admission_decides_without_simulating() {
     let no = client::post(addr, "/analyze", &envelope(&starved, "")).unwrap();
     assert_eq!(no.status, 200, "{}", no.body);
     let doc = Json::parse(&no.body).unwrap();
-    assert_eq!(doc.get("verdict").and_then(Json::as_str), Some("unschedulable"));
-    assert_eq!(doc.get("decided_by").and_then(Json::as_str), Some("t0-utilization"));
+    assert_eq!(
+        doc.get("verdict").and_then(Json::as_str),
+        Some("unschedulable")
+    );
+    assert_eq!(
+        doc.get("decided_by").and_then(Json::as_str),
+        Some("t0-utilization")
+    );
 
     // Neither request reached the worker pool.
     assert_eq!(server.recorder().counter_value("serve.analyses"), 0);
@@ -742,21 +805,37 @@ fn ladder_admission_decides_without_simulating() {
     let repeat = client::post(addr, "/analyze", &envelope(&small_config(10), "")).unwrap();
     let doc = Json::parse(&repeat.body).unwrap();
     assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(true));
-    assert_eq!(doc.get("decided_by").and_then(Json::as_str), Some("t1-window-rta"));
+    assert_eq!(
+        doc.get("decided_by").and_then(Json::as_str),
+        Some("t1-window-rta")
+    );
 
     // `no_cache` opts out of the pre-filter: the same configuration now
     // takes the full simulation path and reports simulation provenance.
-    let fresh =
-        client::post(addr, "/analyze", &envelope(&small_config(10), ",\"no_cache\":true")).unwrap();
+    let fresh = client::post(
+        addr,
+        "/analyze",
+        &envelope(&small_config(10), ",\"no_cache\":true"),
+    )
+    .unwrap();
     let doc = Json::parse(&fresh.body).unwrap();
-    assert_eq!(doc.get("decided_by").and_then(Json::as_str), Some("simulation"));
+    assert_eq!(
+        doc.get("decided_by").and_then(Json::as_str),
+        Some("simulation")
+    );
     assert_eq!(server.recorder().counter_value("serve.analyses"), 1);
 
     // The ladder and the simulation agree on both configurations.
     let fresh_no =
         client::post(addr, "/analyze", &envelope(&starved, ",\"no_cache\":true")).unwrap();
     let doc = Json::parse(&fresh_no.body).unwrap();
-    assert_eq!(doc.get("verdict").and_then(Json::as_str), Some("unschedulable"));
-    assert_eq!(doc.get("decided_by").and_then(Json::as_str), Some("simulation"));
+    assert_eq!(
+        doc.get("verdict").and_then(Json::as_str),
+        Some("unschedulable")
+    );
+    assert_eq!(
+        doc.get("decided_by").and_then(Json::as_str),
+        Some("simulation")
+    );
     server.shutdown();
 }

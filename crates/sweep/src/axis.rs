@@ -280,16 +280,18 @@ fn scale_periods(config: &mut Configuration, factor: f64) -> Result<(), SweepErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swa_ima::{
-        CoreRef, CoreType, Module, ModuleId, Partition, SchedulerKind, Task, Window,
-    };
+    use swa_ima::{CoreRef, CoreType, Module, ModuleId, Partition, SchedulerKind, Task, Window};
 
     /// One module, one core, one partition, two tasks (periods 50/100),
     /// windows covering the whole hyperperiod.
     fn config() -> Configuration {
         Configuration {
             core_types: vec![CoreType::new("generic")],
-            modules: vec![Module::homogeneous("M1", 1, swa_ima::CoreTypeId::from_raw(0))],
+            modules: vec![Module::homogeneous(
+                "M1",
+                1,
+                swa_ima::CoreTypeId::from_raw(0),
+            )],
             partitions: vec![Partition::new(
                 "P1",
                 SchedulerKind::Fpps,

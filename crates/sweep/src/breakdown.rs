@@ -266,12 +266,16 @@ pub fn breakdown_search<E>(
             .iter()
             .filter(|r| r.feasible)
             .map(|r| r.factor)
-            .fold(None, |acc: Option<f64>, x| Some(acc.map_or(x, |a| a.max(x))));
+            .fold(None, |acc: Option<f64>, x| {
+                Some(acc.map_or(x, |a| a.max(x)))
+            });
         hi = records
             .iter()
             .filter(|r| !r.feasible)
             .map(|r| r.factor)
-            .fold(None, |acc: Option<f64>, x| Some(acc.map_or(x, |a| a.max(x))));
+            .fold(None, |acc: Option<f64>, x| {
+                Some(acc.map_or(x, |a| a.max(x)))
+            });
         BreakdownOutcome::NonMonotone
     } else {
         match (lo, hi) {
@@ -296,10 +300,7 @@ mod tests {
     use super::*;
     use std::convert::Infallible;
 
-    fn run(
-        opts: &SearchOptions,
-        mut oracle: impl FnMut(f64) -> bool,
-    ) -> (BreakdownResult, usize) {
+    fn run(opts: &SearchOptions, mut oracle: impl FnMut(f64) -> bool) -> (BreakdownResult, usize) {
         let mut calls = 0;
         let result = breakdown_search::<Infallible>(
             opts,

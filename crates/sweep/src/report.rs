@@ -165,7 +165,9 @@ impl SweepReport {
                 ));
             }
             (Some(lo), None) => {
-                out.push_str(&format!("breakdown:  > {lo} (feasible up to the range edge)\n"));
+                out.push_str(&format!(
+                    "breakdown:  > {lo} (feasible up to the range edge)\n"
+                ));
             }
             _ => out.push_str("breakdown:  none (infeasible everywhere probed)\n"),
         }

@@ -35,9 +35,9 @@ pub use swa_schedtool::{search, DesignProblem, SearchOptions, SearchOutcome};
 // Sensitivity sweeps and breakdown analysis. (The sweep's own
 // `SearchOptions` lives at `swa::sweep::SearchOptions`, inside
 // `SweepOptions::search` — the name here stays the schedtool one.)
-pub use swa_sweep::{run_sweep, Axis, BreakdownOutcome, BreakdownResult, SweepEngine, SweepOptions, SweepReport};
+pub use swa_sweep::{
+    run_sweep, Axis, BreakdownOutcome, BreakdownResult, SweepEngine, SweepOptions, SweepReport,
+};
 
 // The XML interface (Sect. 4).
-pub use swa_xmlio::{
-    configuration_from_xml, configuration_to_xml, trace_from_xml, trace_to_xml,
-};
+pub use swa_xmlio::{configuration_from_xml, configuration_to_xml, trace_from_xml, trace_to_xml};

@@ -50,12 +50,18 @@ fn assert_golden(name: &str, file: &str, actual: &str) {
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden {} ({e}); run with SWA_UPDATE_GOLDEN=1 to create it", path.display())
+        panic!(
+            "missing golden {} ({e}); run with SWA_UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
     });
     if expected == actual {
         return;
     }
-    panic!("golden mismatch for {name} ({file}):\n{}", line_diff(&expected, actual));
+    panic!(
+        "golden mismatch for {name} ({file}):\n{}",
+        line_diff(&expected, actual)
+    );
 }
 
 /// A minimal unified-style diff: every differing line, with a little
@@ -85,7 +91,12 @@ fn line_diff(expected: &str, actual: &str) -> String {
         }
         shown += 1;
         if shown >= 20 {
-            let _ = writeln!(out, "  ... ({} expected / {} actual lines total)", e.len(), a.len());
+            let _ = writeln!(
+                out,
+                "  ... ({} expected / {} actual lines total)",
+                e.len(),
+                a.len()
+            );
             break;
         }
     }
@@ -99,7 +110,11 @@ fn line_diff(expected: &str, actual: &str) -> String {
 fn render_verdict(report: &swa::AnalysisReport) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "schedulable: {}", report.schedulable());
-    let _ = writeln!(out, "missed_jobs: {}", report.analysis.missed_jobs().count());
+    let _ = writeln!(
+        out,
+        "missed_jobs: {}",
+        report.analysis.missed_jobs().count()
+    );
     for j in report.analysis.missed_jobs() {
         let _ = writeln!(
             out,
@@ -116,18 +131,27 @@ fn render_verdict(report: &swa::AnalysisReport) -> String {
 /// Runs one config fixture end to end: XML round-trip, analysis, golden
 /// trace and golden verdict.
 fn check_config_fixture(name: &str, config: &Configuration) {
-    config.validate().unwrap_or_else(|e| panic!("{name}: invalid fixture: {e:?}"));
+    config
+        .validate()
+        .unwrap_or_else(|e| panic!("{name}: invalid fixture: {e:?}"));
     let xml = configuration_to_xml(config);
     assert_golden(name, &format!("{name}.xml"), &xml);
     // The checked-in XML — not just the in-memory value — must analyze
     // identically: parse it back and run the analysis on the parsed copy.
     let parsed = configuration_from_xml(&xml).expect("fixture XML parses");
-    assert_eq!(&parsed, config, "{name}: XML round-trip changed the configuration");
+    assert_eq!(
+        &parsed, config,
+        "{name}: XML round-trip changed the configuration"
+    );
 
     let report = swa::analyze_configuration(&parsed).expect("fixture analyzes");
     let trace_xml = trace_to_xml(&report.trace);
     assert_golden(name, &format!("{name}.trace.xml"), &trace_xml);
-    assert_golden(name, &format!("{name}.verdict.txt"), &render_verdict(&report));
+    assert_golden(
+        name,
+        &format!("{name}.verdict.txt"),
+        &render_verdict(&report),
+    );
 
     // The stored golden trace must itself parse back to the same trace.
     if !blessing() {
@@ -168,7 +192,11 @@ fn golden_fpps_preemption() {
                     Task::new("lo", 1, vec![6], 20),
                 ],
             ),
-            Partition::new("P1", SchedulerKind::Fpps, vec![Task::new("solo", 1, vec![2], 20)]),
+            Partition::new(
+                "P1",
+                SchedulerKind::Fpps,
+                vec![Task::new("solo", 1, vec![2], 20)],
+            ),
         ],
         vec![
             vec![Window::new(0, 7), Window::new(10, 17)],
@@ -189,7 +217,9 @@ fn golden_fpnps_blocking_miss() {
                 "P0",
                 kind,
                 vec![
-                    Task::new("urgent", 2, vec![2], 10).with_deadline(4).with_offset(1),
+                    Task::new("urgent", 2, vec![2], 10)
+                        .with_deadline(4)
+                        .with_offset(1),
                     Task::new("bulk", 1, vec![6], 10),
                 ],
             )],
@@ -236,9 +266,21 @@ fn golden_virtual_link_delivery() {
             Module::homogeneous("M1", 1, CoreTypeId::from_raw(0)),
         ],
         partitions: vec![
-            Partition::new("sender", SchedulerKind::Fpps, vec![Task::new("s", 1, vec![2], 20)]),
-            Partition::new("mem_rx", SchedulerKind::Fpps, vec![Task::new("rm", 1, vec![2], 20)]),
-            Partition::new("net_rx", SchedulerKind::Fpps, vec![Task::new("rn", 1, vec![2], 20)]),
+            Partition::new(
+                "sender",
+                SchedulerKind::Fpps,
+                vec![Task::new("s", 1, vec![2], 20)],
+            ),
+            Partition::new(
+                "mem_rx",
+                SchedulerKind::Fpps,
+                vec![Task::new("rm", 1, vec![2], 20)],
+            ),
+            Partition::new(
+                "net_rx",
+                SchedulerKind::Fpps,
+                vec![Task::new("rn", 1, vec![2], 20)],
+            ),
         ],
         binding: vec![
             CoreRef::new(m0, 0),
@@ -293,7 +335,11 @@ fn golden_timelock_diagnosis() {
             .engine(engine)
             .run_explained()
             .unwrap_err();
-        assert!(matches!(err.error, SimError::TimeLock { .. }), "{:?}", err.error);
+        assert!(
+            matches!(err.error, SimError::TimeLock { .. }),
+            "{:?}",
+            err.error
+        );
         let diagnosis = err.diagnosis.expect("diagnosis captured");
         assert_eq!(diagnosis.kind, DiagnosisKind::TimeLock);
         assert_golden("timelock", "timelock.diagnosis.txt", &diagnosis.render());
@@ -318,7 +364,11 @@ fn golden_zeno_diagnosis() {
             .engine(engine)
             .run_explained()
             .unwrap_err();
-        assert!(matches!(err.error, SimError::ZenoViolation { time: 0, .. }), "{:?}", err.error);
+        assert!(
+            matches!(err.error, SimError::ZenoViolation { time: 0, .. }),
+            "{:?}",
+            err.error
+        );
         let diagnosis = err.diagnosis.expect("diagnosis captured");
         assert_eq!(diagnosis.kind, DiagnosisKind::Zeno);
         assert_golden("zeno", "zeno.diagnosis.txt", &diagnosis.render());

@@ -46,9 +46,16 @@ fn randomized_configurations_roundtrip_structurally() {
         let xml = configuration_to_xml(&config);
         let restored = configuration_from_xml(&xml)
             .unwrap_or_else(|e| panic!("seed {seed}: generated XML rejected: {e}"));
-        assert_eq!(restored, config, "seed {seed}: round-trip changed the configuration");
+        assert_eq!(
+            restored, config,
+            "seed {seed}: round-trip changed the configuration"
+        );
         // A second trip is a fixed point (no drift through re-encoding).
-        assert_eq!(configuration_to_xml(&restored), xml, "seed {seed}: re-encoding drifted");
+        assert_eq!(
+            configuration_to_xml(&restored),
+            xml,
+            "seed {seed}: re-encoding drifted"
+        );
     }
 }
 
@@ -67,7 +74,9 @@ fn kitchen_sink_config() -> Configuration {
                 "fpps",
                 SchedulerKind::Fpps,
                 vec![
-                    Task::new("a", 2, vec![2, 4], 50).with_deadline(30).with_offset(5),
+                    Task::new("a", 2, vec![2, 4], 50)
+                        .with_deadline(30)
+                        .with_offset(5),
                     Task::new("b", 1, vec![3, 6], 100),
                 ],
             ),
@@ -190,7 +199,13 @@ fn dangling_references_are_typed() {
         <partitions/>
     </configuration>"#;
     assert_rejected(xml, "unknown core type", |e| {
-        matches!(e, XmlError::UnknownReference { kind: "core type", .. })
+        matches!(
+            e,
+            XmlError::UnknownReference {
+                kind: "core type",
+                ..
+            }
+        )
     });
 
     // A partition bound to a module that does not exist.
@@ -265,7 +280,9 @@ fn bad_attribute_values_are_schema_errors() {
             </partition>
         </partitions>
     </configuration>"#;
-    assert_rejected(xml, "missing period", |e| matches!(e, XmlError::Schema { .. }));
+    assert_rejected(xml, "missing period", |e| {
+        matches!(e, XmlError::Schema { .. })
+    });
 }
 
 /// Out-of-range window bounds parse (they are structurally valid XML) but
