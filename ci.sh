@@ -14,6 +14,9 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy -D warnings (offline)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo fmt --check"
+cargo fmt --all -- --check
+
 echo "==> cargo doc -D warnings (offline)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 

@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn window_rta_marks_inapplicable_partitions() {
         let mut c = windowed_config(50);
-        c.partitions[0].scheduler = SchedulerKind::Edf;
+        c.partitions[0].scheduler = SchedulerKind::Fpnps;
         let verdicts = window_rta(&c);
         assert!(!verdicts[0].assumptions_hold);
         assert!(!verdicts[0].schedulable);
