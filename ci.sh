@@ -216,7 +216,7 @@ wait "$serve_pid" || {
 }
 echo "sweep streaming gate: $line_count lines, final verdict matches the CLI byte-for-byte"
 
-echo "==> router smoke (swa serve --route over two backends: miss, then hit)"
+echo "==> router smoke (swa serve --route over two backends: miss, hit, then an invalid configuration)"
 for backend in 1 2; do
     ./target/release/swa serve --addr 127.0.0.1:0 --workers 2 \
         --addr-file "$serve_dir/backend$backend.txt" > "$serve_dir/backend$backend.log" 2>&1 &
@@ -242,14 +242,24 @@ echo "$second" | grep -q '"cached":true' || {
     echo "$second"
     exit 1
 }
+# The router forwards without parsing: an invalid configuration gets the
+# backend's own 422 body, and the client exits 1 (printing it on stderr).
+sed 's/start="17" end="20"/start="17" end="25"/' tests/fixtures/fpps.xml > "$serve_dir/invalid.xml"
+invalid_status=0
+invalid="$(./target/release/swa request "$router" "$serve_dir/invalid.xml" 2>&1)" || invalid_status=$?
+if [ "$invalid_status" -ne 1 ] || ! echo "$invalid" | grep -q '"invalid-model"'; then
+    echo "router smoke FAILED: an invalid configuration did not get the backend's 422 (exit $invalid_status)"
+    echo "$invalid"
+    exit 1
+fi
 ./target/release/swa request "$router" --shutdown > /dev/null
 wait "$serve_pid" || {
     echo "router smoke FAILED: router exited non-zero"
     cat "$serve_dir/router.log"
     exit 1
 }
-grep -q "route: requests=2 forwarded=2" "$serve_dir/router.log" || {
-    echo "router smoke FAILED: router summary does not show two forwarded requests"
+grep -q "route: requests=3 forwarded=3" "$serve_dir/router.log" || {
+    echo "router smoke FAILED: router summary does not show three forwarded requests"
     cat "$serve_dir/router.log"
     exit 1
 }

@@ -1,8 +1,7 @@
 //! # swa-bench — experiment runners regenerating the paper's evaluation
 //!
 //! One module per experiment of `DESIGN.md`'s index; the binaries in
-//! `src/bin/` print the same rows/series the paper reports, and the
-//! Criterion benches in `benches/` measure the same code under a harness.
+//! `src/bin/` print the same rows/series the paper reports.
 //!
 //! | id | paper artifact | binary |
 //! |----|----------------|--------|

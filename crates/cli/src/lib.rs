@@ -28,10 +28,7 @@ use swa_core::{Analyzer, CheckpointStore, SystemModel, Verdict, VerdictCache};
 use swa_ima::Configuration;
 use swa_ima::Topology;
 use swa_schedtool::{search_with, DesignProblem, SearchOptions};
-use swa_xmlio::{
-    configuration_from_xml, configuration_to_xml, configuration_with_topology_from_xml,
-    trace_to_xml,
-};
+use swa_xmlio::{configuration_to_xml, configuration_with_topology_from_xml, trace_to_xml};
 
 /// The result of running one CLI command: the process exit code, the text
 /// for stdout, and optional files to write.
@@ -1106,23 +1103,15 @@ fn cmd_request(args: &[String]) -> CommandOutcome {
         swa_serve::client::post(addrs[0].as_str(), "/analyze", &body)
             .map_err(|e| format!("request to {} failed: {e}", addrs[0]))
     } else {
-        // Client-side sharding: the same consistent-hash ring the router
-        // uses, so repeats of a configuration land on the backend that
-        // cached it, with failover past dead backends.
-        let config = match configuration_from_xml(&xml) {
-            Ok(c) => c,
-            Err(e) => return CommandOutcome::error(format!("cannot parse {path}: {e}")),
-        };
-        let canon =
-            swa_core::canonicalize(&config, u32::try_from(hyperperiods).unwrap_or(u32::MAX));
-        let shard = canon.key.hi ^ canon.key.lo;
+        // Client-side sharding through the router's forwarding loop, so
+        // repeats of a configuration land on the backend that cached it,
+        // with failover past dead backends.
         let ring = swa_serve::HashRing::new(addrs.clone());
         swa_serve::forward_analyze(
             &ring,
             None,
             &swa_serve::RetryPolicy::default(),
-            shard,
-            &body,
+            body.as_bytes(),
             |_| {},
         )
         .map(|outcome| outcome.response)
@@ -1608,15 +1597,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn serve_and_request_roundtrip_with_cache_marker() {
-        let dir = std::env::temp_dir().join("swa_cli_serve_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let config_path = dir.join("config.xml");
-        std::fs::write(&config_path, configuration_to_xml(&config(true))).unwrap();
+    /// Starts `swa serve` on an ephemeral port in a thread and waits for
+    /// it to publish its address under `dir`.
+    fn spawn_server(dir: &std::path::Path) -> (String, std::thread::JoinHandle<CommandOutcome>) {
         let addr_file = dir.join("addr.txt");
         let _ = std::fs::remove_file(&addr_file);
-
         let addr_file_arg = addr_file.to_str().unwrap().to_string();
         let server_thread = std::thread::spawn(move || {
             run(&opts(&[
@@ -1629,20 +1614,26 @@ mod tests {
                 &addr_file_arg,
             ]))
         });
-        // Wait for the server to publish its ephemeral address.
-        let addr = {
-            let mut waited = 0;
-            loop {
-                if let Ok(addr) = std::fs::read_to_string(&addr_file) {
-                    if !addr.is_empty() {
-                        break addr;
-                    }
+        let mut waited = 0;
+        loop {
+            if let Ok(addr) = std::fs::read_to_string(&addr_file) {
+                if !addr.is_empty() {
+                    return (addr, server_thread);
                 }
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                waited += 1;
-                assert!(waited < 250, "server never published its address");
             }
-        };
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            waited += 1;
+            assert!(waited < 250, "server never published its address");
+        }
+    }
+
+    #[test]
+    fn serve_and_request_roundtrip_with_cache_marker() {
+        let dir = std::env::temp_dir().join("swa_cli_serve_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let config_path = dir.join("config.xml");
+        std::fs::write(&config_path, configuration_to_xml(&config(true))).unwrap();
+        let (addr, server_thread) = spawn_server(&dir);
         let config_arg = config_path.to_str().unwrap();
 
         let health = run(&opts(&["request", &addr, "--health"]));
@@ -1688,34 +1679,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let config_path = dir.join("config.xml");
         std::fs::write(&config_path, configuration_to_xml(&config(true))).unwrap();
-        let addr_file = dir.join("addr.txt");
-        let _ = std::fs::remove_file(&addr_file);
-
-        let addr_file_arg = addr_file.to_str().unwrap().to_string();
-        let server_thread = std::thread::spawn(move || {
-            run(&opts(&[
-                "serve",
-                "--addr",
-                "127.0.0.1:0",
-                "--workers",
-                "2",
-                "--addr-file",
-                &addr_file_arg,
-            ]))
-        });
-        let addr = {
-            let mut waited = 0;
-            loop {
-                if let Ok(addr) = std::fs::read_to_string(&addr_file) {
-                    if !addr.is_empty() {
-                        break addr;
-                    }
-                }
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                waited += 1;
-                assert!(waited < 250, "server never published its address");
-            }
-        };
+        let (addr, server_thread) = spawn_server(&dir);
 
         let streamed = run(&opts(&[
             "request",
@@ -1748,6 +1712,36 @@ mod tests {
             local.stdout,
             "serve and CLI reports must agree byte-for-byte"
         );
+
+        let shutdown = run(&opts(&["request", &addr, "--shutdown"]));
+        assert_eq!(shutdown.exit_code, 0, "{}", shutdown.stdout);
+        server_thread.join().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The multi-address client forwards the body without reading the
+    /// XML, so an unparseable file gets the server's own 422 verbatim,
+    /// exactly as with one address (the second address is dead and is
+    /// failed over when it owns the shard).
+    #[test]
+    fn request_to_a_fleet_relays_the_servers_answer_for_a_bad_file() {
+        let dir = std::env::temp_dir().join(format!("swa_cli_fleet_req_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bad = dir.join("bad.xml");
+        std::fs::write(&bad, "<configuration><coreTypes>").unwrap();
+        let (addr, server_thread) = spawn_server(&dir);
+        let bad = bad.to_str().unwrap();
+
+        let single = run(&opts(&["request", &addr, bad]));
+        let fleet = run(&opts(&["request", &format!("{addr},127.0.0.1:1"), bad]));
+        assert_eq!(single.exit_code, 1, "{}", single.stdout);
+        assert!(
+            single.stdout.contains("\"invalid-model\""),
+            "{}",
+            single.stdout
+        );
+        assert_eq!(fleet.exit_code, single.exit_code);
+        assert_eq!(fleet.stdout, single.stdout);
 
         let shutdown = run(&opts(&["request", &addr, "--shutdown"]));
         assert_eq!(shutdown.exit_code, 0, "{}", shutdown.stdout);

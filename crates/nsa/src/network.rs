@@ -433,12 +433,11 @@ impl NetworkBuilder {
         Self::default()
     }
 
-    /// Lowers the per-kind item limit (useful for tests and for callers
-    /// that want to bound hostile generators well below the `u32` id
-    /// space). Declarations beyond the limit make [`build`](Self::build)
-    /// return [`BuildError::CapacityExceeded`].
+    /// Lowers the per-kind item limit, so tests can reach
+    /// [`BuildError::CapacityExceeded`] without declaring 2^32 items.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_capacity_limit(mut self, limit: u64) -> Self {
+    fn with_capacity_limit(mut self, limit: u64) -> Self {
         self.capacity_limit = limit.min(ID_CAPACITY);
         self
     }

@@ -27,32 +27,36 @@ pub struct HttpResponse {
 ///
 /// Propagates connection and protocol failures.
 pub fn get<A: ToSocketAddrs>(addr: A, path: &str) -> io::Result<HttpResponse> {
-    parse_response(send(addr, "GET", path, "")?)
+    parse_response(send(addr, "GET", path, b"")?)
 }
 
-/// Sends a `POST` request with a JSON body.
+/// Sends a `POST` request with a JSON body. The body is sent as the
+/// bytes given, so a router can forward a body it has not decoded.
 ///
 /// # Errors
 ///
 /// Propagates connection and protocol failures.
-pub fn post<A: ToSocketAddrs>(addr: A, path: &str, body: &str) -> io::Result<HttpResponse> {
-    parse_response(send(addr, "POST", path, body)?)
+pub fn post<A: ToSocketAddrs>(
+    addr: A,
+    path: &str,
+    body: &(impl AsRef<[u8]> + ?Sized),
+) -> io::Result<HttpResponse> {
+    parse_response(send(addr, "POST", path, body.as_ref())?)
 }
 
 /// Sends one request — head and body in a single write — and returns
 /// the raw response, read until the server closes the connection.
-fn send<A: ToSocketAddrs>(addr: A, method: &str, path: &str, body: &str) -> io::Result<Vec<u8>> {
+fn send<A: ToSocketAddrs>(addr: A, method: &str, path: &str, body: &[u8]) -> io::Result<Vec<u8>> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let request = format!(
-        "{} {} HTTP/1.1\r\nHost: swa-serve\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        method,
-        path,
+    let mut request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: swa-serve\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len(),
-        body,
-    );
-    stream.write_all(request.as_bytes())?;
+    )
+    .into_bytes();
+    request.extend_from_slice(body);
+    stream.write_all(&request)?;
     stream.flush()?;
 
     let mut raw = Vec::new();
@@ -83,7 +87,7 @@ pub fn post_lines<A: ToSocketAddrs>(
     path: &str,
     body: &str,
 ) -> io::Result<StreamedResponse> {
-    parse_streamed(&send(addr, "POST", path, body)?)
+    parse_streamed(&send(addr, "POST", path, body.as_bytes())?)
 }
 
 fn parse_streamed(raw: &[u8]) -> io::Result<StreamedResponse> {

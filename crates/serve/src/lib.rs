@@ -73,6 +73,6 @@ pub use request::{
     parse_analyze, parse_sweep, render_error, render_verdict, AnalyzeRequest, RequestError,
     SweepRequest,
 };
-pub use resilience::{Backoff, BreakerOptions, CircuitBreaker, LoadShedder, RetryPolicy};
+pub use resilience::{Backoff, CircuitBreaker, LoadShedder, RetryPolicy};
 pub use router::{forward_analyze, ForwardOutcome, HashRing, Router, RouterOptions};
 pub use server::{ServeOptions, Server};

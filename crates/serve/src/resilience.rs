@@ -21,24 +21,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Retry budget and delay shape for one logical operation.
+/// Delay before the first retry; doubles each retry.
+const BASE_DELAY: Duration = Duration::from_millis(25);
+/// Cap on any single retry delay.
+const MAX_DELAY: Duration = Duration::from_secs(1);
+
+/// Retry budget for one logical operation. Delays start at 25 ms,
+/// double per retry and are capped at 1 s.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts including the first (1 = no retries).
     pub attempts: u32,
-    /// Delay before the first retry; doubles each retry.
-    pub base_delay: Duration,
-    /// Cap on any single delay.
-    pub max_delay: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        Self {
-            attempts: 3,
-            base_delay: Duration::from_millis(25),
-            max_delay: Duration::from_secs(1),
-        }
+        Self { attempts: 3 }
     }
 }
 
@@ -73,7 +71,7 @@ impl Backoff {
     }
 
     /// The delay before the next retry, or `None` once the attempt budget
-    /// is spent. Delays double per retry, capped at `max_delay`, then
+    /// is spent. Delays double per retry from 25 ms, capped at 1 s, then
     /// scaled by a jitter factor in `[0.5, 1.0)`.
     pub fn next_delay(&mut self) -> Option<Duration> {
         if self.used + 1 >= self.policy.attempts {
@@ -81,11 +79,7 @@ impl Backoff {
         }
         let exp = self.used.min(16);
         self.used += 1;
-        let raw = self
-            .policy
-            .base_delay
-            .saturating_mul(1u32 << exp)
-            .min(self.policy.max_delay);
+        let raw = BASE_DELAY.saturating_mul(1u32 << exp).min(MAX_DELAY);
         #[allow(clippy::cast_precision_loss)]
         let jitter = 0.5 + (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64 / 2.0;
         Some(raw.mul_f64(jitter))
@@ -98,13 +92,14 @@ impl Backoff {
     }
 }
 
-/// Circuit breaker configuration.
+/// Circuit breaker configuration: the router uses the default (3
+/// failures, 5 s cooldown); tests shorten the cooldown.
 #[derive(Debug, Clone)]
-pub struct BreakerOptions {
+pub(crate) struct BreakerOptions {
     /// Consecutive failures that trip the breaker open.
-    pub failure_threshold: u32,
+    pub(crate) failure_threshold: u32,
     /// How long an open breaker rejects before allowing one probe.
-    pub cooldown: Duration,
+    pub(crate) cooldown: Duration,
 }
 
 impl Default for BreakerOptions {
@@ -140,7 +135,7 @@ pub struct CircuitBreaker {
 impl CircuitBreaker {
     /// A closed breaker with the given thresholds.
     #[must_use]
-    pub fn new(options: BreakerOptions) -> Self {
+    pub(crate) fn new(options: BreakerOptions) -> Self {
         Self {
             options,
             state: Mutex::new(BreakerState::Closed { failures: 0 }),
@@ -283,21 +278,16 @@ mod tests {
 
     #[test]
     fn backoff_budget_and_bounds() {
-        let policy = RetryPolicy {
-            attempts: 4,
-            base_delay: Duration::from_millis(100),
-            max_delay: Duration::from_millis(250),
-        };
-        let mut backoff = Backoff::new(policy, 42);
+        let mut backoff = Backoff::new(RetryPolicy { attempts: 8 }, 42);
         let mut delays = Vec::new();
         while let Some(d) = backoff.next_delay() {
             delays.push(d);
         }
-        assert_eq!(delays.len(), 3, "attempts=4 means 3 retries");
-        assert_eq!(backoff.retries(), 3);
+        assert_eq!(delays.len(), 7, "attempts=8 means 7 retries");
+        assert_eq!(backoff.retries(), 7);
         // Jitter keeps each delay in [0.5, 1.0) of its nominal value, and
-        // the nominal ladder is 100ms, 200ms, 250ms (capped).
-        for (d, nominal) in delays.iter().zip([100u64, 200, 250]) {
+        // the nominal ladder doubles from 25 ms up to the 1 s cap.
+        for (d, nominal) in delays.iter().zip([25u64, 50, 100, 200, 400, 800, 1000]) {
             assert!(d.as_millis() as u64 >= nominal / 2, "{d:?} < {nominal}/2");
             assert!(d.as_millis() as u64 <= nominal, "{d:?} > {nominal}");
         }

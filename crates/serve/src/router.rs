@@ -1,22 +1,28 @@
-//! Multi-instance serving: consistent-hash routing of canonical cache
-//! keys across N backend servers.
+//! Multi-instance serving: consistent-hash routing of `/analyze` bodies
+//! across N backend servers.
 //!
 //! A [`HashRing`] places 64 virtual nodes per backend on a 64-bit ring;
-//! a request's canonical key hashes to a point and walks clockwise to
-//! the first backend. Two properties matter for a verdict-cache fleet:
+//! a request's shard key hashes to a point and walks clockwise to the
+//! first backend. The key is FNV-1a of the body's `config_xml` string
+//! (of the raw body when it has none), so the router never parses XML
+//! or canonicalizes: it forwards bytes. Two properties matter for a
+//! verdict-cache fleet:
 //!
-//! * **Affinity** — the same configuration always lands on the same
-//!   backend, so each backend's memory/disk tiers see a stable shard of
-//!   the keyspace instead of N copies of everything.
+//! * **Affinity** — the same configuration text always lands on the same
+//!   backend, at every horizon, so each backend's memory/disk tiers and
+//!   checkpoint store see a stable shard of the keyspace instead of N
+//!   copies of everything (two spellings of one configuration may not;
+//!   see DESIGN §4.18).
 //! * **Minimal disruption** — adding or removing a backend remaps only
 //!   the keys owned by the virtual nodes that moved (~1/N of the space),
 //!   not the whole fleet's working set.
 //!
 //! [`forward_analyze`] is the shared forwarding loop (used by the
 //! `swa serve --route` router process *and* by client-side sharding in
-//! `swa request`): walk the ring order, skip open-breaker backends,
-//! retry transient failures with jittered backoff, fail over to the next
-//! backend, 502 only when every backend is exhausted.
+//! `swa request`), and the only place the shard key is derived, so both
+//! pick the same backend: walk the ring order, skip open-breaker
+//! backends, retry transient failures with jittered backoff, fail over to
+//! the next backend, 502 only when every backend is exhausted.
 //!
 //! Failure taxonomy on a hop:
 //! * connect/transport error → breaker failure; retry this backend with
@@ -26,18 +32,21 @@
 //!   spill over to the next backend;
 //! * `503` (backend shutting down) → breaker failure; fail over at once;
 //! * anything else (200, 4xx, 500, 504) → a real answer for *this*
-//!   request; return it verbatim and record the backend healthy.
+//!   request; return it verbatim and record the backend healthy. A
+//!   malformed or invalid body is such an answer: the backend's 400/422
+//!   is relayed as it was sent.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
-use swa_core::{canonicalize, MetricsRecorder, Recorder};
+use swa_core::{MetricsRecorder, Recorder};
 
 use crate::client::{self, HttpResponse};
 use crate::front::{Front, Service, Shared, IO_TIMEOUT};
 use crate::http::Request;
-use crate::request::{parse_analyze, render_error};
+use crate::json::Json;
+use crate::request::render_error;
 use crate::resilience::{Backoff, BreakerOptions, CircuitBreaker, LoadShedder, RetryPolicy};
 
 /// Virtual nodes per backend — enough that a 2–16 backend fleet splits
@@ -53,7 +62,22 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A consistent-hash ring over backend addresses.
+/// The ring position of an `/analyze` body: FNV-1a of its decoded
+/// `config_xml` string, or of the raw bytes when the body is not a JSON
+/// object with a string `config_xml`. The other fields (`hyperperiods`,
+/// `deadline_ms`, …) stay out of the key, so every horizon of one
+/// configuration reaches the backend whose checkpoints can warm-start it.
+fn shard_key(body: &[u8]) -> u64 {
+    std::str::from_utf8(body)
+        .ok()
+        .and_then(|text| Json::parse(text).ok())
+        .and_then(|doc| Some(fnv1a64(doc.get("config_xml")?.as_str()?.as_bytes())))
+        .unwrap_or_else(|| fnv1a64(body))
+}
+
+/// A consistent-hash ring over backend addresses: each backend owns 64
+/// points, and a shard key is owned by the backend of the first point
+/// at or after it.
 #[derive(Debug, Clone)]
 pub struct HashRing {
     backends: Vec<String>,
@@ -125,9 +149,10 @@ pub struct ForwardOutcome {
     pub failovers: u32,
 }
 
-/// Forwards one `/analyze` body along `shard`'s ring order. See the
-/// module docs for the retry/failover taxonomy. `breakers`, when given,
-/// must be parallel to `ring.backends()`.
+/// Forwards one `/analyze` body, byte for byte, along the ring order of
+/// its shard key (FNV-1a of the body's `config_xml` string; see the
+/// module docs, which also give the retry/failover taxonomy).
+/// `breakers`, when given, must be parallel to `ring.backends()`.
 ///
 /// # Errors
 ///
@@ -137,13 +162,13 @@ pub fn forward_analyze(
     ring: &HashRing,
     breakers: Option<&[CircuitBreaker]>,
     retry: &RetryPolicy,
-    shard: u64,
-    body: &str,
+    body: &[u8],
     mut on_breaker_opened: impl FnMut(usize),
 ) -> Result<ForwardOutcome, String> {
     let mut last_error = "no backends configured".to_string();
     let mut retries = 0u32;
     let mut failovers = 0u32;
+    let shard = shard_key(body);
     for (hop, &backend) in ring.order(shard).iter().enumerate() {
         if hop > 0 {
             failovers += 1;
@@ -217,10 +242,8 @@ pub struct RouterOptions {
     pub addr: String,
     /// Backend `swa serve` addresses to shard across.
     pub backends: Vec<String>,
-    /// Per-hop retry budget and delay shape.
+    /// Per-hop retry budget.
     pub retry: RetryPolicy,
-    /// Per-backend circuit-breaker thresholds.
-    pub breaker: BreakerOptions,
     /// Max concurrently forwarded requests before shedding (`0` =
     /// unlimited).
     pub shed_inflight: usize,
@@ -232,7 +255,6 @@ impl Default for RouterOptions {
             addr: "127.0.0.1:0".to_string(),
             backends: Vec::new(),
             retry: RetryPolicy::default(),
-            breaker: BreakerOptions::default(),
             shed_inflight: 256,
         }
     }
@@ -311,7 +333,7 @@ impl Router {
         let breakers = options
             .backends
             .iter()
-            .map(|_| CircuitBreaker::new(options.breaker.clone()))
+            .map(|_| CircuitBreaker::new(BreakerOptions::default()))
             .collect();
         let inner = RouterInner {
             recorder: Arc::new(MetricsRecorder::new()),
@@ -356,7 +378,7 @@ impl Router {
 
 fn forward(inner: &Arc<RouterInner>, body: &[u8]) -> (u16, String) {
     inner.recorder.counter("route.requests", 1);
-    // Shed before parsing: when the router is saturated the cheapest
+    // Shed before hashing: when the router is saturated the cheapest
     // thing to do with a request is nothing at all.
     let Some(_permit) = inner.shedder.try_acquire() else {
         inner.recorder.counter("route.shed", 1);
@@ -365,19 +387,11 @@ fn forward(inner: &Arc<RouterInner>, body: &[u8]) -> (u16, String) {
             render_error("overloaded", "router at inflight capacity; retry later"),
         );
     };
-    let parsed = match parse_analyze(body) {
-        Ok(parsed) => parsed,
-        Err(e) => return e.reply(),
-    };
-    let canon = canonicalize(&parsed.config, parsed.hyperperiods);
-    let shard = canon.key.hi ^ canon.key.lo;
-    let body = std::str::from_utf8(body).expect("parse_analyze accepted the body as UTF-8");
     let recorder = &inner.recorder;
     let result = forward_analyze(
         &inner.ring,
         Some(&inner.breakers),
         &inner.retry,
-        shard,
         body,
         |_| recorder.counter("breaker.opened", 1),
     );
@@ -472,16 +486,40 @@ mod tests {
     }
 
     #[test]
+    fn shard_key_reads_only_the_config_text() {
+        let key = shard_key(br#"{"config_xml":"<configuration/>"}"#);
+        assert_eq!(key, fnv1a64(b"<configuration/>"));
+        for same in [
+            r#"{ "hyperperiods" : 3 , "config_xml" : "<configuration/>" }"#,
+            "{\n\t\"config_xml\":\"<configuration/>\",\"deadline_ms\":5,\"explain\":true,\"no_cache\":true}",
+            r#"{"no_cache":false,"config_xml":"\u003cconfiguration/>","hyperperiods":0}"#,
+        ] {
+            assert_eq!(shard_key(same.as_bytes()), key, "{same}");
+        }
+        assert_ne!(
+            shard_key(br#"{"config_xml":"<configuration />"}"#),
+            key,
+            "the config text is the key"
+        );
+        // A body without a string `config_xml` is keyed on its raw bytes.
+        for raw in [
+            &b"not json"[..],
+            br#"{"config_xml":7}"#,
+            br#"["<configuration/>"]"#,
+            b"{\"config_xml\":\"\xff\"}",
+        ] {
+            assert_eq!(shard_key(raw), fnv1a64(raw));
+        }
+    }
+
+    #[test]
     fn forward_exhausts_unreachable_backends() {
         // Nothing listens on these ports; the forward must fail cleanly
         // (and quickly — retry budget of 1 means no sleeps at all).
         let ring = HashRing::new(vec!["127.0.0.1:1".to_string(), "127.0.0.1:2".to_string()]);
-        let retry = RetryPolicy {
-            attempts: 1,
-            ..RetryPolicy::default()
-        };
+        let retry = RetryPolicy { attempts: 1 };
         let mut opened = 0;
-        let result = forward_analyze(&ring, None, &retry, 42, "{}", |_| opened += 1);
+        let result = forward_analyze(&ring, None, &retry, b"{}", |_| opened += 1);
         let err = result.expect_err("no backend can answer");
         assert!(err.contains("unreachable"), "got: {err}");
     }
@@ -494,11 +532,8 @@ mod tests {
             cooldown: std::time::Duration::from_secs(60),
         })];
         breakers[0].record_failure();
-        let retry = RetryPolicy {
-            attempts: 1,
-            ..RetryPolicy::default()
-        };
-        let err = forward_analyze(&ring, Some(&breakers), &retry, 42, "{}", |_| {})
+        let retry = RetryPolicy { attempts: 1 };
+        let err = forward_analyze(&ring, Some(&breakers), &retry, b"{}", |_| {})
             .expect_err("breaker is open");
         assert!(err.contains("circuit open"), "got: {err}");
     }

@@ -169,7 +169,7 @@ fn concurrent_duplicate_requests_simulate_exactly_once() {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|_| {
                 let body = Arc::clone(&body);
-                s.spawn(move || client::post(addr, "/analyze", &body).expect("post"))
+                s.spawn(move || client::post(addr, "/analyze", body.as_str()).expect("post"))
             })
             .collect();
         handles
@@ -735,10 +735,7 @@ fn router_shards_and_fails_over() {
             "127.0.0.1:9".to_string(),
             backend_a.local_addr().to_string(),
         ],
-        retry: swa_serve::RetryPolicy {
-            attempts: 1,
-            ..swa_serve::RetryPolicy::default()
-        },
+        retry: swa_serve::RetryPolicy { attempts: 1 },
         ..RouterOptions::default()
     })
     .expect("bind failover router");
@@ -754,6 +751,44 @@ fn router_shards_and_fails_over() {
     router.shutdown();
     backend_a.shutdown();
     backend_b.shutdown();
+}
+
+/// The router forwards every body without reading it, so a malformed or
+/// invalid request gets the backend's own status and body bytes.
+#[test]
+fn router_relays_the_backends_answer_to_bad_bodies() {
+    use swa_serve::{Router, RouterOptions};
+    let backend = start_server();
+    let router = Router::start(&RouterOptions {
+        backends: vec![backend.local_addr().to_string()],
+        ..RouterOptions::default()
+    })
+    .expect("bind router");
+    let mut invalid = small_config(10);
+    invalid.windows = vec![vec![Window::new(0, 60)]];
+    let bodies: [(&str, Vec<u8>, u16); 5] = [
+        ("not JSON", b"config_xml=<configuration/>".to_vec(), 400),
+        ("non-UTF-8", b"{\"config_xml\":\"\xff\"}".to_vec(), 400),
+        ("no config_xml", b"{\"hyperperiods\":1}".to_vec(), 400),
+        (
+            "bad hyperperiods",
+            envelope(&small_config(10), ",\"hyperperiods\":\"two\"").into_bytes(),
+            400,
+        ),
+        ("invalid model", envelope(&invalid, "").into_bytes(), 422),
+    ];
+    for (what, body, status) in &bodies {
+        let direct = client::post(backend.local_addr(), "/analyze", body).unwrap();
+        let routed = client::post(router.local_addr(), "/analyze", body).unwrap();
+        assert_eq!(direct.status, *status, "{what}: {}", direct.body);
+        assert_eq!(routed.status, direct.status, "{what}");
+        assert_eq!(routed.body, direct.body, "{what}");
+    }
+    assert_eq!(router.recorder().counter_value("route.requests"), 5);
+    assert_eq!(router.recorder().counter_value("route.forwarded"), 5);
+    assert_eq!(backend.recorder().counter_value("serve.analyses"), 0);
+    router.shutdown();
+    backend.shutdown();
 }
 
 #[test]

@@ -24,14 +24,14 @@ pub struct SearchOptions {
     pub tolerance: f64,
     /// Hard cap on oracle invocations; the search never exceeds it.
     pub max_probes: usize,
-    /// First factor probed (almost always 1.0, the base configuration).
-    pub start: f64,
-    /// Lower edge of the searched factor range.
-    pub min_factor: f64,
-    /// Upper edge of the searched factor range.
-    pub max_factor: f64,
+    /// First factor probed: 1.0, the base configuration.
+    pub(crate) start: f64,
+    /// Lower edge of the searched factor range: 1/64.
+    pub(crate) min_factor: f64,
+    /// Upper edge of the searched factor range: 64.
+    pub(crate) max_factor: f64,
     /// When ≥ 2, probe this many evenly spaced factors across
-    /// `[min_factor, max_factor]` first (endpoints included). Presampling
+    /// the factor range `[1/64, 64]` first (endpoints included). Presampling
     /// costs probes but exposes non-monotone islands that a pure
     /// bracketing scan would step over.
     pub presamples: usize,

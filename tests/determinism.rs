@@ -2,9 +2,9 @@
 //! generated configurations and varied interleaving orders, every
 //! interpretation yields the same schedulability analysis.
 //!
-//! This is the seeded-loop variant of the property (the proptest-powered
-//! suites live behind the non-default `proptest-tests` feature); the seeds
-//! are fixed so the tier-1 gate is fully deterministic and offline.
+//! The seeds are fixed so the tier-1 gate is fully deterministic and
+//! offline; `crates/core/tests/properties.rs` checks the same property on
+//! small two-partition configurations.
 
 use swa::analyze_configuration_with;
 use swa::nsa::TieBreak;
