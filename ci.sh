@@ -23,6 +23,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "==> simulator perf gate (bytecode >= 2.5x the AST walker and above a steps/s floor, release)"
 cargo test -q --release --offline -p swa-core --test simulator_perf -- --ignored
 
+echo "==> engine differential suite (AST == bytecode, fast loop == generic loop, release)"
+cargo test -q --release --offline -p swa-core --test engine_differential
+
 echo "==> snapshot differential suite (split == one-shot, both engines, release)"
 cargo test -q --release --offline -p swa-core --test snapshot_differential
 

@@ -13,6 +13,7 @@ mod dominance_corpus;
 
 use swa_core::{analyze, extract_system_trace, Analyzer, SystemModel};
 use swa_ima::{Configuration, SchedulerKind};
+use swa_nsa::semantics::Transition;
 use swa_nsa::sim::{SimOutcome, Simulator, TieBreak};
 use swa_nsa::state::EnvView;
 use swa_nsa::{
@@ -25,8 +26,12 @@ use swa_workload::{config_with_jobs, industrial_config, table1_config, Industria
 /// generic interpreter with bytecode, fast path with the AST walker — and
 /// asserts trace-level equality. With `pipeline`, also asserts that
 /// `Analyzer::run` (always bytecode) reports the analysis of the AST
-/// walker's trace.
-fn assert_traces_agree(config: &Configuration, label: &str, pipeline: bool) {
+/// walker's trace. Returns the model and its run.
+fn assert_traces_agree(
+    config: &Configuration,
+    label: &str,
+    pipeline: bool,
+) -> (SystemModel, SimOutcome) {
     let model = SystemModel::build(config).unwrap_or_else(|e| panic!("{label}: build failed: {e}"));
     let network = model.network();
     let horizon = model.horizon();
@@ -73,6 +78,7 @@ fn assert_traces_agree(config: &Configuration, label: &str, pipeline: bool) {
             "{label}: pipeline analysis diverges from AST walker"
         );
     }
+    (model, fast_bc)
 }
 
 #[test]
@@ -185,7 +191,10 @@ fn assert_guards_agree(network: &Network, state: &State, label: &str) -> usize {
 /// ready, priorities and absolute deadlines tied. Round-robin keeps its
 /// circular-distance loops, and only its `go_idle` guard is answered, from
 /// a tree without a key; its loops are quadratic per decision, so it runs
-/// the smaller sizes only.
+/// the smaller sizes only. Then the corpus's situations, at and above the
+/// threshold, where the fast loop dispatches from a tree's root: each run
+/// must show its situation (idling, a decision with a task running while
+/// another outranks it, a delivery nobody waits for).
 #[test]
 fn engines_and_fast_path_agree_on_large_partitions() {
     let round_robin = SchedulerKind::RoundRobin { quantum: 3 };
@@ -212,6 +221,41 @@ fn engines_and_fast_path_agree_on_large_partitions() {
             k == 128,
         );
     }
+    for kind in dominance_corpus::KINDS {
+        for k in [swa_nsa::bytecode::MIN_DOMINANCE_K, 128] {
+            for (situation, config) in dominance_corpus::situations(k, kind) {
+                let label = format!("{kind:?} partition of {k} tasks, {situation}");
+                let (model, run) = assert_traces_agree(&config, &label, false);
+                let network = model.network();
+                let shows = match situation {
+                    "idle" => takes(network, &run, "go_idle"),
+                    "busy winner" if kind == SchedulerKind::Fpnps => {
+                        takes(network, &run, "continue")
+                    }
+                    "busy winner" => takes(network, &run, "preempt_"),
+                    "parked receivers" => run.trace.iter().any(|e| {
+                        matches!(&e.transition, Transition::Broadcast { channel, receivers, .. }
+                            if receivers.is_empty()
+                                && network.channels()[channel.index()].name.starts_with("receive_"))
+                    }),
+                    _ => true,
+                };
+                assert!(shows, "{label}: the run never shows the situation");
+            }
+        }
+    }
+}
+
+/// Whether the main partition's scheduler takes, somewhere in `run`, an
+/// edge whose label starts with `label`.
+fn takes(network: &Network, run: &SimOutcome, label: &str) -> bool {
+    let automata = network.automata();
+    run.trace.iter().any(|e| {
+        e.participants().any(|(a, edge)| {
+            network.automaton_name(a).starts_with("TS1_main")
+                && automata[a.index()].edge(edge).label.starts_with(label)
+        })
+    })
 }
 
 #[test]

@@ -19,11 +19,13 @@ use swa_nsa::{EvalEngine, SimOutcome};
 use swa_workload::config_with_jobs;
 
 /// Least simulate-phase speedup of the bytecode engine over the AST
-/// walker on the same model (5.6–7.2× measured on a 2-vCPU VM).
+/// walker on the same model (10.4–11.0× measured on a 2-vCPU VM, where
+/// the previous fast loop read 5.8–6.1×).
 const MIN_SPEEDUP: f64 = 2.5;
 
-/// Least bytecode simulation rate, in steps per second (660k–1.0M
-/// steps/s measured on a 2-vCPU VM, median 930k).
+/// Least bytecode simulation rate, in steps per second (2.26M–2.41M
+/// steps/s measured on a 2-vCPU VM, median 2.31M; the previous fast loop
+/// read 1.18M–1.24M on the same VM).
 const MIN_STEPS_PER_SEC: f64 = 160_000.0;
 
 #[test]

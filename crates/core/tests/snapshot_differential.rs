@@ -215,7 +215,9 @@ fn split_runs_match_on_overloaded_workloads() {
 
 /// Partitions around and far above the dominance threshold, split
 /// mid-run: the restored fast loop rebuilds its trees from the snapshot's
-/// state, with most tasks ready.
+/// state, with most tasks ready; then the corpus's situations (idling,
+/// tied keys, a decision with a task running, deliveries nobody waits
+/// for) at and above the threshold.
 #[test]
 fn split_runs_match_on_the_dominance_corpus() {
     for kind in dominance_corpus::KINDS {
@@ -226,6 +228,15 @@ fn split_runs_match_on_the_dominance_corpus() {
                 &format!("{kind:?} partition of {k} tasks"),
                 mid_run_points,
             );
+        }
+        for k in [swa_nsa::bytecode::MIN_DOMINANCE_K, 128] {
+            for (situation, config) in dominance_corpus::situations(k, kind) {
+                check_config(
+                    &config,
+                    &format!("{kind:?} partition of {k} tasks, {situation}"),
+                    mid_run_points,
+                );
+            }
         }
     }
 }

@@ -2437,6 +2437,54 @@ impl CompiledNetwork {
         &self.rankings
     }
 
+    /// The tree and leaf of a dispatch guard, the scheduler's "task `x` is
+    /// gated and no gated task beats it": comparison terms, the last of
+    /// them `gate[b + x] == lit`, then a term that is exactly an
+    /// [`Query::Unbeaten`] query probing the literal `x` over the tree
+    /// whose leaf `x` is that very gate cell. `None` for any other guard.
+    ///
+    /// While the tree has a winner `w`, such a guard holds for no leaf
+    /// `x ≠ w` and raises no error on the way: comparison terms cannot
+    /// fail, the gate is false unless leaf `x` is gated, and then `w`
+    /// beats it; the query answers without its loop because the emitted
+    /// op's ranked cells lie inside both arrays. Without a winner no gate
+    /// holds. The fast loop therefore evaluates only the winner's guard.
+    pub(crate) fn dispatch_leaf(&self, automaton: AutomatonId, edge: EdgeId) -> Option<(u32, u32)> {
+        let terms = &self.terms[self.edge(automaton, edge).terms.range()];
+        let at = terms.iter().position(|t| matches!(t, PredTerm::Prog(_)))?;
+        let (
+            PredTerm::Cmp {
+                lhs: Operand::Slot(cell),
+                op: CmpOp::Eq,
+                rhs: Operand::Const(lit),
+            },
+            PredTerm::Prog(span),
+        ) = (terms.get(at.checked_sub(1)?)?, terms[at])
+        else {
+            return None;
+        };
+        let code = &self.ops[span.range()];
+        let Some(&Op::Dominance {
+            tree,
+            b,
+            x_slot: NO_SLOT,
+            x_add,
+            query: Query::Unbeaten,
+            exit,
+        }) = code.first()
+        else {
+            return None;
+        };
+        let r = &self.rankings[tree as usize];
+        let leaf = u32::try_from(x_add).ok().filter(|&x| x < r.k)?;
+        (exit as usize == code.len()
+            && r.key.is_some()
+            && r.lit == *lit
+            && b == i64::from(r.b)
+            && r.gate_base + r.b + leaf == *cell)
+            .then_some((tree, leaf))
+    }
+
     /// Re-keys the dominance leaves an edge's update program may have
     /// changed. A `StoreElem` to a ranked array whose index is a literal
     /// (a `Push` that no jump lands after) re-keys the one leaf on that

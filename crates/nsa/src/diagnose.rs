@@ -521,7 +521,7 @@ fn zeno_cycle(network: &Network, trace: &NsaTrace, time: i64) -> Vec<String> {
         );
         if a.iter()
             .zip(b)
-            .all(|(x, y)| x.transition.participants() == y.transition.participants())
+            .all(|(x, y)| x.transition.participants().eq(y.transition.participants()))
         {
             return a.iter().map(|e| e.render(network)).collect();
         }

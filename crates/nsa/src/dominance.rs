@@ -227,6 +227,14 @@ impl DominanceIndex {
         }
     }
 
+    /// The leaf tree `tree` ranks best (the best gated cell, a key tie
+    /// going to the lower index), or `None` when no cell is gated.
+    #[inline]
+    pub(crate) fn winner(&self, tree: u32) -> Option<u32> {
+        let best = self.trees[tree as usize].win[1];
+        (best != NONE).then_some(best)
+    }
+
     /// Answers `query` over tree `tree` for the probed cell `b + x`, with
     /// `x = vars[x_slot] + x_add` (or `x_add` alone without a slot).
     /// `None` when `x` or `b + x` overflows or `b + x` falls outside the

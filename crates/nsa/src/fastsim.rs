@@ -20,26 +20,33 @@
 //! that neither finding the next transition nor computing the next delay
 //! target requires an `O(automata)` scan:
 //!
-//! * a `ready` set (ordered by automaton id — canonical order) of cacheable
-//!   automata whose wake time has arrived,
+//! * a `ready` set of cacheable automata whose wake time has arrived, a
+//!   bitset over automaton ids walked in ascending (canonical) order,
 //! * a lazy-deletion min-heap of *future* wake times, drained into `ready`
 //!   whenever time advances,
-//! * a mirror heap of invariant expiries,
+//! * a mirror heap of invariant expiries, and
 //! * a `dynamic` set of automata whose guards read variables and must be
-//!   rescanned at every step, and
-//! * per-channel receiver-readiness sets holding exactly the receiving
-//!   edges whose source location is current, in canonical order.
+//!   rescanned at every step.
+//!
+//! A send looks its partners up in a static per-channel list of every
+//! receiving edge, in canonical order, and keeps those whose automaton
+//! currently sits in the edge's source location: the models' channels
+//! have a handful of receive edges each, so the check is cheaper than
+//! keeping a ready set of them in step with every move.
 //!
 //! With the bytecode engine, `FastRun` also owns the tournament trees of
 //! the crate's `dominance` module, which answer the large schedulers'
 //! dispatch quantifiers; it builds them from the state and re-keys them
-//! after each transition.
+//! after each transition. Where a location's equality bucket holds one
+//! dispatch edge per leaf of a tree, the scan evaluates only the edge of
+//! the tree's root winner (`CompiledNetwork::dispatch_leaf` argues why the
+//! other dispatch guards are false).
 //!
 //! Heap entries are never updated in place: an entry `(t, a)` is *live* iff
 //! the corresponding cached value still equals `t` (and the automaton is
 //! still cacheable); stale entries are discarded when they surface. A step
-//! therefore costs `O(participants · log automata)` instead of
-//! `O(automata)`.
+//! refreshes only the participants that moved or wrote a clock, so it
+//! costs `O(participants · log automata)` instead of `O(automata)`.
 //!
 //! A network is *eligible* for the fast path when receive-edge guards are
 //! clock-free and no edge manipulates a clock that another automaton's
@@ -49,10 +56,10 @@
 //! produce identical traces, which the test-suite asserts.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use crate::automaton::Sync;
-use crate::bytecode::{self, EvalEngine};
+use crate::bytecode::{self, CompiledNetwork, EvalEngine};
 use crate::dominance::DominanceIndex;
 use crate::error::SimError;
 use crate::guard::{Guard, Invariant};
@@ -75,8 +82,6 @@ fn abs_time(now: i64, delay: i64) -> Result<i64, SimError> {
 struct LocInfo {
     /// Edges that can initiate a transition (internal or send), in order.
     initiators: Vec<EdgeId>,
-    /// Receiving edges out of this location, in ascending edge order.
-    recv_edges: Vec<(ChannelId, EdgeId)>,
     /// Whether every initiator guard is state-independent (its enabling
     /// window, computed on entry, stays exact until the automaton moves).
     guards_cacheable: bool,
@@ -213,14 +218,31 @@ impl Iterator for MergeEdges<'_> {
     }
 }
 
+/// A receiving edge of the network: its automaton, the edge and the
+/// edge's source location.
+#[derive(Debug, Clone, Copy)]
+struct Receiver {
+    automaton: AutomatonId,
+    edge: EdgeId,
+    from: LocationId,
+}
+
 /// Static per-network acceleration data.
 #[derive(Debug, Clone)]
 pub struct FastCache {
     /// Whether the network satisfies the fast-path preconditions.
     eligible: bool,
-    /// `info[template][location]`; channels and variables in it are the
-    /// template's local ids.
+    /// `info[template][location]`; variables in it are the template's
+    /// local ids.
     info: Vec<Vec<LocInfo>>,
+    /// `moves[template][edge]`: whether taking the edge changes the
+    /// automaton's location or writes a clock — the only ways a move can
+    /// change its cached wake time and invariant expiry (eligibility (b)
+    /// keeps every other automaton off the clocks they read).
+    moves: Vec<Vec<bool>>,
+    /// Per network channel, every receiving edge on it in canonical
+    /// `(automaton, edge)` order.
+    receivers: Vec<Vec<Receiver>>,
 }
 
 fn guard_state_independent(guard: &Guard) -> bool {
@@ -329,12 +351,10 @@ impl FastCache {
                     .zip(&t.outgoing)
                     .map(|(l, outgoing)| {
                         let mut initiators = Vec::new();
-                        let mut recv_edges = Vec::new();
                         let mut guards_cacheable = true;
                         for &eid in outgoing {
                             let e = a.edge(eid);
-                            if let Sync::Recv(ch) = e.sync {
-                                recv_edges.push((ch, eid));
+                            if let Sync::Recv(_) = e.sync {
                                 continue;
                             }
                             if !guard_state_independent(&e.guard) {
@@ -353,7 +373,6 @@ impl FastCache {
                         };
                         LocInfo {
                             initiators,
-                            recv_edges,
                             guards_cacheable,
                             inv_cacheable: invariant_state_independent(&l.invariant),
                             committed: l.committed,
@@ -365,7 +384,44 @@ impl FastCache {
             })
             .collect();
 
-        Self { eligible, info }
+        let moves = templates()
+            .map(|a| {
+                a.edges
+                    .iter()
+                    .map(|e| {
+                        let mut clocks = Vec::new();
+                        updated_clocks(&e.updates, &mut clocks);
+                        e.from != e.to || !clocks.is_empty()
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let mut receivers = vec![Vec::new(); network.channels().len()];
+        for (automaton, inst) in network.automaton_ids().zip(&network.instances) {
+            let frame = inst.frame.binding();
+            for (i, e) in network.templates[inst.template]
+                .automaton
+                .edges
+                .iter()
+                .enumerate()
+            {
+                if let Sync::Recv(ch) = e.sync {
+                    receivers[frame.channel(ch).index()].push(Receiver {
+                        automaton,
+                        edge: EdgeId::from_raw(u32::try_from(i).expect("edge count fits u32")),
+                        from: e.from,
+                    });
+                }
+            }
+        }
+
+        Self {
+            eligible,
+            info,
+            moves,
+            receivers,
+        }
     }
 
     /// Whether the fast path may be used for this network.
@@ -373,6 +429,48 @@ impl FastCache {
     pub fn eligible(&self) -> bool {
         self.eligible
     }
+}
+
+/// A set of automaton ids, one bit each, iterated in ascending order.
+#[derive(Debug)]
+struct IdSet {
+    words: Vec<u64>,
+}
+
+impl IdSet {
+    fn new(n: usize) -> Self {
+        Self {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn contains(&self, a: u32) -> bool {
+        self.words[a as usize / 64] & (1 << (a % 64)) != 0
+    }
+
+    #[inline]
+    fn insert(&mut self, a: u32) {
+        self.words[a as usize / 64] |= 1 << (a % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, a: u32) {
+        self.words[a as usize / 64] &= !(1 << (a % 64));
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().zip(0u32..).flat_map(|(&w, i)| bits(w, i))
+    }
+}
+
+/// The ids whose bits are set in word `i` of an [`IdSet`], ascending.
+fn bits(mut word: u64, i: u32) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let bit = (word != 0).then(|| word.trailing_zeros())?;
+        word &= word - 1;
+        Some(i * 64 + bit)
+    })
 }
 
 /// A running fast interpretation.
@@ -384,16 +482,18 @@ impl FastCache {
 ///   `ready`; with `now < wake[a] < MAX` it has a live heap entry; with
 ///   `wake[a] == MAX` it is in neither. Dynamic automata are exactly the
 ///   members of `dynamic_set`.
-/// * A wake-heap entry `(t, a)` is live iff `!dynamic[a] && wake[a] == t`;
-///   an invariant-heap entry iff `!inv_dynamic[a] && inv_expiry[a] == t`.
+/// * A wake-heap entry `(t, a)` is live iff `a ∉ dynamic_set && wake[a] ==
+///   t`; an invariant-heap entry iff `a ∉ inv_dynamic_set && inv_expiry[a]
+///   == t`.
 ///   Live wake entries always satisfy `t > now` (entries falling due are
 ///   drained into `ready` by [`FastRun::advance`]).
-/// * `recv_ready[ch]` holds exactly the receiving edges on `ch` whose
-///   source location is the owning automaton's current location, in
-///   canonical `(automaton, edge)` order.
+/// * `wake[a]`, `inv_expiry[a]` and the set memberships of `a` were
+///   computed in `a`'s current location with its current clocks: every
+///   move that changes either refreshes `a` (see `FastCache::moves`).
+/// * The dominance trees rank the current variables.
 pub(crate) struct FastRun<'n> {
     network: &'n Network,
-    compiled: Option<&'n crate::bytecode::CompiledNetwork>,
+    compiled: Option<&'n CompiledNetwork>,
     cache: &'n FastCache,
     engine: EvalEngine,
     /// Absolute earliest time automaton `a` could initiate a transition
@@ -401,35 +501,26 @@ pub(crate) struct FastRun<'n> {
     /// with non-cacheable guards this is kept at the refresh time
     /// (rescan every step).
     wake: Vec<i64>,
-    /// `wake[a]` is a live lower bound only when the guards are cacheable;
-    /// otherwise the automaton is rescanned and its delay windows are
-    /// recomputed on demand.
-    dynamic: Vec<bool>,
     /// Absolute invariant expiry per automaton (`i64::MAX` = unbounded).
     inv_expiry: Vec<i64>,
-    /// Invariants needing recomputation at each delay decision.
-    inv_dynamic: Vec<bool>,
     committed_count: usize,
     /// Cacheable automata whose wake time has arrived and whose location
-    /// can initiate a sync (or is committed), ascending by id.
-    ready_sync: BTreeSet<u32>,
+    /// can initiate a sync (or is committed).
+    ready_sync: IdSet,
     /// Cacheable automata whose wake time has arrived in an
     /// `internal_only` location — skipped while any committed location is
-    /// active, ascending by id.
-    ready_internal: BTreeSet<u32>,
-    /// Automata rescanned every step, ascending by id.
-    dynamic_set: BTreeSet<u32>,
+    /// active.
+    ready_internal: IdSet,
+    /// Automata whose guards are not cacheable: `wake[a]` is no live lower
+    /// bound for them, so they are rescanned every step and their delay
+    /// windows recomputed on demand.
+    dynamic_set: IdSet,
     /// Automata whose invariants are recomputed at each delay decision.
-    inv_dynamic_set: BTreeSet<u32>,
+    inv_dynamic_set: IdSet,
     /// Future wake times (lazy deletion, see the invariants above).
     wake_heap: BinaryHeap<Reverse<(i64, u32)>>,
     /// Bounded invariant expiries (lazy deletion).
     inv_heap: BinaryHeap<Reverse<(i64, u32)>>,
-    /// Per channel: currently-ready receiving edges in canonical order.
-    recv_ready: Vec<BTreeSet<(u32, u32)>>,
-    /// Location whose receive edges each automaton has registered in
-    /// `recv_ready` (`None` before the first refresh).
-    registered: Vec<Option<LocationId>>,
     /// Due wake entries drained into `ready` so far (observability).
     wheel_wakeups: u64,
     /// Monotone counter identifying the current time instant; bumped on
@@ -448,13 +539,84 @@ pub(crate) struct FastRun<'n> {
     /// edge — such an automaton cannot fire at all while some *other*
     /// automaton is committed, so the scan skips it outright.
     memo_all_internal: Vec<bool>,
-    /// Reusable merge buffer for the per-call canonical scan order.
-    scan_buf: Vec<u32>,
     /// Tournament trees answering the compiled guards' dominance queries
     /// (`None` for the AST walker and for networks without such queries).
     /// Built from the state, like the event wheel, and re-keyed after
     /// every transition from the stores of its edges' update programs.
     ranks: Option<DominanceIndex>,
+    /// Per automaton, its equality buckets answered from a tree's root
+    /// (empty without trees).
+    dispatch: Vec<Vec<Dispatch>>,
+    /// Every guard the scan evaluated outside the batch pass, in order.
+    #[cfg(test)]
+    evaluated: std::cell::RefCell<Vec<(AutomatonId, EdgeId)>>,
+}
+
+/// An equality bucket of one automaton whose dispatch edges the scan
+/// reaches through a dominance tree's winner (see
+/// [`CompiledNetwork::dispatch_leaf`]).
+#[derive(Debug)]
+struct Dispatch {
+    /// The location and the literal its [`EqIndex`] bucket pins.
+    loc: LocationId,
+    lit: i64,
+    tree: u32,
+    /// Per leaf of `tree`, the bucket's dispatch edge on it.
+    by_leaf: Vec<Option<EdgeId>>,
+    /// The bucket's other edges and the location's unindexed ones,
+    /// ascending.
+    others: Vec<EdgeId>,
+}
+
+/// The dispatch buckets of automaton `aid` (see [`Dispatch`]): each bucket
+/// of an [`EqIndex`] holding a dispatch edge, with the dispatch edges on
+/// the tree of its first one.
+fn dispatch_buckets(
+    network: &Network,
+    cache: &FastCache,
+    compiled: &CompiledNetwork,
+    aid: AutomatonId,
+) -> Vec<Dispatch> {
+    let mut out = Vec::new();
+    let info = &cache.info[network.instances[aid.index()].template];
+    for (loc, ix) in info
+        .iter()
+        .enumerate()
+        .filter_map(|(l, i)| Some((l, i.eq_index.as_ref()?)))
+    {
+        let loc = LocationId::from_raw(u32::try_from(loc).expect("location count fits u32"));
+        for (&lit, bucket) in &ix.buckets {
+            let Some((tree, _)) = bucket.iter().find_map(|&e| compiled.dispatch_leaf(aid, e))
+            else {
+                continue;
+            };
+            let mut by_leaf: Vec<Option<EdgeId>> = Vec::new();
+            let mut others = ix.rest.clone();
+            for &e in bucket {
+                match compiled.dispatch_leaf(aid, e) {
+                    Some((t, x))
+                        if t == tree && by_leaf.get(x as usize).is_none_or(Option::is_none) =>
+                    {
+                        let x = x as usize;
+                        if by_leaf.len() <= x {
+                            by_leaf.resize(x + 1, None);
+                        }
+                        by_leaf[x] = Some(e);
+                    }
+                    _ => others.push(e),
+                }
+            }
+            others.sort_unstable();
+            out.push(Dispatch {
+                loc,
+                lit,
+                tree,
+                by_leaf,
+                others,
+            });
+        }
+    }
+    out
 }
 
 impl<'n> FastRun<'n> {
@@ -472,26 +634,30 @@ impl<'n> FastRun<'n> {
             cache,
             engine,
             wake: vec![0; n],
-            dynamic: vec![false; n],
             inv_expiry: vec![i64::MAX; n],
-            inv_dynamic: vec![false; n],
             committed_count: 0,
-            ready_sync: BTreeSet::new(),
-            ready_internal: BTreeSet::new(),
-            dynamic_set: BTreeSet::new(),
-            inv_dynamic_set: BTreeSet::new(),
+            ready_sync: IdSet::new(n),
+            ready_internal: IdSet::new(n),
+            dynamic_set: IdSet::new(n),
+            inv_dynamic_set: IdSet::new(n),
             wake_heap: BinaryHeap::new(),
             inv_heap: BinaryHeap::new(),
-            recv_ready: vec![BTreeSet::new(); network.channels().len()],
-            registered: vec![None; n],
             wheel_wakeups: 0,
             instant: 1,
             memo_stamp: vec![0; n],
             memo_enabled: vec![Vec::new(); n],
             memo_all_internal: vec![false; n],
-            scan_buf: Vec::new(),
             ranks: compiled.and_then(|c| DominanceIndex::build(c.rankings(), &state.vars)),
+            dispatch: Vec::new(),
+            #[cfg(test)]
+            evaluated: std::cell::RefCell::default(),
         };
+        if let (Some(c), Some(_)) = (compiled, &run.ranks) {
+            run.dispatch = network
+                .automaton_ids()
+                .map(|a| dispatch_buckets(network, cache, c, a))
+                .collect();
+        }
         for aid in network.automaton_ids() {
             run.refresh(aid, state)?;
             let info = run.loc_info(aid, state);
@@ -541,45 +707,27 @@ impl<'n> FastRun<'n> {
         }
     }
 
-    /// Syncs `recv_ready` with the automaton's current location.
-    fn register_receivers(&mut self, a: AutomatonId, loc: LocationId) {
-        if self.registered[a.index()] == Some(loc) {
-            return;
-        }
-        let network = self.network;
-        let frame = network.instances[a.index()].frame.binding();
-        if let Some(old) = self.registered[a.index()] {
-            for &(ch, eid) in &self.info_at(a, old).recv_edges {
-                self.recv_ready[frame.channel(ch).index()].remove(&(a.raw(), eid.raw()));
-            }
-        }
-        for &(ch, eid) in &self.info_at(a, loc).recv_edges {
-            self.recv_ready[frame.channel(ch).index()].insert((a.raw(), eid.raw()));
-        }
-        self.registered[a.index()] = Some(loc);
-    }
-
     /// Drops stale heap entries once a heap outgrows a small multiple of
     /// the automaton count (keeps memory bounded over long runs).
     fn maybe_compact(&mut self) {
         let cap = 4 * self.wake.len() + 64;
         if self.wake_heap.len() > cap {
             let wake = &self.wake;
-            let dynamic = &self.dynamic;
+            let dynamic = &self.dynamic_set;
             let keep: Vec<_> = self
                 .wake_heap
                 .drain()
-                .filter(|&Reverse((t, a))| !dynamic[a as usize] && wake[a as usize] == t)
+                .filter(|&Reverse((t, a))| !dynamic.contains(a) && wake[a as usize] == t)
                 .collect();
             self.wake_heap = keep.into();
         }
         if self.inv_heap.len() > cap {
             let inv_expiry = &self.inv_expiry;
-            let inv_dynamic = &self.inv_dynamic;
+            let inv_dynamic = &self.inv_dynamic_set;
             let keep: Vec<_> = self
                 .inv_heap
                 .drain()
-                .filter(|&Reverse((t, a))| !inv_dynamic[a as usize] && inv_expiry[a as usize] == t)
+                .filter(|&Reverse((t, a))| !inv_dynamic.contains(a) && inv_expiry[a as usize] == t)
                 .collect();
             self.inv_heap = keep.into();
         }
@@ -589,7 +737,6 @@ impl<'n> FastRun<'n> {
     /// re-indexes it in the event wheel.
     fn refresh(&mut self, a: AutomatonId, state: &State) -> Result<(), SimError> {
         let loc = state.location_of(a);
-        self.register_receivers(a, loc);
         let info = self.info_at(a, loc);
         let initiators_empty = info.initiators.is_empty();
         let guards_cacheable = info.guards_cacheable;
@@ -599,14 +746,13 @@ impl<'n> FastRun<'n> {
         let raw = a.raw();
 
         self.memo_stamp[ai] = 0;
-        self.dynamic[ai] = !guards_cacheable;
-        self.ready_sync.remove(&raw);
-        self.ready_internal.remove(&raw);
+        self.ready_sync.remove(raw);
+        self.ready_internal.remove(raw);
         if !guards_cacheable {
             self.dynamic_set.insert(raw);
             self.wake[ai] = now;
         } else {
-            self.dynamic_set.remove(&raw);
+            self.dynamic_set.remove(raw);
             if initiators_empty {
                 self.wake[ai] = i64::MAX;
             } else {
@@ -628,7 +774,6 @@ impl<'n> FastRun<'n> {
             }
         }
 
-        self.inv_dynamic[ai] = !inv_cacheable;
         let expiry = match bytecode::invariant_max_delay(self.network, self.engine, a, loc, state)
             .map_err(SimError::Eval)?
         {
@@ -639,7 +784,7 @@ impl<'n> FastRun<'n> {
         if !inv_cacheable {
             self.inv_dynamic_set.insert(raw);
         } else {
-            self.inv_dynamic_set.remove(&raw);
+            self.inv_dynamic_set.remove(raw);
             if expiry < i64::MAX {
                 self.inv_heap.push(Reverse((expiry, raw)));
             }
@@ -658,7 +803,7 @@ impl<'n> FastRun<'n> {
                 break;
             }
             self.wake_heap.pop();
-            if !self.dynamic[a as usize] && self.wake[a as usize] == t {
+            if !self.dynamic_set.contains(a) && self.wake[a as usize] == t {
                 self.make_ready(a, state);
                 self.wheel_wakeups += 1;
             }
@@ -674,65 +819,25 @@ impl<'n> FastRun<'n> {
 
     /// Finds the first enabled transition in canonical order.
     ///
-    /// Only automata in the ready or dynamic sets are scanned; merging the
-    /// two ordered sets preserves the canonical ascending-id order the
-    /// generic interpreter uses.
+    /// Only automata in the ready or dynamic sets are scanned; walking
+    /// their union word by word keeps the canonical ascending-id order the
+    /// generic interpreter uses. Neither set changes during the call (only
+    /// `apply` mutates them). While a committed location is active,
+    /// `internal_only` locations cannot fire (the filter would reject
+    /// their only transitions), so their ready set is left out.
     pub(crate) fn first_enabled(&mut self, state: &State) -> Result<Option<Transition>, SimError> {
-        // Snapshot the merged scan order into a flat buffer: neither set
-        // changes during the call (only `apply` mutates them), and a
-        // linear walk beats a tree descent per candidate. The buffer is
-        // taken out of `self` so `scan_automaton` can mutate the memos.
-        // While a committed location is active, `internal_only` locations
-        // cannot fire (the filter would reject their only transitions),
-        // so their whole ready set is skipped without visiting a member.
-        let skip_internal = self.committed_count > 0;
-        const CHUNK: usize = 8;
-        let mut buf = std::mem::take(&mut self.scan_buf);
-        let mut cur: u32 = 0;
-        let mut result = Ok(None);
-        'outer: loop {
-            buf.clear();
-            {
-                let mut sync = self.ready_sync.range(cur..).copied();
-                let mut internal = self.ready_internal.range(cur..).copied();
-                let mut dynamic = self.dynamic_set.range(cur..).copied();
-                let mut ns = sync.next();
-                let mut ni = if skip_internal { None } else { internal.next() };
-                let mut nd = dynamic.next();
-                while buf.len() < CHUNK {
-                    let min = match (ns, ni, nd) {
-                        (None, None, None) => break,
-                        _ => [ns, ni, nd].into_iter().flatten().min().expect("nonempty"),
-                    };
-                    buf.push(min);
-                    if ns == Some(min) {
-                        ns = sync.next();
-                    }
-                    if ni == Some(min) {
-                        ni = internal.next();
-                    }
-                    if nd == Some(min) {
-                        nd = dynamic.next();
-                    }
+        let internal = if self.committed_count > 0 { 0 } else { !0 };
+        for i in 0..self.ready_sync.words.len() {
+            let word = self.ready_sync.words[i]
+                | self.ready_internal.words[i] & internal
+                | self.dynamic_set.words[i];
+            for raw in bits(word, u32::try_from(i).expect("automaton count fits u32")) {
+                if let Some(t) = self.scan_automaton(AutomatonId::from_raw(raw), state)? {
+                    return Ok(Some(t));
                 }
             }
-            let Some(&last) = buf.last() else { break };
-            for &raw in &buf {
-                match self.scan_automaton(AutomatonId::from_raw(raw), state) {
-                    Ok(None) => {}
-                    other => {
-                        result = other;
-                        break 'outer;
-                    }
-                }
-            }
-            let Some(next) = last.checked_add(1) else {
-                break;
-            };
-            cur = next;
         }
-        self.scan_buf = buf;
-        result
+        Ok(None)
     }
 
     /// Scans one automaton's initiator edges for an enabled transition.
@@ -793,21 +898,39 @@ impl<'n> FastRun<'n> {
             // fire while a committed location is active elsewhere.
             return Ok(None);
         }
+        let winner: Option<EdgeId>;
         let edges = if batched {
             MergeEdges::new(&self.memo_enabled[ai], &[])
         } else if let Some(ix) = &info.eq_index {
             let slot = self.network.instances[ai].frame.binding().var(ix.slot);
-            let bucket = ix
-                .buckets
-                .get(&state.vars[slot.index()])
-                .map_or(&[][..], Vec::as_slice);
-            MergeEdges::new(bucket, &ix.rest)
+            let lit = state.vars[slot.index()];
+            let loc = state.location_of(aid);
+            let dispatch = self
+                .dispatch
+                .get(ai)
+                .and_then(|ds| ds.iter().find(|d| d.loc == loc && d.lit == lit));
+            match (dispatch, &self.ranks) {
+                (Some(d), Some(ranks)) => {
+                    winner = ranks
+                        .winner(d.tree)
+                        .and_then(|w| d.by_leaf.get(w as usize).copied().flatten());
+                    MergeEdges::new(winner.as_slice(), &d.others)
+                }
+                _ => {
+                    let bucket = ix.buckets.get(&lit).map_or(&[][..], Vec::as_slice);
+                    MergeEdges::new(bucket, &ix.rest)
+                }
+            }
         } else {
             MergeEdges::new(&info.initiators, &[])
         };
         for eid in edges {
-            if !batched && !self.guard_holds_at(aid, eid, state)? {
-                continue;
+            if !batched {
+                #[cfg(test)]
+                self.evaluated.borrow_mut().push((aid, eid));
+                if !self.guard_holds_at(aid, eid, state)? {
+                    continue;
+                }
             }
             let transition = match self.network.edge_sync(aid, eid) {
                 Sync::Internal => Some(Transition::Internal {
@@ -816,17 +939,12 @@ impl<'n> FastRun<'n> {
                 Sync::Send(ch) => match self.network.channels()[ch.index()].kind {
                     ChannelKind::Binary => {
                         let mut found = None;
-                        for &(braw, beraw) in &self.recv_ready[ch.index()] {
-                            let bid = AutomatonId::from_raw(braw);
-                            if bid == aid {
-                                continue;
-                            }
-                            let beid = EdgeId::from_raw(beraw);
-                            if self.guard_holds_at(bid, beid, state)? {
+                        for r in self.ready_receivers(ch, aid, state) {
+                            if self.guard_holds_at(r.automaton, r.edge, state)? {
                                 found = Some(Transition::Binary {
                                     channel: ch,
                                     sender: (aid, eid),
-                                    receiver: (bid, beid),
+                                    receiver: (r.automaton, r.edge),
                                 });
                                 break;
                             }
@@ -836,15 +954,13 @@ impl<'n> FastRun<'n> {
                     ChannelKind::Broadcast => {
                         let mut receivers = Vec::new();
                         let mut last: Option<AutomatonId> = None;
-                        for &(braw, beraw) in &self.recv_ready[ch.index()] {
-                            let bid = AutomatonId::from_raw(braw);
-                            if bid == aid || last == Some(bid) {
+                        for r in self.ready_receivers(ch, aid, state) {
+                            if last == Some(r.automaton) {
                                 continue;
                             }
-                            let beid = EdgeId::from_raw(beraw);
-                            if self.guard_holds_at(bid, beid, state)? {
-                                receivers.push((bid, beid));
-                                last = Some(bid);
+                            if self.guard_holds_at(r.automaton, r.edge, state)? {
+                                receivers.push((r.automaton, r.edge));
+                                last = Some(r.automaton);
                             }
                         }
                         Some(Transition::Broadcast {
@@ -878,29 +994,46 @@ impl<'n> FastRun<'n> {
         Ok(None)
     }
 
-    /// Applies a transition, refreshing the caches of every participant.
+    /// The receiving edges on channel `ch` whose automaton, other than the
+    /// sender `sender`, sits in the edge's source location, in canonical
+    /// order.
+    fn ready_receivers<'a>(
+        &'a self,
+        ch: ChannelId,
+        sender: AutomatonId,
+        state: &'a State,
+    ) -> impl Iterator<Item = Receiver> + 'a {
+        self.cache.receivers[ch.index()]
+            .iter()
+            .copied()
+            .filter(move |r| r.automaton != sender && state.location_of(r.automaton) == r.from)
+    }
+
+    /// Applies a transition, refreshing the caches of every participant
+    /// that moved.
     pub(crate) fn apply(
         &mut self,
         state: &mut State,
         transition: &Transition,
     ) -> Result<(), SimError> {
-        let participants = transition.participants();
-        for &(p, _) in &participants {
+        for (p, _) in transition.participants() {
             if self.loc_info(p, state).committed {
                 self.committed_count -= 1;
             }
         }
         apply_with(self.network, state, transition, self.engine)?;
         if let (Some(ranks), Some(c)) = (&mut self.ranks, self.compiled) {
-            for &(p, e) in &participants {
+            for (p, e) in transition.participants() {
                 c.rekey_stores(p, e, ranks, &state.vars);
             }
         }
-        for &(p, _) in &participants {
+        for (p, e) in transition.participants() {
             if self.loc_info(p, state).committed {
                 self.committed_count += 1;
             }
-            self.refresh(p, state)?;
+            if self.cache.moves[self.network.instances[p.index()].template][e.index()] {
+                self.refresh(p, state)?;
+            }
         }
         Ok(())
     }
@@ -927,7 +1060,7 @@ impl<'n> FastRun<'n> {
         let mut expiry = i64::MAX;
         let mut bounder = None;
 
-        for &raw in &self.dynamic_set {
+        for raw in self.dynamic_set.iter() {
             let aid = AutomatonId::from_raw(raw);
             let info = self.loc_info(aid, state);
             for &eid in &info.initiators {
@@ -942,7 +1075,7 @@ impl<'n> FastRun<'n> {
             }
         }
         while let Some(&Reverse((t, a))) = self.wake_heap.peek() {
-            if !self.dynamic[a as usize] && self.wake[a as usize] == t {
+            if !self.dynamic_set.contains(a) && self.wake[a as usize] == t {
                 debug_assert!(t > now, "due wake entries are drained on advance");
                 next = next.min(t);
                 break;
@@ -950,7 +1083,7 @@ impl<'n> FastRun<'n> {
             self.wake_heap.pop();
         }
 
-        for &raw in &self.inv_dynamic_set {
+        for raw in self.inv_dynamic_set.iter() {
             let aid = AutomatonId::from_raw(raw);
             if let Some(d) = bytecode::invariant_max_delay(
                 self.network,
@@ -969,7 +1102,7 @@ impl<'n> FastRun<'n> {
             }
         }
         while let Some(&Reverse((t, a))) = self.inv_heap.peek() {
-            if !self.inv_dynamic[a as usize] && self.inv_expiry[a as usize] == t {
+            if !self.inv_dynamic_set.contains(a) && self.inv_expiry[a as usize] == t {
                 if t < expiry {
                     expiry = t;
                     bounder = Some(AutomatonId::from_raw(a));
@@ -1008,7 +1141,7 @@ impl<'n> FastRun<'n> {
 mod tests {
     use super::*;
     use crate::automaton::{AutomatonBuilder, Edge};
-    use crate::expr::{CmpOp, IntExpr};
+    use crate::expr::{CmpOp, IntExpr, Pred};
     use crate::guard::{ClockAtom, Guard, Invariant};
     use crate::network::NetworkBuilder;
     use crate::sim::{Simulator, TieBreak};
@@ -1258,6 +1391,135 @@ mod tests {
         // Five ticks, each parked on the wheel and woken when due.
         assert_eq!(out.steps, 5);
         assert_eq!(out.stats.wheel_wakeups, 5);
+    }
+
+    /// A fixed-priority scheduler over `K` cells, written as the
+    /// scheduler templates write it: from the committed `decide`, edge
+    /// `k < K` dispatches task `k` when `running == 0`, task `k` is ready
+    /// and no ready task beats it (priorities `k % 4`, so keys tie and the
+    /// lower index wins); edge `K` goes idle when nothing is ready. A
+    /// dispatched task runs one tick; idling lasts three and makes every
+    /// task ready again. Returns the network, the scheduler and `decide`.
+    fn dispatch_network() -> (Network, AutomatonId, LocationId) {
+        const K: usize = crate::bytecode::MIN_DOMINANCE_K + 5;
+        let lit = |i: usize| i64::try_from(i).unwrap();
+        let mut nb = NetworkBuilder::new();
+        let ready = nb.array("ready", vec![1; K], 0, 1);
+        let prio = nb.array("prio", (0..K).map(|k| lit(k % 4)).collect(), 0, 3);
+        let running = nb.var("running", 0, 0, lit(K));
+        let c = nb.clock("c");
+        let gated = |m: IntExpr| IntExpr::elem(ready, m).eq(1);
+        let mut a = AutomatonBuilder::new("sched");
+        let decide = a.committed_location("decide");
+        let busy = a.location_with_invariant("busy", Invariant::upper_bound(c, 1));
+        let idle = a.location_with_invariant("idle", Invariant::upper_bound(c, 3));
+        let m = IntExpr::bound(0);
+        for k in 0..K {
+            let (pm, pk) = (IntExpr::elem(prio, m.clone()), IntExpr::elem(prio, lit(k)));
+            let unbeaten = gated(m.clone()).not().or(pm
+                .clone()
+                .lt(pk.clone())
+                .or(pm.eq(pk).and(m.clone().ge(lit(k)))));
+            a.edge(
+                Edge::new(decide, busy)
+                    .with_guard(Guard::when(
+                        IntExpr::var(running)
+                            .eq(0)
+                            .and(gated(IntExpr::lit(lit(k))))
+                            .and(Pred::forall(0, lit(K), unbeaten)),
+                    ))
+                    .with_update(Update::set(running, lit(k) + 1))
+                    .with_update(Update::set_elem(ready, lit(k), 0))
+                    .with_update(Update::ResetClock(c)),
+            );
+        }
+        a.edge(
+            Edge::new(decide, idle)
+                .with_guard(Guard::when(IntExpr::var(running).eq(0).and(Pred::forall(
+                    0,
+                    lit(K),
+                    gated(m).not(),
+                ))))
+                .with_update(Update::ResetClock(c)),
+        );
+        a.edge(
+            Edge::new(busy, decide)
+                .with_guard(Guard::always().and_clock(ClockAtom::new(c, CmpOp::Ge, 1)))
+                .with_update(Update::set(running, 0)),
+        );
+        let mut wake = Edge::new(idle, decide)
+            .with_guard(Guard::always().and_clock(ClockAtom::new(c, CmpOp::Ge, 3)));
+        for k in 0..K {
+            wake = wake.with_update(Update::set_elem(ready, lit(k), 1));
+        }
+        a.edge(wake);
+        let sched = nb.automaton(a.finish(decide));
+        (nb.build().unwrap(), sched, decide)
+    }
+
+    /// Per scan of `decide`, the most dispatch guards one scan evaluated,
+    /// and how many scans there were, over the first 200 ticks.
+    fn dispatch_guards_per_decide(engine: EvalEngine) -> (usize, usize) {
+        let (n, sched, decide) = dispatch_network();
+        let go_idle = crate::bytecode::MIN_DOMINANCE_K + 5;
+        let cache = FastCache::new(&n);
+        assert!(cache.eligible());
+        let mut state = State::initial(&n);
+        let mut run = FastRun::new(&n, &cache, &state, engine).unwrap();
+        let (mut most, mut visits) = (0, 0);
+        while state.time < 200 {
+            let at_decide = state.location_of(sched) == decide;
+            run.evaluated.borrow_mut().clear();
+            match run.first_enabled(&state).unwrap() {
+                Some(t) => run.apply(&mut state, &t).unwrap(),
+                None => {
+                    let (next, expiry, _) = run.delay_targets(&state).unwrap();
+                    let delay = next.min(expiry) - state.time;
+                    run.advance(&mut state, delay);
+                }
+            }
+            if at_decide {
+                let evaluated = run.evaluated.borrow();
+                let dispatch = evaluated
+                    .iter()
+                    .filter(|(a, e)| *a == sched && e.index() < go_idle);
+                most = most.max(dispatch.count());
+                visits += 1;
+            }
+        }
+        (most, visits)
+    }
+
+    #[test]
+    fn decide_scans_evaluate_at_most_two_dispatch_guards() {
+        let (most, visits) = dispatch_guards_per_decide(EvalEngine::Bytecode);
+        assert!(visits > 100, "{visits} scans of decide");
+        assert!(
+            most <= 2,
+            "a scan of decide evaluated {most} dispatch guards"
+        );
+        // Without trees the scan walks the bucket, so the counter sees it.
+        let (most, _) = dispatch_guards_per_decide(EvalEngine::Ast);
+        assert!(most > 2, "the AST walker evaluated at most {most}");
+    }
+
+    #[test]
+    fn dispatch_from_the_root_keeps_the_trace() {
+        let (n, ..) = dispatch_network();
+        let fast = Simulator::new(&n).horizon(200).run().unwrap();
+        let ast = Simulator::new(&n)
+            .horizon(200)
+            .engine(EvalEngine::Ast)
+            .run()
+            .unwrap();
+        let generic = Simulator::new(&n)
+            .horizon(200)
+            .tie_break(TieBreak::Permuted(vec![0]))
+            .run()
+            .unwrap();
+        assert_eq!(fast, ast);
+        assert_eq!(fast, generic);
+        assert!(fast.steps > 200, "{} steps", fast.steps);
     }
 
     #[test]

@@ -69,22 +69,17 @@ impl Transition {
     }
 
     /// All participants, sender first.
-    #[must_use]
-    pub fn participants(&self) -> Vec<Participant> {
-        match self {
-            Self::Internal { participant } => vec![*participant],
+    pub fn participants(&self) -> impl Iterator<Item = Participant> + '_ {
+        let (first, rest): (&Participant, &[Participant]) = match self {
+            Self::Internal { participant } => (participant, &[]),
             Self::Binary {
                 sender, receiver, ..
-            } => vec![*sender, *receiver],
+            } => (sender, std::slice::from_ref(receiver)),
             Self::Broadcast {
                 sender, receivers, ..
-            } => {
-                let mut v = Vec::with_capacity(1 + receivers.len());
-                v.push(*sender);
-                v.extend_from_slice(receivers);
-                v
-            }
-        }
+            } => (sender, receivers),
+        };
+        std::iter::once(*first).chain(rest.iter().copied())
     }
 }
 
@@ -108,8 +103,7 @@ fn respects_committed(network: &Network, state: &State, t: &Transition, committe
         return true;
     }
     t.participants()
-        .iter()
-        .any(|(a, _)| committed_at(network, state, *a))
+        .any(|(a, _)| committed_at(network, state, a))
 }
 
 /// Enumerates every action transition enabled in `state`, in the canonical
@@ -661,6 +655,6 @@ mod tests {
         };
         assert_eq!(t.channel(), None);
         assert_eq!(t.initiator(), AutomatonId::from_raw(2));
-        assert_eq!(t.participants().len(), 1);
+        assert_eq!(t.participants().count(), 1);
     }
 }

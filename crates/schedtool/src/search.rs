@@ -863,6 +863,75 @@ mod tests {
         }
     }
 
+    /// Runs a search with `speculation` candidates per round at
+    /// `parallelism` workers, over a fresh verdict cache; returns the
+    /// outcome and how many candidates the search probed the cache with,
+    /// one per candidate proposed.
+    fn speculative_search(
+        problem: &DesignProblem,
+        speculation: usize,
+        parallelism: usize,
+    ) -> (SearchOutcome, u64) {
+        let cache = Arc::new(swa_core::ShardedVerdictCache::new(1 << 22));
+        let options = SearchOptions {
+            speculation,
+            parallelism,
+            ..SearchOptions::default()
+        };
+        let analyzer = Analyzer::configure().cache(cache.clone());
+        let outcome = search_with(problem, &options, &analyzer).unwrap();
+        let stats = cache.stats();
+        (outcome, stats.hits + stats.misses)
+    }
+
+    /// One core, and a 15-tick deadline on a 50-tick period: the first
+    /// windows miss it, and the repair rule needs three candidates.
+    fn tight_deadline_problem() -> DesignProblem {
+        DesignProblem {
+            core_types: vec![CoreType::new("ct")],
+            modules: vec![Module::homogeneous("M", 1, CoreTypeId::from_raw(0))],
+            partitions: vec![
+                Partition::new(
+                    "control",
+                    SchedulerKind::Fpps,
+                    vec![
+                        Task::new("law", 2, vec![10], 50).with_deadline(15),
+                        Task::new("log", 1, vec![10], 100),
+                    ],
+                ),
+                Partition::new(
+                    "io",
+                    SchedulerKind::Fpps,
+                    vec![Task::new("poll", 1, vec![20], 100).with_deadline(60)],
+                ),
+            ],
+            messages: vec![],
+        }
+    }
+
+    #[test]
+    fn speculation_sets_the_candidates_per_round() {
+        let problem = tight_deadline_problem();
+        for speculation in [1, 2, 4] {
+            let (sequential, proposed) = speculative_search(&problem, speculation, 1);
+            let (parallel, _) = speculative_search(&problem, speculation, 2);
+            assert!(sequential.found(), "speculation {speculation}");
+            assert_eq!(
+                parallel.configuration, sequential.configuration,
+                "speculation {speculation}"
+            );
+            let evaluated = sequential.iterations.len();
+            assert_eq!(evaluated, 3, "speculation {speculation}");
+            if speculation == 1 {
+                // One candidate per round, each evaluated: three rounds.
+                assert_eq!(proposed, 3);
+            } else {
+                // The round that wins also proposed rungs past the winner.
+                assert_eq!(proposed, 4, "speculation {speculation}");
+            }
+        }
+    }
+
     #[test]
     fn parallelism_does_not_change_the_found_configuration() {
         for problem in [two_partition_problem(1), two_partition_problem(2)] {
